@@ -20,8 +20,6 @@ from . import calculus
 from .words import ALPHA, BETA, GAMMA, ETA
 
 ARROW_GEN = ("alpha", "beta", "gamma", "eta")
-_ARROW_S = (0, 0, 1, 1)
-_ARROW_E = (0, 1, 0, 1)
 
 
 class AlgebraContext:
@@ -380,18 +378,3 @@ def _verify_context(ctx):
         if not calculus.is_isomorphic(sub, S):
             raise SplitFailure(f"{ctx.name}: socle of {P.label} is not its top")
 
-
-def extend_scalars(M: ModuleRep, degree: int) -> ModuleRep:
-    """View a GF(2) module over GF(2^degree) (entries 0/1 embed as-is)."""
-    src = M.algebra
-    if src.field.degree != 1:
-        raise FieldTooSmall("scalar extension only from GF(2)")
-    if src.name == "Lambda":
-        ctx = quiver_context(degree)
-    else:
-        ctx = group_context(src.name[1:], degree)
-    action = {
-        name: Mat.from_entries(ctx.field, M.action[name].to_entries())
-        for name in ctx.gen_names
-    }
-    return ModuleRep(ctx, M.dim, action, label=M.label)

@@ -129,7 +129,6 @@ def _identify_string(module) -> String:
 
 
 def _syzygy_string_once(s: String, step: int, degree: int) -> String:
-    key = ("syzstr", step, degree)
     M = string_module(s, degree)
     omega = calculus.syzygy(M, step)
     return _identify_string(omega)

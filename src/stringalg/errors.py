@@ -49,6 +49,10 @@ class ZeroLambda(StringAlgError):
     pass
 
 
+class InvalidMultiplicity(StringAlgError):
+    """A band module needs a Jordan block of size at least 1."""
+
+
 class ContextMismatch(StringAlgError):
     pass
 
@@ -58,10 +62,6 @@ class SplitFailure(StringAlgError):
 
 
 class ProjectiveInput(StringAlgError):
-    pass
-
-
-class SearchInconclusive(StringAlgError):
     pass
 
 

@@ -5,11 +5,21 @@ of plane ``p`` is the coefficient of x^p in entry ``c``.  For GF(2) a row is
 a single int, so row operations are single XORs; for larger fields scalar
 multiplication mixes planes through the tables precomputed on the field.
 
+Elimination (:meth:`Mat.rref`, and through it nullspace, row space, solve
+and inverse) is one loop for every degree: it finds pivots from per-row
+support masks (the OR of the planes) and reduces rows by XOR-ing whole
+planes, never reading entries one by one.  Its output is the reduced row
+echelon form with its pivot columns, which is unique, so results do not
+depend on how the elimination is organised.
+
 Everything here is exact and deterministic.  Matrices act on column
 vectors; subspaces are handled as matrices whose rows span them.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .errors import DimensionMismatch
 from .gf import FiniteField
@@ -208,40 +218,72 @@ class Mat:
 
     # -- elimination -----------------------------------------------------------
     def rref(self):
-        """Return (reduced matrix, pivot column list)."""
-        R = self.copy()
+        """Return (reduced matrix, pivot column list).
+
+        One loop serves every field degree and never reads entries one by
+        one.  A row's support mask (the OR of its planes) gives its leading
+        column as the lowest set bit.  Rows are taken in turn: while the
+        leading column already has a pivot row, that row's multiple is
+        XOR-ed in, plane by plane, and the mask recomputed; otherwise the
+        row, scaled to a leading 1, becomes the pivot row of that column.
+        Then each pivot row, from the last column back, clears its bits in
+        the other pivot columns with the pivot rows already cleared.  A
+        multiple is the pivot row itself for a unit coefficient, otherwise
+        its planes mixed through ``field.plane_sources``.
+
+        Work follows the nonzero entries: no step scans all rows for a
+        column, which matters for the tall sparse systems of Hom spaces and
+        covers.  The reduced row echelon form and its pivot columns are
+        unique, so the result does not depend on the order of the steps.
+        """
         field = self.field
-        deg = field.degree
-        pivots = []
-        prow = 0
-        for col in range(self.ncols):
-            sel = None
-            for r in range(prow, R.nrows):
-                e = R.entry(r, col)
-                if e:
-                    sel = (r, e)
+        sources = field.plane_sources
+        planes = range(field.degree)
+
+        def coefficient(row, bit):
+            c = 0
+            for p in planes:
+                if row[p] & bit:
+                    c |= 1 << p
+            return c
+
+        def eliminate(row, bit, pivot_row):
+            """Clear `bit` from row in place; return the row's new mask."""
+            c = coefficient(row, bit)
+            if c != 1:
+                pivot_row = [_xor_planes(pivot_row, srcs) for srcs in sources[c]]
+            mask = 0
+            for p in planes:
+                row[p] ^= pivot_row[p]
+                mask |= row[p]
+            return mask
+
+        pivot_rows = {}  # leading bit -> pivot row with a leading 1
+        for row in self.rows:
+            mask = reduce(or_, row)
+            row = row[:]
+            while mask:
+                lead = mask & -mask
+                pivot_row = pivot_rows.get(lead)
+                if pivot_row is None:
+                    c = coefficient(row, lead)
+                    if c != 1:
+                        row = [_xor_planes(row, srcs) for srcs in sources[field.inv(c)]]
+                    pivot_rows[lead] = row
                     break
-            if sel is None:
-                continue
-            r, e = sel
-            R.rows[prow], R.rows[r] = R.rows[r], R.rows[prow]
-            if e != 1:
-                R.rows[prow] = R._scale_planes(field.inv(e), R.rows[prow])
-            prow_planes = R.rows[prow]
-            for rr in range(R.nrows):
-                if rr == prow:
-                    continue
-                e2 = R.entry(rr, col)
-                if e2:
-                    scaled = R._scale_planes(e2, prow_planes)
-                    target = R.rows[rr]
-                    for p in range(deg):
-                        target[p] ^= scaled[p]
-            pivots.append(col)
-            prow += 1
-            if prow == R.nrows:
-                break
-        return R, pivots
+                mask = eliminate(row, lead, pivot_row)
+        leads = sorted(pivot_rows)
+        lead_mask = reduce(or_, leads, 0)
+        for lead in reversed(leads):
+            row = pivot_rows[lead]
+            # a cleared pivot row is zero in every other pivot column, so
+            # XOR-ing it in adds no bit to this set
+            for col in _bits(reduce(or_, row) & (lead_mask ^ lead)):
+                bit = 1 << col
+                eliminate(row, bit, pivot_rows[bit])
+        rows = [pivot_rows[lead] for lead in leads]
+        rows.extend([0] * field.degree for _ in range(self.nrows - len(rows)))
+        return Mat(field, self.nrows, self.ncols, rows), [lead.bit_length() - 1 for lead in leads]
 
     def rank(self):
         if self.field.degree == 1:

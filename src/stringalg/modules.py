@@ -18,7 +18,7 @@ words are scanned and duplicates are removed by matrix equality.
 from __future__ import annotations
 
 from .algebra import ARROW_GEN, quiver_context
-from .errors import ZeroLambda
+from .errors import InvalidMultiplicity, ZeroLambda
 from .matrix import Mat
 from .rep import HomElement, ModuleRep
 from .words import Band, String, Word, e_of, is_inverse
@@ -63,6 +63,8 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     block J_m(lambda); basis index = cycle position * m + Jordan slot."""
     if lam == 0:
         raise ZeroLambda("band parameter must be nonzero")
+    if mult < 1:
+        raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
     word = _word_of(B)
     ctx = quiver_context(degree)
     field = ctx.field

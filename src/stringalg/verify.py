@@ -622,7 +622,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         if check_id not in sections:
             continue
         fn = ALL_CHECKS[check_id]
-        started = time.time()
+        started = time.perf_counter()
         try:
             claim, inputs, expected, computed = fn(cfg, memo)
             status = "pass" if _subset_ok(expected, computed) else "fail"
@@ -639,7 +639,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "status": status,
         }
         if cfg.include_timings:
-            record["seconds"] = round(time.time() - started, 3)
+            record["seconds"] = round(time.perf_counter() - started, 3)
         records.append(record)
     summary = {
         "pass": sum(r["status"] == "pass" for r in records),

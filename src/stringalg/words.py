@@ -369,10 +369,14 @@ def _all_words_upto(max_len: int):
     return words
 
 
+def _check_enum_bound(kind: str, max_len: int):
+    if not 0 <= max_len <= _ENUM_LIMIT:
+        raise LimitExceeded(f"{kind} length bound {max_len} not in 0..{_ENUM_LIMIT}")
+
+
 def enumerate_strings(max_len: int) -> list[String]:
     """All canonical string classes of length <= max_len, sorted."""
-    if max_len > _ENUM_LIMIT:
-        raise LimitExceeded(f"string length bound {max_len} > {_ENUM_LIMIT}")
+    _check_enum_bound("string", max_len)
     classes = {String((), 0), String((), 1)}
     for w in _all_words_upto(max_len) if max_len >= 1 else []:
         rev = tuple(inv_letter(l) for l in reversed(w))
@@ -383,8 +387,7 @@ def enumerate_strings(max_len: int) -> list[String]:
 
 def enumerate_bands(max_len: int) -> list[Band]:
     """All canonical band classes of length in 1..max_len, sorted."""
-    if max_len > _ENUM_LIMIT:
-        raise LimitExceeded(f"band length bound {max_len} > {_ENUM_LIMIT}")
+    _check_enum_bound("band", max_len)
     classes = set()
     for w in _all_words_upto(max_len):
         word = Word(w)
@@ -418,14 +421,6 @@ def starts_on_peak(word: Word) -> bool:
 def starts_in_deep(word: Word) -> bool:
     run = _trailing_run(word.letters)
     return run is not None and run[2] and run[1] in MAXIMAL_DIRECT
-
-
-def ends_on_peak(word: Word) -> bool:
-    return starts_in_deep(word.inverse())
-
-
-def ends_in_deep(word: Word) -> bool:
-    return starts_on_peak(word.inverse())
 
 
 def _attach_right(word: Word, tail: tuple[int, ...]) -> Word | None:

@@ -27,9 +27,9 @@ BUDGETS = {
 
 
 def _run(check_id):
-    started = time.time()
+    started = time.perf_counter()
     claim, inputs, expected, computed = ALL_CHECKS[check_id](CONFIG, MEMO)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     ok = _subset_ok(expected, computed)
     budget = BUDGETS[check_id]
     print(f"{'PASS' if ok else 'FAIL'} {check_id} ({elapsed:.1f}s, budget {budget}s)")

@@ -116,6 +116,24 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module", "--band", "eta- beta alpha- gamma", "--mult", "-2"),
+        ("module", "--band", "eta- beta alpha- gamma", "--mult", "0"),
+        ("stable-end", "--band", "eta- beta alpha- gamma", "--mult", "0"),
+        ("strings", "--max-len", "-1"),
+        ("bands", "--max-len", "-1"),
+    ],
+)
+def test_out_of_domain_arguments_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["strings"])  # missing required --max-len

@@ -60,6 +60,86 @@ def naive_rank(field, entries):
     return rank
 
 
+def _rref_reference(A):
+    """Entry-by-entry Gauss-Jordan elimination: the oracle for Mat.rref."""
+    field = A.field
+    rows = A.to_entries()
+    pivots = []
+    prow = 0
+    for col in range(A.ncols):
+        sel = next((r for r in range(prow, A.nrows) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        inv = field.inv(rows[prow][col])
+        rows[prow] = [field.mul(inv, x) for x in rows[prow]]
+        for r in range(A.nrows):
+            c = rows[r][col]
+            if r != prow and c:
+                rows[r] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[r], rows[prow])]
+        pivots.append(col)
+        prow += 1
+    R = Mat.from_entries(field, rows) if rows else Mat(field, 0, A.ncols)
+    R.ncols = A.ncols
+    return R, pivots
+
+
+def _oracle_cases(field, rng):
+    """Seeded matrices of every awkward shape over one field."""
+    yield Mat(field, 0, 5)
+    yield Mat(field, 4, 0)
+    yield Mat(field, 0, 0)
+    yield Mat.zeros(field, 3, 6)
+    for _ in range(30):
+        n, m = rng.randint(1, 18), rng.randint(1, 18)
+        yield rand_mat(field, n, m, rng)  # square-ish, tall and wide
+    for n, m in ((20, 3), (3, 20), (1, 12), (12, 1)):
+        yield rand_mat(field, n, m, rng)
+    for _ in range(15):
+        # rank-deficient: a product through a narrow inner dimension
+        n, m, k = rng.randint(2, 14), rng.randint(2, 14), rng.randint(0, 3)
+        yield rand_mat(field, n, k, rng).mul(rand_mat(field, k, m, rng)) if k else Mat.zeros(field, n, m)
+    for _ in range(15):
+        # sparse rows, many of them dependent, whose leading coefficient is
+        # drawn from the non-units
+        n, m = rng.randint(1, 30), rng.randint(1, 12)
+        entries = []
+        for _ in range(n):
+            lead = rng.randrange(m)
+            row = [0] * lead + [rng.randrange(field.order) if rng.random() < 0.3 else 0 for _ in range(m - lead)]
+            row[lead] = rng.randrange(2, field.order) if field.order > 2 else 1
+            entries.append(row)
+        yield Mat.from_entries(field, entries)
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF(3)])
+def test_rref_matches_entrywise_reference(field):
+    rng = random.Random(1000 + field.degree)
+    for A in _oracle_cases(field, rng):
+        before = A.key()
+        R, pivots = A.rref()
+        ref_R, ref_pivots = _rref_reference(A)
+        assert (R.key(), pivots) == (ref_R.key(), ref_pivots)
+        assert (R.nrows, R.ncols) == (A.nrows, A.ncols)
+        assert A.key() == before  # rref does not touch its input
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF(3)])
+def test_nullspace_rank_solve_consistent_with_reference(field):
+    rng = random.Random(2000 + field.degree)
+    for A in _oracle_cases(field, rng):
+        rank = len(_rref_reference(A)[1])
+        N = A.nullspace()
+        assert A.rank() == rank
+        assert rank + N.nrows == A.ncols
+        assert N.nrows == 0 or A.mul(N.transpose()).is_zero()
+        assert N.rank() == N.nrows
+        x0 = rand_mat(field, A.ncols, 2, rng)
+        b = A.mul(x0)
+        X = A.solve(b)
+        assert X is not None and A.mul(X).key() == b.key()
+
+
 def test_identity_rank():
     assert Mat.identity(GF2, 3).rank() == 3
 

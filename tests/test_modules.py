@@ -2,7 +2,7 @@ import pytest
 
 from stringalg import calculus as C
 from stringalg.algebra import quiver_context
-from stringalg.errors import ZeroLambda
+from stringalg.errors import InvalidMultiplicity, ZeroLambda
 from stringalg.gf import OMEGA
 from stringalg.modules import (
     band_module,
@@ -91,6 +91,12 @@ class TestBandModules:
         b = Band.from_word(parse_word(self.BAND))
         with pytest.raises(ZeroLambda):
             band_module(b, 0, 1)
+
+    @pytest.mark.parametrize("mult", [0, -1, -2])
+    def test_nonpositive_multiplicity(self, mult):
+        b = Band.from_word(parse_word(self.BAND))
+        with pytest.raises(InvalidMultiplicity):
+            band_module(b, 1, mult)
 
     def test_relations_vanish(self):
         for b in enumerate_bands(8):

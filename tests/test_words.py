@@ -90,6 +90,11 @@ class TestEnumeration:
         with pytest.raises(LimitExceeded):
             enumerate_strings(25)
 
+    @pytest.mark.parametrize("enumerate_fn", [enumerate_strings, enumerate_bands])
+    def test_negative_bound(self, enumerate_fn):
+        with pytest.raises(LimitExceeded):
+            enumerate_fn(-1)
+
     def test_oracle_equivalence(self):
         # independent generate-and-filter over all composable words
         out = {String((), 0), String((), 1)}
