@@ -20,7 +20,7 @@ from .errors import (
     SplitFailure,
     SplitOnly,
 )
-from .matrix import Mat, RowBasisGF2, RowBasisGen, hstack, row_basis, vstack
+from .matrix import Mat, RowBasis, hstack, kernel_of_rref, vstack
 from .rep import HomElement, ModuleRep, direct_sum
 
 
@@ -32,61 +32,22 @@ def _check_context(M: ModuleRep, N: ModuleRep):
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def _hom_rows_gf2(M, N, shift=0):
-    """Equation rows (ints) for X with X*a_M = a_N*X, unknown X[i,j] at bit
-    i*M.dim + j + shift."""
+def _hom_rows(M, N, basis):
+    """Insert into `basis` the equation rows of X*a_M = a_N*X over every
+    generator, unknown X[i,j] in column i*M.dim + j."""
     m = M.dim
-    rows = []
+    insert = basis.insert
     for name in M.algebra.gen_names:
-        A = M.action[name]
-        B = N.action[name]
-        acols = A.cols_nonzero()
-        brows = B.rows_nonzero()
-        for i in range(N.dim):
-            base = []
-            for r, _ in brows[i]:
-                base.append(r * m)
-            for j in range(m):
-                row = 0
-                for c, _ in acols[j]:
-                    row ^= 1 << (i * m + c + shift)
-                for rbase in base:
-                    row ^= 1 << (rbase + j + shift)
+        # row (i, j) is column j of a_M shifted to X's row i, plus row i of
+        # a_N spread over X's column j
+        acols = [basis.pack(col) for col in M.action[name].transpose().rows]
+        brows = [basis.pack(row, m) for row in N.action[name].rows]
+        for i, b in enumerate(brows):
+            for j, a in enumerate(acols):
+                row = (a << (i * m)) ^ (b << j)
                 if row:
-                    rows.append(row)
-    return rows
+                    insert(row)
 
-
-def _hom_rows_generic(M, N, shift=0):
-    field = M.field
-    deg = field.degree
-    m = M.dim
-    width_rows = []
-    for name in M.algebra.gen_names:
-        A = M.action[name]
-        B = N.action[name]
-        acols = A.cols_nonzero()
-        brows = B.rows_nonzero()
-        for i in range(N.dim):
-            for j in range(m):
-                terms = {}
-                for c, v in acols[j]:
-                    u = i * m + c + shift
-                    terms[u] = terms.get(u, 0) ^ v
-                for r, v in brows[i]:
-                    u = r * m + j + shift
-                    terms[u] = terms.get(u, 0) ^ v
-                planes = [0] * deg
-                nonzero = False
-                for u, v in terms.items():
-                    if v:
-                        nonzero = True
-                        for p in range(deg):
-                            if (v >> p) & 1:
-                                planes[p] |= 1 << u
-                if nonzero:
-                    width_rows.append(planes)
-    return width_rows
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -94,14 +55,8 @@ def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
     unknowns = M.dim * N.dim
     if unknowns == 0:
         return 0
-    if M.field.degree == 1:
-        basis = RowBasisGF2()
-        for row in _hom_rows_gf2(M, N):
-            basis.insert(row)
-    else:
-        basis = RowBasisGen(M.field)
-        for row in _hom_rows_generic(M, N):
-            basis.insert(row)
+    basis = RowBasis(M.field, unknowns)
+    _hom_rows(M, N, basis)
     return unknowns - basis.rank
 
 
@@ -112,13 +67,10 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
     if unknowns == 0:
         return []
     field = M.field
-    if field.degree == 1:
-        int_rows = _hom_rows_gf2(M, N)
-        rows = [[r] for r in int_rows]
-    else:
-        rows = _hom_rows_generic(M, N)
-    system = Mat(field, len(rows), unknowns, rows if rows else None)
-    kernel = system.nullspace() if rows else Mat.identity(field, unknowns)
+    basis = RowBasis(field, unknowns)
+    _hom_rows(M, N, basis)
+    system = Mat(field, basis.rank, unknowns, [basis.unpack(v) for v in basis.pivots.values()])
+    kernel = system.nullspace()
     out = []
     m = M.dim
     for k in range(kernel.nrows):
@@ -167,29 +119,19 @@ def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep
 
     Returns (Q, proj) with proj a (Q.dim x M.dim) projection matrix.
     """
-    basis = rows.row_space()
-    R, pivots = basis.rref()
+    R, pivots = rows.rref()
+    # e_pc reduces to its pivot row restricted to the free coordinates,
+    # so the projection is the kernel basis of R
+    proj = kernel_of_rref(R, pivots)
     pivot_set = set(pivots)
     free = [c for c in range(M.dim) if c not in pivot_set]
-    field = M.field
-    proj = Mat.zeros(field, len(free), M.dim)
-    for a, fc in enumerate(free):
-        proj.rows[a][0] |= 1 << fc
-    for k, pc in enumerate(pivots):
-        # e_{pc} reduces to (row k restricted to free coordinates)
-        for a, fc in enumerate(free):
-            e = R.entry(k, fc)
-            if e:
-                for p in range(field.degree):
-                    if (e >> p) & 1:
-                        proj.rows[a][p] |= 1 << pc
-    section = Mat.zeros(field, M.dim, len(free))
+    section = Mat.zeros(M.field, M.dim, len(free))
     for a, fc in enumerate(free):
         section.rows[fc][0] |= 1 << a
     action = {}
     for name in M.algebra.gen_names:
         act = proj.mul(M.action[name])
-        if not act.mul(basis.transpose()).is_zero():
+        if not act.mul(R.transpose()).is_zero():
             raise DimensionMismatch(f"span not invariant under {name}")
         action[name] = act.mul(section)
     Q = ModuleRep(M.algebra, len(free), action, label or f"quot({M.label})")
@@ -232,17 +174,12 @@ def socle_rows(M: ModuleRep) -> Mat:
     return vstack(mats).nullspace()
 
 
-def _rank_with(vectors: list, width: int, field) -> int:
-    basis = row_basis(field)
-    for v in vectors:
-        basis.insert(v)
-    return basis.rank
-
-
-def _mat_rows_as_vectors(mat: Mat, field):
-    if field.degree == 1:
-        return [row[0] for row in mat.rows]
-    return [list(row) for row in mat.rows]
+def _grows(span: RowBasis, mat: Mat) -> bool:
+    """Insert the rows of mat into span; return whether the span grew."""
+    rank = span.rank
+    for row in mat.rows:
+        span.insert(span.pack(row))
+    return span.rank > rank
 
 
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
@@ -251,9 +188,10 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     if "cover" in M.cache:
         return M.cache["cover"]
     ctx = M.algebra
-    field = M.field
     tops = top_multiplicities(M)
-    acc = _mat_rows_as_vectors(rad_rows(M), field)
+    # the chosen maps cover M iff their images span M modulo rad(M)
+    span = RowBasis(M.field, M.dim)
+    _grows(span, rad_rows(M))
     blocks = []
     summands = []
     for i, P_i in enumerate(ctx.pims):
@@ -263,11 +201,7 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
         for h in hom_basis(P_i, M):
             if need == 0:
                 break
-            cols = _mat_rows_as_vectors(h.transpose(), field)
-            before = _rank_with(acc, M.dim, field)
-            after = _rank_with(acc + cols, M.dim, field)
-            if after > before:
-                acc = acc + cols
+            if _grows(span, h.transpose()):
                 blocks.append(h)
                 summands.append(P_i)
                 need -= 1
@@ -296,10 +230,9 @@ def injective_envelope(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     soc_inc = socle_rows(M).transpose()  # M.dim x socdim
     blocks = []
     summands = []
-    # a module map is injective iff it is injective on the socle, so track
-    # the rank of the chosen maps restricted to soc(M)
-    soc_rank = 0
-    restricted = []
+    # a module map is injective iff it is injective on the socle, so grow
+    # the span of the chosen maps restricted to soc(M)
+    span = RowBasis(M.field, soc_inc.ncols)
     for i, P_i in enumerate(ctx.pims):
         need = socs[i]
         if need == 0:
@@ -307,17 +240,13 @@ def injective_envelope(M: ModuleRep) -> tuple[ModuleRep, Mat]:
         for g in hom_basis(M, P_i):
             if need == 0:
                 break
-            cand = restricted + [g.mul(soc_inc)]
-            r = vstack(cand).rank()
-            if r > soc_rank:
-                soc_rank = r
-                restricted = cand
+            if _grows(span, g.mul(soc_inc)):
                 blocks.append(g)
                 summands.append(P_i)
                 need -= 1
         if need:
             raise SplitFailure(f"envelope of {M!r}: not enough maps to {P_i.label}")
-    if soc_rank != soc_inc.ncols:
+    if span.rank != soc_inc.ncols:
         raise SplitFailure(f"envelope of {M!r} is not injective on the socle")
     emb = vstack(blocks)
     if emb.nullspace().nrows != 0:
@@ -381,49 +310,22 @@ def stable_end_dim(M: ModuleRep) -> int:
 def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
     """Does the module map f: M -> N factor through a projective?
 
-    Solves for g in Hom(M, P(N)) with pi*g = f; bit 0 is the RHS."""
+    Solves for g in Hom(M, P(N)) with pi*g = f: the right-hand side is
+    the top column, and the system is consistent iff no pivot leads there."""
     _check_context(M, N)
     P, pi = projective_cover(N)
-    field = M.field
     m = M.dim
-    if field.degree == 1:
-        basis = RowBasisGF2()
-        for row in _hom_rows_gf2(M, P, shift=1):
-            basis.insert(row)
-        pirows = pi.rows_nonzero()
-        for i in range(N.dim):
-            for j in range(m):
-                row = 1 if f.entry(i, j) else 0
-                for r, _ in pirows[i]:
-                    row ^= 1 << (r * m + j + 1)
-                if row:
-                    basis.insert(row)
-        return 0 not in basis.basis
-    basis = RowBasisGen(field)
-    for row in _hom_rows_generic(M, P, shift=1):
-        basis.insert(row)
-    deg = field.degree
-    pirows = pi.rows_nonzero()
-    for i in range(N.dim):
+    rhs = m * P.dim
+    basis = RowBasis(M.field, rhs + 1)
+    _hom_rows(M, P, basis)
+    units = basis.units
+    for i, pi_row in enumerate(pi.rows):
+        b = basis.pack(pi_row, m)
         for j in range(m):
-            terms = {}
-            e = f.entry(i, j)
-            if e:
-                terms[0] = e
-            for r, v in pirows[i]:
-                u = r * m + j + 1
-                terms[u] = terms.get(u, 0) ^ v
-            planes = [0] * deg
-            nz = False
-            for u, v in terms.items():
-                if v:
-                    nz = True
-                    for p in range(deg):
-                        if (v >> p) & 1:
-                            planes[p] |= 1 << u
-            if nz:
-                basis.insert(planes)
-    return 0 not in basis.basis
+            row = (units[f.entry(i, j)] << rhs) ^ (b << j)
+            if row:
+                basis.insert(row)
+    return rhs not in basis.pivots
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -439,21 +341,9 @@ def ext1_dim_cocycles(M: ModuleRep, N: ModuleRep) -> int:
     krows = pi.nullspace()
     OmegaM, inc = sub_module(P, krows, label=f"O({M.label})")
     total = hom_dim(OmegaM, N)
-    field = M.field
-    basis = row_basis(field)
+    basis = RowBasis(M.field, N.dim * OmegaM.dim)
     for g in hom_basis(P, N):
-        restricted = g.mul(inc)
-        if field.degree == 1:
-            vec = 0
-            for i in range(restricted.nrows):
-                vec |= restricted.rows[i][0] << (i * restricted.ncols)
-            basis.insert(vec)
-        else:
-            planes = [0] * field.degree
-            for i in range(restricted.nrows):
-                for p in range(field.degree):
-                    planes[p] |= restricted.rows[i][p] << (i * restricted.ncols)
-            basis.insert(planes)
+        basis.insert(g.mul(inc).vector())
     return total - basis.rank
 
 
@@ -642,28 +532,15 @@ def nonsplit_extension(top: ModuleRep, bottom: ModuleRep, cocycle_index: int = 0
     P, pi = projective_cover(top)
     OmegaT, inc = sub_module(P, pi.nullspace(), label=f"O({top.label})")
     field = top.field
-    cob = row_basis(field)
-
-    def vec_of(mat):
-        if field.degree == 1:
-            v = 0
-            for i in range(mat.nrows):
-                v |= mat.rows[i][0] << (i * mat.ncols)
-            return v
-        planes = [0] * field.degree
-        for i in range(mat.nrows):
-            for p in range(field.degree):
-                planes[p] |= mat.rows[i][p] << (i * mat.ncols)
-        return planes
-
+    width = bottom.dim * OmegaT.dim
+    cob = RowBasis(field, width)
     for g in hom_basis(P, bottom):
-        cob.insert(vec_of(g.mul(inc)))
+        cob.insert(g.mul(inc).vector())
     chosen = []
     for h in hom_basis(OmegaT, bottom):
-        probe = row_basis(field)
-        probe.basis = dict(cob.basis)
-        probe.rank = cob.rank
-        if probe.insert(vec_of(h)):
+        probe = RowBasis(field, width)
+        probe.pivots = dict(cob.pivots)
+        if probe.insert(h.vector()):
             chosen.append(h)
     if not chosen:
         raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")

@@ -88,9 +88,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)

@@ -5,12 +5,15 @@ of plane ``p`` is the coefficient of x^p in entry ``c``.  For GF(2) a row is
 a single int, so row operations are single XORs; for larger fields scalar
 multiplication mixes planes through the tables precomputed on the field.
 
-Elimination (:meth:`Mat.rref`, and through it nullspace, row space, solve
-and inverse) is one loop for every degree: it finds pivots from per-row
-support masks (the OR of the planes) and reduces rows by XOR-ing whole
-planes, never reading entries one by one.  Its output is the reduced row
-echelon form with its pivot columns, which is unique, so results do not
-depend on how the elimination is organised.
+For elimination a row vector of ``width`` entries is packed into one int
+with its planes side by side (bit ``c`` of plane ``p`` is bit
+``p*width + c``), so adding two rows is one XOR over every field.  One
+:class:`RowBasis` holds such vectors as an echelon basis and is the only
+elimination kernel: :meth:`Mat.rref` (and through it nullspace, row space,
+solve and inverse) inserts every row and then back-substitutes, and the
+Hom systems, covers and Ext^1 classes of the module calculus are reduced
+in it row by row.  The reduced row echelon form and its pivot columns are
+unique, so results do not depend on how the elimination is organised.
 
 Everything here is exact and deterministic.  Matrices act on column
 vectors; subspaces are handled as matrices whose rows span them.
@@ -136,17 +139,6 @@ class Mat:
                 e |= ((plane >> c) & 1) << p
             yield c, e
 
-    def cols_nonzero(self):
-        """List over columns of [(row, coeff)] for nonzero entries."""
-        cols = [[] for _ in range(self.ncols)]
-        for r in range(self.nrows):
-            for c, e in self.row_entry_iter(r):
-                cols[c].append((r, e))
-        return cols
-
-    def rows_nonzero(self):
-        return [list(self.row_entry_iter(r)) for r in range(self.nrows)]
-
     # -- arithmetic -----------------------------------------------------------
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -217,98 +209,54 @@ class Mat:
         return out
 
     # -- elimination -----------------------------------------------------------
+    def vector(self) -> int:
+        """The matrix flattened row after row, entry (i, j) in column
+        i*ncols + j, as one packed vector (see :class:`RowBasis`)."""
+        n = self.ncols
+        size = self.nrows * n
+        v = 0
+        for i, row in enumerate(self.rows):
+            for p, plane in enumerate(row):
+                v |= plane << (p * size + i * n)
+        return v
+
+    def _basis(self):
+        basis = RowBasis(self.field, self.ncols)
+        for row in self.rows:
+            basis.insert(basis.pack(row))
+        return basis
+
     def rref(self):
         """Return (reduced matrix, pivot column list).
 
-        One loop serves every field degree and never reads entries one by
-        one.  A row's support mask (the OR of its planes) gives its leading
-        column as the lowest set bit.  Rows are taken in turn: while the
-        leading column already has a pivot row, that row's multiple is
-        XOR-ed in, plane by plane, and the mask recomputed; otherwise the
-        row, scaled to a leading 1, becomes the pivot row of that column.
-        Then each pivot row, from the last column back, clears its bits in
-        the other pivot columns with the pivot rows already cleared.  A
-        multiple is the pivot row itself for a unit coefficient, otherwise
-        its planes mixed through ``field.plane_sources``.
-
-        Work follows the nonzero entries: no step scans all rows for a
-        column, which matters for the tall sparse systems of Hom spaces and
-        covers.  The reduced row echelon form and its pivot columns are
-        unique, so the result does not depend on the order of the steps.
+        Every row is inserted into one :class:`RowBasis`, which leaves an
+        echelon basis with leading 1s.  Then each pivot, from the last
+        pivot column back, clears its entries in the other pivot columns
+        with the pivots already cleared.  The reduced row echelon form and
+        its pivot columns are unique, so the result does not depend on the
+        order of the steps.
         """
-        field = self.field
-        sources = field.plane_sources
-        planes = range(field.degree)
-
-        def coefficient(row, bit):
-            c = 0
-            for p in planes:
-                if row[p] & bit:
-                    c |= 1 << p
-            return c
-
-        def eliminate(row, bit, pivot_row):
-            """Clear `bit` from row in place; return the row's new mask."""
-            c = coefficient(row, bit)
-            if c != 1:
-                pivot_row = [_xor_planes(pivot_row, srcs) for srcs in sources[c]]
-            mask = 0
-            for p in planes:
-                row[p] ^= pivot_row[p]
-                mask |= row[p]
-            return mask
-
-        pivot_rows = {}  # leading bit -> pivot row with a leading 1
-        for row in self.rows:
-            mask = reduce(or_, row)
-            row = row[:]
-            while mask:
-                lead = mask & -mask
-                pivot_row = pivot_rows.get(lead)
-                if pivot_row is None:
-                    c = coefficient(row, lead)
-                    if c != 1:
-                        row = [_xor_planes(row, srcs) for srcs in sources[field.inv(c)]]
-                    pivot_rows[lead] = row
-                    break
-                mask = eliminate(row, lead, pivot_row)
-        leads = sorted(pivot_rows)
-        lead_mask = reduce(or_, leads, 0)
+        basis = self._basis()
+        pivots = basis.pivots
+        leads = sorted(pivots)
+        lead_mask = reduce(or_, (1 << lead for lead in leads), 0)
         for lead in reversed(leads):
-            row = pivot_rows[lead]
-            # a cleared pivot row is zero in every other pivot column, so
-            # XOR-ing it in adds no bit to this set
-            for col in _bits(reduce(or_, row) & (lead_mask ^ lead)):
-                bit = 1 << col
-                eliminate(row, bit, pivot_rows[bit])
-        rows = [pivot_rows[lead] for lead in leads]
-        rows.extend([0] * field.degree for _ in range(self.nrows - len(rows)))
-        return Mat(field, self.nrows, self.ncols, rows), [lead.bit_length() - 1 for lead in leads]
+            v = pivots[lead]
+            # a cleared pivot is zero in every other pivot column, so
+            # clearing with it adds no bit to this set
+            for col in _bits(basis.support(v) & lead_mask & ~(1 << lead)):
+                v = basis.clear(v, col, pivots[col])
+            pivots[lead] = v
+        rows = [basis.unpack(pivots[lead]) for lead in leads]
+        rows.extend([0] * self.field.degree for _ in range(self.nrows - len(rows)))
+        return Mat(self.field, self.nrows, self.ncols, rows), leads
 
     def rank(self):
-        if self.field.degree == 1:
-            basis = RowBasisGF2()
-            for row in self.rows:
-                basis.insert(row[0])
-            return basis.rank
-        return len(self.rref()[1])
+        return self._basis().rank
 
     def nullspace(self):
         """Basis of {x : self * x = 0}, one vector per row of the result."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = Mat(self.field, len(free), self.ncols)
-        for k, fc in enumerate(free):
-            planes = out.rows[k]
-            planes[0] |= 1 << fc
-            for j, pc in enumerate(pivots):
-                e = R.entry(j, fc)
-                if e:
-                    # char 2: x_pc = e * x_fc
-                    for p in _bits(e):
-                        planes[p] |= 1 << pc
-        return out
+        return kernel_of_rref(*self.rref())
 
     def row_space(self):
         R, pivots = self.rref()
@@ -349,6 +297,24 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field}, {self.nrows}x{self.ncols})"
+
+
+def kernel_of_rref(R: Mat, pivots) -> Mat:
+    """Basis of the kernel of a matrix with reduced form R and these pivot
+    columns: one vector per free column fc, with 1 at fc and, at each
+    pivot column pc, the entry of pc's pivot row at fc (char 2: x_pc =
+    R[pc-row, fc] * x_fc).  Copies the free-column bits plane by plane."""
+    free = ((1 << R.ncols) - 1) & ~reduce(or_, (1 << pc for pc in pivots), 0)
+    index = {fc: k for k, fc in enumerate(_bits(free))}
+    out = Mat(R.field, len(index), R.ncols)
+    for fc, k in index.items():
+        out.rows[k][0] = 1 << fc
+    for row, pc in zip(R.rows, pivots):
+        bit = 1 << pc
+        for p, plane in enumerate(row):
+            for fc in _bits(plane & free):
+                out.rows[index[fc]][p] |= bit
+    return out
 
 
 def hstack(mats):
@@ -394,91 +360,96 @@ def block_diag(mats):
     return out
 
 
-class RowBasisGF2:
-    """Online GF(2) row basis; rows are plain ints, leading bit = highest."""
+class RowBasis:
+    """Online row basis over GF(2^m) on packed row vectors.
 
-    __slots__ = ("basis", "rank")
+    A row vector of ``width`` entries is one int with its bit planes side
+    by side: bit ``c`` of plane ``p`` is bit ``p*width + c``.  Over GF(2)
+    that is the plain bitset of the row, and over every field adding two
+    rows is one XOR.  Each pivot is reduced against the earlier ones, has
+    leading coefficient 1, and is keyed by its lowest nonzero column.
+    """
 
-    def __init__(self):
-        self.basis = {}
-        self.rank = 0
+    __slots__ = ("field", "width", "full", "pivots", "units")
 
-    def reduce(self, row: int) -> int:
-        basis = self.basis
-        while row:
-            lead = row.bit_length() - 1
-            piv = basis.get(lead)
-            if piv is None:
-                return row
-            row ^= piv
-        return 0
-
-    def insert(self, row: int) -> bool:
-        row = self.reduce(row)
-        if row:
-            self.basis[row.bit_length() - 1] = row
-            self.rank += 1
-            return True
-        return False
-
-
-class RowBasisGen:
-    """Online row basis over GF(2^m); rows are tuples of plane ints."""
-
-    __slots__ = ("field", "basis", "rank")
-
-    def __init__(self, field: FiniteField):
+    def __init__(self, field: FiniteField, width: int):
         self.field = field
-        self.basis = {}
-        self.rank = 0
+        self.width = width
+        self.full = (1 << width) - 1
+        self.pivots = {}
+        # units[e]: element e as a one-entry vector in column 0; shift it
+        # left by c to put e in column c
+        self.units = [sum(1 << (p * width) for p in _bits(e)) for e in field.elements()]
 
-    def _lead(self, planes):
-        mask = 0
-        for p in planes:
-            mask |= p
-        return mask.bit_length() - 1 if mask else -1
+    @property
+    def rank(self):
+        return len(self.pivots)
 
-    def _entry(self, planes, c):
-        e = 0
+    def pack(self, planes, stride: int = 1) -> int:
+        """Packed vector of a plane list, with entry c in column c*stride."""
+        v = 0
         for p, plane in enumerate(planes):
-            e |= ((plane >> c) & 1) << p
-        return e
+            if stride != 1:
+                plane = sum(1 << (c * stride) for c in _bits(plane))
+            v |= plane << (p * self.width)
+        return v
 
-    def _scale(self, s, planes):
-        deg = self.field.degree
-        if s == 0:
-            return [0] * deg
-        if s == 1:
-            return list(planes)
-        srcs = self.field.plane_sources[s]
-        return [_xor_planes(planes, srcs[i]) for i in range(deg)]
+    def unpack(self, v: int) -> list:
+        return [(v >> (p * self.width)) & self.full for p in range(self.field.degree)]
 
-    def reduce(self, planes):
-        planes = list(planes)
-        basis = self.basis
-        while True:
-            lead = self._lead(planes)
-            if lead < 0:
-                return planes
-            piv = basis.get(lead)
-            if piv is None:
-                return planes
-            c = self._entry(planes, lead)
-            scaled = self._scale(c, piv)
-            for p in range(len(planes)):
-                planes[p] ^= scaled[p]
+    def support(self, v: int) -> int:
+        """Mask of the nonzero columns of v (the OR of its planes)."""
+        s = 0
+        while v:
+            s |= v & self.full
+            v >>= self.width
+        return s
 
-    def insert(self, planes) -> bool:
-        planes = self.reduce(planes)
-        lead = self._lead(planes)
-        if lead < 0:
-            return False
-        c = self._entry(planes, lead)
-        if c != 1:
-            planes = self._scale(self.field.inv(c), planes)
-        self.basis[lead] = planes
-        self.rank += 1
-        return True
+    def _coefficient(self, v: int, col: int) -> int:
+        c = 0
+        for p in range(self.field.degree):
+            c |= ((v >> (p * self.width + col)) & 1) << p
+        return c
+
+    def _scale(self, c: int, v: int) -> int:
+        if c == 1:
+            return v
+        planes = self.unpack(v)
+        out = 0
+        for p, srcs in enumerate(self.field.plane_sources[c]):
+            out |= _xor_planes(planes, srcs) << (p * self.width)
+        return out
+
+    def clear(self, v: int, col: int, pivot: int) -> int:
+        """v minus the multiple of `pivot` (entry 1 in column `col`) that
+        zeroes v's entry in that column."""
+        return v ^ self._scale(self._coefficient(v, col), pivot)
+
+    def insert(self, v: int) -> bool:
+        """Reduce v by the pivots; keep a nonzero remainder, scaled to a
+        leading 1, as a new pivot.  Return whether v was independent."""
+        pivots = self.pivots
+        full = self.full
+        while v:
+            if v <= full:
+                # plane 0 only: the entries are 0/1 and the lowest bit is
+                # the leading column, with coefficient 1
+                col = (v ^ (v - 1)).bit_length() - 1
+                pivot = pivots.get(col)
+                if pivot is None:
+                    pivots[col] = v
+                    return True
+                v ^= pivot
+                continue
+            support = self.support(v)
+            col = (support ^ (support - 1)).bit_length() - 1
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = self.field.inv(self._coefficient(v, col))
+                pivots[col] = self._scale(inv, v)
+                return True
+            v = self.clear(v, col, pivot)
+        return False
 
 
 def _xor_planes(planes, srcs):
@@ -486,7 +457,3 @@ def _xor_planes(planes, srcs):
     for j in srcs:
         acc ^= planes[j]
     return acc
-
-
-def row_basis(field: FiniteField):
-    return RowBasisGF2() if field.degree == 1 else RowBasisGen(field)

@@ -176,10 +176,6 @@ def word_flaw(letters) -> str | None:
     return None
 
 
-def is_valid_string_word(word: Word) -> bool:
-    return word_flaw(word.letters) is None
-
-
 def validate_string_word(word: Word) -> Word:
     flaw = word_flaw(word.letters)
     if flaw == "not composable":

@@ -5,9 +5,11 @@ import pytest
 from stringalg import calculus as C
 from stringalg.algebra import group_context, quiver_context
 from stringalg.errors import SplitOnly
-from stringalg.modules import string_module
+from stringalg.gf import OMEGA
+from stringalg.matrix import Mat
+from stringalg.modules import band_module, string_module
 from stringalg.rep import direct_sum
-from stringalg.words import enumerate_strings, parse_word
+from stringalg.words import Band, enumerate_strings, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,38 @@ class TestStableAndExt:
         # the analog of the second-vertex length-2 uniserial
         m_eta = string_module(parse_word("eta"))
         assert C.ext1_dim(m_eta, m_eta) == 0
+
+
+class TestFactorsThroughProjective:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_identity_of_pim_factors(self, degree):
+        for P in quiver_context(degree).pims:
+            assert C.factors_through_projective(Mat.identity(P.field, P.dim), P, P)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_identity_of_non_projective_does_not_factor(self, degree):
+        mods = [string_module(parse_word(t), degree) for t in ("alpha-", "gamma beta", "alpha beta- gamma-")]
+        if degree == 2:
+            mods.append(band_module(Band.from_word(parse_word("eta- beta alpha- gamma")), OMEGA, 1, degree=2))
+        for M in mods:
+            ident = Mat.identity(M.field, M.dim)
+            assert not C.factors_through_projective(ident, M, M)
+            assert not C.factors_through_projective(ident.scale(M.field.order - 1), M, M)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_composite_through_projective_factors(self, degree):
+        field = quiver_context(degree).field
+        pairs = (("alpha beta- gamma-", "alpha beta- gamma-"), ("gamma beta", "alpha-"), ("eta- beta", "alpha- gamma eta-"))
+        for mt, nt in pairs:
+            M, N = string_module(parse_word(mt), degree), string_module(parse_word(nt), degree)
+            P, pi = C.projective_cover(N)
+            composites = [pi.mul(g) for g in C.hom_basis(M, P)]
+            f = Mat.zeros(field, N.dim, M.dim)
+            for k, h in enumerate(composites):
+                f = f.add(h.scale(field.order - 1 - k % (field.order - 1)))
+            assert not f.is_zero()
+            for h in composites + [f]:
+                assert C.factors_through_projective(h, M, N)
 
 
 class TestIsoAndDecompose:

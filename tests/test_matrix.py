@@ -1,9 +1,11 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from stringalg.gf import GF, GF2, GF4
-from stringalg.matrix import Mat, RowBasisGF2, block_diag, hstack, row_basis, vstack
+from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 
 
 def rand_mat(field, n, m, rng):
@@ -110,6 +112,13 @@ def _oracle_cases(field, rng):
             row[lead] = rng.randrange(2, field.order) if field.order > 2 else 1
             entries.append(row)
         yield Mat.from_entries(field, entries)
+    for _ in range(15):
+        # rows of 0/1 entries only (plane 0 alone), some stacked on rows
+        # with general entries, so reductions pass between both kinds
+        n, m = rng.randint(1, 20), rng.randint(1, 14)
+        ones = Mat.from_entries(field, [[rng.randrange(2) for _ in range(m)] for _ in range(n)])
+        yield ones
+        yield vstack([rand_mat(field, rng.randint(1, 4), m, rng), ones])
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, GF(3)])
@@ -194,26 +203,42 @@ def test_inverse_round_trip(field):
         assert A.mul(A.inverse()).to_entries() == Mat.identity(field, n).to_entries()
 
 
-def test_bit_packed_and_generic_paths_agree_up_to_512():
+def test_row_basis_rank_matches_bitset_reference_up_to_512():
     rng = random.Random(5)
     for n in (16, 64, 128, 512):
         rows = [rng.getrandbits(n) for _ in range(n)]
         A = Mat(GF2, n, n, [[r] for r in rows])
-        packed = RowBasisGF2()
+        basis = RowBasis(GF2, n)
         for r in rows:
-            packed.insert(r)
-        assert packed.rank == len(A.rref()[1]) == gf2_rank_reference(rows, n)
+            basis.insert(r)
+        assert basis.rank == len(A.rref()[1]) == gf2_rank_reference(rows, n)
 
 
-def test_row_basis_matches_rref_rank_gf4():
-    rng = random.Random(13)
-    for _ in range(20):
-        n, m = rng.randint(1, 16), rng.randint(1, 16)
-        A = rand_mat(GF4, n, m, rng)
-        rb = row_basis(GF4)
+@pytest.mark.parametrize("field", [GF2, GF4, GF(3)])
+def test_row_basis_matches_entrywise_reference(field):
+    rng = random.Random(3000 + field.degree)
+    for A in _oracle_cases(field, rng):
+        ref_R, ref_pivots = _rref_reference(A)
+        basis = RowBasis(field, A.ncols)
         for row in A.rows:
-            rb.insert(row)
-        assert rb.rank == len(A.rref()[1])
+            v = basis.pack(row)
+            assert basis.unpack(v) == row
+            assert basis.support(v) == reduce(or_, row)
+            basis.insert(v)
+        assert basis.rank == len(ref_pivots)
+        leads = sorted(basis.pivots)
+        assert leads == ref_pivots
+        P = Mat(field, len(leads), A.ncols, [basis.unpack(basis.pivots[lead]) for lead in leads])
+        for k, lead in enumerate(leads):
+            # lowest nonzero column is the key, with coefficient 1
+            assert P.entry(k, lead) == 1
+            assert basis.support(basis.pivots[lead]) & ((1 << lead) - 1) == 0
+        # the pivots span the row space of A
+        assert _rref_reference(P)[0].key()[2] == ref_R.key()[2][: len(leads)]
+        top = max(A.ncols - 1, 0)
+        for e in field.elements():
+            expected = [((e >> p) & 1) << top for p in range(field.degree)]
+            assert basis.unpack(basis.units[e] << top) == (expected if A.ncols else [0] * field.degree)
 
 
 def test_stack_helpers():

@@ -191,20 +191,17 @@ class TestStringTypeEndos:
 def test_comb_hom_maps_are_linearly_independent():
     # together with dimension agreement this makes the combinatorial
     # maps a genuine basis of the hom space
-    from stringalg.matrix import row_basis
+    from stringalg.matrix import RowBasis
 
     for a in enumerate_strings(5):
         for b in enumerate_strings(5):
             basis = string_hom_basis(a, b)
             if not basis:
                 continue
-            rb = row_basis(basis[0].matrix.field)
+            m = basis[0].matrix
+            rb = RowBasis(m.field, m.nrows * m.ncols)
             for h in basis:
-                v = 0
-                m = h.matrix
-                for i in range(m.nrows):
-                    v |= m.rows[i][0] << (i * m.ncols)
-                rb.insert(v)
+                rb.insert(h.matrix.vector())
             assert rb.rank == len(basis), (a.text(), b.text())
 
 
