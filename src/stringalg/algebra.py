@@ -17,7 +17,7 @@ from .gf import GF, OMEGA
 from .matrix import Mat
 from .rep import ModuleRep
 from . import calculus
-from .words import ALPHA, BETA, GAMMA, ETA
+from .words import ALPHA, BETA, GAMMA, ETA, e_of, s_of
 
 ARROW_GEN = ("alpha", "beta", "gamma", "eta")
 
@@ -27,6 +27,8 @@ class AlgebraContext:
         "name",
         "field",
         "gen_names",
+        "idempotents",
+        "arrows",
         "dim",
         "regular",
         "basis_expr",
@@ -42,6 +44,10 @@ class AlgebraContext:
         self.name = name
         self.field = field
         self.gen_names = tuple(gen_names)
+        # vertex idempotents, one per vertex (none: a single vertex), and
+        # the (source, target) vertex of every other generator
+        self.idempotents = ()
+        self.arrows = {name: (0, 0) for name in self.gen_names}
         self.dim = 0
         self.regular = None
         self.basis_expr = []
@@ -96,6 +102,8 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
         return _CONTEXTS[key]
     field = GF(degree)
     ctx = AlgebraContext("Lambda", field, ("e0", "e1") + ARROW_GEN)
+    ctx.idempotents = ("e0", "e1")
+    ctx.arrows = {name: (s_of(a), e_of(a)) for a, name in enumerate(ARROW_GEN)}
     ctx.dim = len(_PATHS)
 
     action = {}

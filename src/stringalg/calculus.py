@@ -3,15 +3,29 @@ syzygies, stable Hom, Ext^1, isomorphism testing, Fitting decomposition,
 radical/socle structure and non-split extensions.
 
 Everything reduces to exact linear algebra.  Hom spaces are intertwiner
-solution spaces; a map factors through a projective iff it lifts along the
-projective cover of its target, which is one consistency solve.  Negative
-syzygies use the symmetry of the algebras at hand (socle of a projective
-indecomposable is isomorphic to its top; this is asserted at setup).
+solution spaces; one function sets up the Hom system for hom_dim,
+hom_basis and factors_through_projective.  The algebra context names its
+vertex idempotents and the source and target vertex of every other
+generator.  When both modules are graded by the vertices (the
+idempotents act as complementary 0/1 diagonal matrices, each arrow
+matrix lives in the block from its source to its target vertex), a map
+preserves vertices: the only unknowns are the X[i,j] with i and j at one
+vertex and the only equations are those of the arrows.  That is the full
+system with its forced-zero unknowns removed, so every answer, down to
+the order of a Hom basis, is the same; modules that are not graded get
+the full system.  A map factors through a projective iff it lifts along
+the projective cover of its target, which is one consistency solve.
+Negative syzygies use the symmetry of the algebras at hand (socle of a
+projective indecomposable is isomorphic to its top; this is asserted at
+setup).
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import or_
+from typing import NamedTuple
 
 from .errors import (
     ContextMismatch,
@@ -32,53 +46,189 @@ def _check_context(M: ModuleRep, N: ModuleRep):
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def _hom_rows(M, N, basis):
-    """Insert into `basis` the equation rows of X*a_M = a_N*X over every
-    generator, unknown X[i,j] in column i*M.dim + j."""
-    m = M.dim
-    insert = basis.insert
-    for name in M.algebra.gen_names:
-        # row (i, j) is column j of a_M shifted to X's row i, plus row i of
-        # a_N spread over X's column j
-        acols = [basis.pack(col) for col in M.action[name].transpose().rows]
-        brows = [basis.pack(row, m) for row in N.action[name].rows]
-        for i, b in enumerate(brows):
-            for j, a in enumerate(acols):
-                row = (a << (i * m)) ^ (b << j)
-                if row:
-                    insert(row)
+def vertex_grading(M: ModuleRep):
+    """The vertex of each basis vector of M, or None if M is not graded.
 
+    M is graded when its vertex idempotents act as complementary 0/1
+    diagonal matrices and every arrow matrix lives in the block from its
+    source vertex to its target vertex.  Over a group algebra (no
+    idempotents, one vertex) every module is graded.  Cached in M.cache."""
+    if "grading" not in M.cache:
+        M.cache["grading"] = _grading(M)
+    return M.cache["grading"]
+
+
+def _grading(M):
+    ctx = M.algebra
+    full = (1 << M.dim) - 1
+    verts = [0] * M.dim
+    masks = [full]
+    if ctx.idempotents:
+        masks = []
+        for v, name in enumerate(ctx.idempotents):
+            mask = 0
+            for i, row in enumerate(M.action[name].rows):
+                if row[0]:
+                    if row[0] != 1 << i:
+                        return None
+                    mask |= row[0]
+                    verts[i] = v
+                if any(row[1:]):
+                    return None
+            masks.append(mask)
+        if sum(masks) != full or reduce(or_, masks) != full:
+            return None
+    for name, (s, t) in ctx.arrows.items():
+        rows = cols = 0
+        for i, row in enumerate(M.action[name].rows):
+            for plane in row:
+                if plane:
+                    rows |= 1 << i
+                    cols |= plane
+        if rows & ~masks[t] or cols & ~masks[s]:
+            return None
+    return tuple(verts)
+
+
+def _spread(plane: int, places) -> int:
+    """Move bit k of plane to bit places[k]."""
+    out = 0
+    while plane:
+        low = plane & -plane
+        out |= 1 << places[low.bit_length() - 1]
+        plane ^= low
+    return out
+
+
+class _HomParts(NamedTuple):
+    """What a module brings to a Hom system, as source and as target."""
+
+    verts: tuple  # the vertex of each basis vector
+    pos: list  # pos[j]: j's place among the basis vectors at its vertex
+    members: list  # members[v]: the basis vectors at vertex v, in order
+    # per equation s -> t: the columns j at s (in the order of members[s],
+    # as planes with entry k moved to pos[k]) and the rows i at t as
+    # (i, planes)
+    gens: list
+
+
+def _hom_parts(M, graded: bool) -> _HomParts:
+    """M's part of a Hom system, cached in M.cache.  Graded: a block per
+    vertex and the arrow equations.  One block: every basis vector at
+    vertex 0 and every generator an equation."""
+    key = "hom_graded" if graded else "hom_block"
+    if key not in M.cache:
+        ctx = M.algebra
+        if graded:
+            verts = vertex_grading(M)
+            arrows = ctx.arrows.items()
+            nverts = max(1, len(ctx.idempotents))
+        else:
+            verts = (0,) * M.dim
+            arrows = [(name, (0, 0)) for name in ctx.gen_names]
+            nverts = 1
+        members = [[] for _ in range(nverts)]
+        pos = []
+        for j, v in enumerate(verts):
+            pos.append(len(members[v]))
+            members[v].append(j)
+        gens = []
+        for name, (s, t) in arrows:
+            rows = M.action[name].rows
+            # entry (k, j) sits in row k and source column j, and j is at s
+            cols = [[0] * ctx.field.degree for _ in members[s]]
+            for k, row in enumerate(rows):
+                for p, plane in enumerate(row):
+                    while plane:
+                        low = plane & -plane
+                        cols[pos[low.bit_length() - 1]][p] |= 1 << pos[k]
+                        plane ^= low
+            gens.append((cols, [(i, rows[i]) for i in members[t]]))
+        M.cache[key] = _HomParts(verts, pos, members, gens)
+    return M.cache[key]
+
+
+class _HomSystem(NamedTuple):
+    """The Hom system of a pair M -> N in a RowBasis, with its layout: the
+    unknowns of row i of X are the X[i,j] with j at i's vertex, a run of
+    columns from base[i] in X's row-major order."""
+
+    basis: RowBasis
+    unknowns: int
+    base: list
+    source: _HomParts
+    target: _HomParts
+
+
+def _hom_rows(M, N, extra: int = 0) -> _HomSystem:
+    """The equations of X*a_M = a_N*X in one RowBasis, with `extra` more
+    columns after the unknowns.
+
+    When M and N are both graded, a map preserves vertices: the only
+    unknowns are the X[i,j] with i and j at one vertex, the idempotent
+    equations hold, and an arrow s -> t gives equations for i at t and j
+    at s only.  Otherwise both are read as one block, which is the full
+    entrywise system.  Either way the system is the full one with its
+    forced-zero columns removed and the rest in order, so it has the same
+    kernel."""
+    graded = vertex_grading(M) is not None and vertex_grading(N) is not None
+    source = _hom_parts(M, graded)
+    target = _hom_parts(N, graded)
+    base = []
+    unknowns = 0
+    for v in target.verts:
+        base.append(unknowns)
+        unknowns += len(source.members[v])
+    basis = RowBasis(M.field, unknowns + extra)
+    pack = basis.pack
+    insert = basis.insert
+    for (cols, _), (_, rows) in zip(source.gens, target.gens):
+        # row (i, j): column j of a_M at X's row i, plus row i of a_N
+        # spread over X's column j
+        acols = [pack(col) for col in cols]
+        for i, row in rows:
+            shift = base[i]
+            b = pack([_spread(plane, base) for plane in row])
+            if b:
+                for pj, a in enumerate(acols):
+                    v = (a << shift) ^ (b << pj)
+                    if v:
+                        insert(v)
+            else:
+                for a in acols:
+                    if a:
+                        insert(a << shift)
+    return _HomSystem(basis, unknowns, base, source, target)
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
     _check_context(M, N)
-    unknowns = M.dim * N.dim
-    if unknowns == 0:
+    if M.dim * N.dim == 0:
         return 0
-    basis = RowBasis(M.field, unknowns)
-    _hom_rows(M, N, basis)
-    return unknowns - basis.rank
+    system = _hom_rows(M, N)
+    return system.unknowns - system.basis.rank
 
 
 def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
     """Basis of intertwiners as matrices (N.dim x M.dim)."""
     _check_context(M, N)
-    unknowns = M.dim * N.dim
-    if unknowns == 0:
+    if M.dim * N.dim == 0:
         return []
     field = M.field
-    basis = RowBasis(field, unknowns)
-    _hom_rows(M, N, basis)
-    system = Mat(field, basis.rank, unknowns, [basis.unpack(v) for v in basis.pivots.values()])
-    kernel = system.nullspace()
+    system = _hom_rows(M, N)
+    basis = system.basis
+    unknowns = system.unknowns
+    rows = [basis.unpack(v) for v in basis.pivots.values()]
+    kernel = Mat(field, basis.rank, unknowns, rows).nullspace()
+    members = system.source.members
     out = []
-    m = M.dim
     for k in range(kernel.nrows):
-        f = Mat.zeros(field, N.dim, m)
+        f = Mat.zeros(field, N.dim, M.dim)
         for p in range(field.degree):
             plane = kernel.rows[k][p]
-            for i in range(N.dim):
-                f.rows[i][p] = (plane >> (i * m)) & ((1 << m) - 1)
+            for i, v in enumerate(system.target.verts):
+                run = (plane >> system.base[i]) & ((1 << len(members[v])) - 1)
+                f.rows[i][p] = _spread(run, members[v])
         out.append(f)
     return out
 
@@ -100,10 +250,9 @@ def sub_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep, Mat
     Returns (S, inc) with inc an (M.dim x S.dim) inclusion matrix.
     Raises if the span is not invariant.
     """
-    basis = rows.row_space()
-    r = basis.nrows
-    inc = basis.transpose()
-    R, pivots = basis.rref()
+    R, pivots = rows.rref()
+    r = len(pivots)
+    inc = Mat(M.field, r, R.ncols, R.rows[:r]).transpose()
     action = {}
     for name in M.algebra.gen_names:
         prod = M.action[name].mul(inc)  # M.dim x r
@@ -151,12 +300,17 @@ def image_module(f: Mat, N: ModuleRep, label: str = "") -> tuple[ModuleRep, Mat]
 # -- tops, socles, covers -------------------------------------------------------
 
 
-def rad_rows(M: ModuleRep) -> Mat:
-    """Row space of rad(A) * M."""
+def _rad_span(M: ModuleRep) -> Mat:
+    """Rows spanning rad(A) * M, not reduced."""
     mats = M.rad_matrices()
     if not mats:
         return Mat.zeros(M.field, 0, M.dim)
-    return vstack([m.transpose() for m in mats]).row_space()
+    return vstack([m.transpose() for m in mats])
+
+
+def rad_rows(M: ModuleRep) -> Mat:
+    """Row space of rad(A) * M."""
+    return _rad_span(M).row_space()
 
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
@@ -191,7 +345,7 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     tops = top_multiplicities(M)
     # the chosen maps cover M iff their images span M modulo rad(M)
     span = RowBasis(M.field, M.dim)
-    _grows(span, rad_rows(M))
+    _grows(span, _rad_span(M))
     blocks = []
     summands = []
     for i, P_i in enumerate(ctx.pims):
@@ -314,15 +468,17 @@ def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
     the top column, and the system is consistent iff no pivot leads there."""
     _check_context(M, N)
     P, pi = projective_cover(N)
-    m = M.dim
-    rhs = m * P.dim
-    basis = RowBasis(M.field, rhs + 1)
-    _hom_rows(M, P, basis)
+    system = _hom_rows(M, P, extra=1)
+    basis = system.basis
+    rhs = system.unknowns
     units = basis.units
+    # g[k,j] is an unknown only for k at j's vertex v: row (i, j) is row i
+    # of pi, cut to the k at v and spread over X's column j
+    keeps = [sum(1 << k for k in ks) for ks in system.target.members]
     for i, pi_row in enumerate(pi.rows):
-        b = basis.pack(pi_row, m)
-        for j in range(m):
-            row = (units[f.entry(i, j)] << rhs) ^ (b << j)
+        spreads = [basis.pack([_spread(plane & keep, system.base) for plane in pi_row]) for keep in keeps]
+        for j, v in enumerate(system.source.verts):
+            row = (units[f.entry(i, j)] << rhs) ^ (spreads[v] << system.source.pos[j])
             if row:
                 basis.insert(row)
     return rhs not in basis.pivots

@@ -385,12 +385,10 @@ class RowBasis:
     def rank(self):
         return len(self.pivots)
 
-    def pack(self, planes, stride: int = 1) -> int:
-        """Packed vector of a plane list, with entry c in column c*stride."""
+    def pack(self, planes) -> int:
+        """Packed vector of a plane list."""
         v = 0
         for p, plane in enumerate(planes):
-            if stride != 1:
-                plane = sum(1 << (c * stride) for c in _bits(plane))
             v |= plane << (p * self.width)
         return v
 

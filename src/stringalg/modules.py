@@ -12,7 +12,10 @@ Homomorphisms between string modules are spanned by maps supported on a
 common interval C that is a quotient interval of the source (flanked by a
 direct letter before and an inverse letter after) and a submodule interval
 of the target (flanked the other way around); both orientations of both
-words are scanned and duplicates are removed by matrix equality.
+words are scanned.  A graph map is a 0/1 matrix, so it is its support:
+the maps are generated as int masks of their supports, duplicates are
+removed by mask, and the Hom dimension is a count of masks that builds
+no module and no matrix (Crawley-Boevey 1989, Krause 1991).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ZeroLambda
 from .matrix import Mat
 from .rep import HomElement, ModuleRep
-from .words import Band, String, Word, e_of, is_inverse
+from .words import INV, Band, String, Word, e_of, is_inverse
 
 _VERTEX_GEN = ("e0", "e1")
 
@@ -37,25 +40,15 @@ def string_module(S, degree: int = 1) -> ModuleRep:
     keeping the basis aligned with that word's letters)."""
     word = _word_of(S)
     ctx = quiver_context(degree)
-    field = ctx.field
-    n = len(word.letters)
-    verts = word.vertices()
-    action = {}
-    for v, gname in enumerate(_VERTEX_GEN):
-        m = Mat.zeros(field, n + 1, n + 1)
-        for i, vi in enumerate(verts):
-            if vi == v:
-                m.set_entry(i, i, 1)
-        action[gname] = m
-    for a, gname in enumerate(ARROW_GEN):
-        m = Mat.zeros(field, n + 1, n + 1)
-        for i, letter in enumerate(word.letters, start=1):
-            if letter == a:
-                m.set_entry(i - 1, i, 1)
-            elif letter == (a | 4):
-                m.set_entry(i, i - 1, 1)
-        action[gname] = m
-    return ModuleRep(ctx, n + 1, action, label=f"M({word.text()})")
+    dim = len(word.letters) + 1
+    rows = {name: [[0] * ctx.field.degree for _ in range(dim)] for name in ctx.gen_names}
+    for i, v in enumerate(word.vertices()):
+        rows[_VERTEX_GEN[v]][i][0] = 1 << i
+    for i, letter in enumerate(word.letters, start=1):
+        dst, src = (i, i - 1) if is_inverse(letter) else (i - 1, i)
+        rows[ARROW_GEN[letter & 3]][dst][0] |= 1 << src
+    action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
+    return ModuleRep(ctx, dim, action, label=f"M({word.text()})")
 
 
 def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
@@ -108,67 +101,85 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     return ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
 
 
-def _sub_intervals(word: Word):
-    """Submodule intervals of a word: dict keyed by the interval's letters
-    (or by ('vertex', v) for single points) listing start positions.
+def _intervals(word: Word, quotient: bool, flip: bool):
+    """The quotient (or submodule) intervals of a word as (position,
+    length, key), by start and then by length.  The key is the interval's
+    letters, or ('vertex', v) for a single point.  The position is that
+    of its first point, counted from the far end when `flip` says that the
+    word is the inverse of the one the module is built on.
 
-    A submodule interval is flanked by an inverse letter before and a
-    direct letter after (where flanks exist)."""
+    A quotient interval is flanked by a direct letter before and an
+    inverse letter after, where those exist; a submodule interval the
+    other way around."""
     letters = word.letters
     verts = word.vertices()
     n = len(letters)
-    table: dict = {}
-    for j in range(n + 1):
-        if j > 0 and not is_inverse(letters[j - 1]):
-            continue
-        for ln in range(0, n - j + 1):
-            if j + ln < n and is_inverse(letters[j + ln]):
-                continue
-            key = tuple(letters[j : j + ln]) if ln else ("vertex", verts[j])
-            table.setdefault(key, []).append(j)
-    return table
+    before = 0 if quotient else INV  # inverse bit of the letter before
+    starts = [i for i in range(n + 1) if i == 0 or (letters[i - 1] & INV) == before]
+    ends = [e for e in range(n + 1) if e == n or (letters[e] & INV) != before]
+    return [
+        (n - i if flip else i, e - i, tuple(letters[i:e]) if e > i else ("vertex", verts[i]))
+        for i in starts
+        for e in ends
+        if e >= i
+    ]
+
+
+def graph_map_supports(S, T):
+    """The distinct graph maps M(S) -> M(T), each as the int mask of its
+    support: bit dst*(len(S)+1) + src for each z_src of M(S) sent to z_dst
+    of M(T), so the mask is the map's 0/1 matrix row after row.
+
+    One map per common interval that is a quotient interval of S and a
+    submodule interval of T, scanning both orientations of T and, inside
+    each, both orientations of S; a map met twice is given once, at its
+    first occurrence."""
+    sw = _word_of(S)
+    tw = _word_of(T)
+    width = len(sw.letters) + 1
+    sources = [(flip, _intervals(w, True, flip)) for flip, w in ((False, sw), (True, sw.inverse()))]
+    seen = set()
+    for t_flip, t_or in ((False, tw), (True, tw.inverse())):
+        subs = {}
+        for dst, _, key in _intervals(t_or, False, t_flip):
+            subs.setdefault(key, []).append(dst)
+        for s_flip, quots in sources:
+            # along the interval src and dst each move by one, backwards
+            # in a flipped word
+            step = (-1 if s_flip else 1) + (-width if t_flip else width)
+            for src, ln, key in quots:
+                for dst in subs.get(key, ()):
+                    first = dst * width + src
+                    mask = 0
+                    for t in range(ln + 1):
+                        mask |= 1 << (first + t * step)
+                    if mask not in seen:
+                        seen.add(mask)
+                        yield mask
 
 
 def string_hom_basis(S, T, degree: int = 1) -> list[HomElement]:
-    """All graph maps M(S) -> M(T): one per common interval that is a
-    quotient interval of S and a submodule interval of T, scanning both
-    orientations of both words."""
-    sw = _word_of(S)
-    tw = _word_of(T)
-    MS = string_module(sw, degree)
-    MT = string_module(tw, degree)
-    m, n = len(sw.letters), len(tw.letters)
-    seen = set()
+    """All graph maps M(S) -> M(T), in the order of
+    :func:`graph_map_supports`."""
+    MS = string_module(S, degree)
+    MT = string_module(T, degree)
+    width = MS.dim
+    full = (1 << width) - 1
     out = []
-    for t_or, t_flip in ((tw, False), (tw.inverse(), True)):
-        subs = _sub_intervals(t_or)
-        for s_or, s_flip in ((sw, False), (sw.inverse(), True)):
-            sletters = s_or.letters
-            sverts = s_or.vertices()
-            for i in range(m + 1):
-                if i > 0 and is_inverse(sletters[i - 1]):
-                    continue  # quotient interval needs a direct letter before
-                for ln in range(0, m - i + 1):
-                    if i + ln < m and not is_inverse(sletters[i + ln]):
-                        continue  # and an inverse letter after
-                    key = tuple(sletters[i : i + ln]) if ln else ("vertex", sverts[i])
-                    for j in subs.get(key, ()):
-                        f = Mat.zeros(MS.field, MT.dim, MS.dim)
-                        for t in range(ln + 1):
-                            src = (m - (i + t)) if s_flip else (i + t)
-                            dst = (n - (j + t)) if t_flip else (j + t)
-                            f.set_entry(dst, src, 1)
-                        k = f.key()
-                        if k not in seen:
-                            seen.add(k)
-                            out.append(HomElement(MS, MT, f))
+    for mask in graph_map_supports(S, T):
+        # the mask is the matrix row after row, in plane 0
+        f = Mat.zeros(MS.field, MT.dim, width)
+        for dst, row in enumerate(f.rows):
+            row[0] = (mask >> (dst * width)) & full
+        out.append(HomElement(MS, MT, f))
     return out
 
 
 def string_hom_dim(S, T, degree: int = 1) -> int:
-    """Dimension of the combinatorial hom space (the maps are linearly
-    independent: distinct 0/1 supports)."""
-    return len(string_hom_basis(S, T, degree))
+    """Dimension of Hom(M(S), M(T)): the number of distinct graph maps,
+    which are linearly independent (distinct 0/1 supports).  Builds no
+    module and no matrix."""
+    return sum(1 for _ in graph_map_supports(S, T))
 
 
 def string_type_endos(B, lam: int, degree: int = 1):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringalg import calculus as C
 from stringalg.algebra import group_context, quiver_context
@@ -8,7 +10,7 @@ from stringalg.errors import SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.matrix import Mat
 from stringalg.modules import band_module, string_module
-from stringalg.rep import direct_sum
+from stringalg.rep import ModuleRep, direct_sum, module_from_json
 from stringalg.words import Band, enumerate_strings, parse_word
 
 
@@ -67,6 +69,131 @@ class TestHomSpaces:
         M = string_module(parse_word("gamma beta"))
         for h in C.hom_space(lam.pims[0], M):
             assert h.is_valid()
+
+
+def _entrywise_hom_basis(M, N):
+    """Reference: the full intertwiner system, one equation
+    (X a_M)[i,j] = (a_N X)[i,j] for every generator a and every (i, j),
+    the unknown X[k,l] in column k*m + l, solved by Mat.nullspace."""
+    field = M.field
+    n, m = N.dim, M.dim
+    eqs = []
+    for name in M.algebra.gen_names:
+        A, B = M.action[name], N.action[name]
+        for i in range(n):
+            for j in range(m):
+                row = [0] * (n * m)
+                for l in range(m):
+                    row[i * m + l] = field.add(row[i * m + l], A.entry(l, j))
+                for k in range(n):
+                    row[k * m + j] = field.add(row[k * m + j], B.entry(i, k))
+                eqs.append(row)
+    kernel = Mat.from_entries(field, eqs).nullspace()
+    return [
+        Mat.from_entries(field, [[kernel.entry(r, i * m + j) for j in range(m)] for i in range(n)])
+        for r in range(kernel.nrows)
+    ]
+
+
+def _assert_hom_matches_entrywise(M, N):
+    ref = _entrywise_hom_basis(M, N)
+    assert C.hom_dim(M, N) == len(ref), (M, N)
+    assert [h.key() for h in C.hom_basis(M, N)] == [h.key() for h in ref], (M, N)
+
+
+def _conjugated(M, seed):
+    """(M', P): M' is M in the basis changed by P, a seeded invertible
+    matrix drawn until e0 is no longer diagonal (P mixes the vertices)."""
+    rng = random.Random(seed)
+    field = M.field
+    d = M.dim
+    while True:
+        P = Mat.from_entries(field, [[rng.randrange(field.order) for _ in range(d)] for _ in range(d)])
+        if not P.is_invertible():
+            continue
+        Pinv = P.inverse()
+        action = {name: P.mul(a).mul(Pinv) for name, a in M.action.items()}
+        e0 = action["e0"]
+        if any(e0.entry(i, j) for i in range(d) for j in range(d) if i != j):
+            return ModuleRep(M.algebra, d, action, label=f"conj({M.label})"), P
+
+
+def _off_vertex_json(M):
+    """M through JSON with one alpha entry from a vertex-1 basis vector,
+    so the arrow matrix leaves its vertex pair (0 -> 0)."""
+    verts = C.vertex_grading(M)
+    j = verts.index(1)
+    alpha = M.action["alpha"].copy()
+    alpha.set_entry(0, j, 1)
+    bad = ModuleRep(M.algebra, M.dim, dict(M.action, alpha=alpha), label="bad")
+    return module_from_json(M.algebra, bad.to_json_dict())
+
+
+def _oracle_modules(degree):
+    lam = quiver_context(degree)
+    strings = [s for s in enumerate_strings(4) if len(s.letters) >= 2][::5]
+    mods = [string_module(s, degree) for s in strings]
+    lams = (1,) if degree == 1 else (OMEGA, OMEGA ^ 1)
+    for text in ("alpha beta- gamma-", "eta- beta alpha- gamma"):
+        band = Band.from_word(parse_word(text))
+        mods += [band_module(band, lams[-1], mult, degree) for mult in (1, 2)]
+    mods.append(direct_sum([mods[0], mods[3]]))
+    mods += [C.syzygy(mods[1]), C.syzygy(mods[2], -1)]
+    mods += list(lam.simples) + list(lam.pims)
+    return mods
+
+
+class TestHomAgainstEntrywiseSystem:
+    """hom_dim and hom_basis against the full entrywise system: the graded
+    route on graded modules, the one-block route on the rest."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_graded_modules(self, degree):
+        mods = _oracle_modules(degree)
+        assert all(C.vertex_grading(M) is not None for M in mods)
+        rng = random.Random(degree)
+        for M in mods:
+            for N in rng.sample(mods, 6):
+                _assert_hom_matches_entrywise(M, N)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_one_block_modules(self, degree):
+        strings = [string_module(parse_word(t), degree) for t in ("gamma beta alpha-", "alpha beta- eta gamma-")]
+        odd = [_conjugated(M, seed)[0] for seed, M in enumerate(strings)]
+        odd += [_off_vertex_json(M) for M in strings]
+        assert all(C.vertex_grading(M) is None for M in odd)
+        for M in odd:
+            for N in odd + strings:
+                _assert_hom_matches_entrywise(M, N)
+                _assert_hom_matches_entrywise(N, M)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_factors_through_projective_one_block(self, degree):
+        # f: M -> N factors through a projective iff f P^-1: M' -> N does
+        M = string_module(parse_word("alpha beta- eta gamma-"), degree)
+        N = string_module(parse_word("gamma beta alpha-"), degree)
+        conj, P = _conjugated(M, 7)
+        Pinv = P.inverse()
+        answers = []
+        for target in (N, M):
+            for f in C.hom_basis(M, target):
+                answers.append(C.factors_through_projective(f, M, target))
+                assert C.factors_through_projective(f.mul(Pinv), conj, target) == answers[-1]
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("name, degree", [("S4", 1), ("A4", 2)])
+    def test_group_algebra_modules(self, name, degree):
+        ctx = group_context(name, degree)
+        mods = list(ctx.simples) + list(ctx.pims)
+        mods.append(C.syzygy(ctx.simples[-1]))
+        for M in mods:
+            for N in mods:
+                _assert_hom_matches_entrywise(M, N)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(enumerate_strings(5)), st.sampled_from(enumerate_strings(5)))
+    def test_string_pairs(self, a, b):
+        _assert_hom_matches_entrywise(string_module(a), string_module(b))
 
 
 class TestCoversAndSyzygies:

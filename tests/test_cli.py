@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_hom(capsys):
     code, out = run_cli(capsys, "hom", "--source", "alpha-", "--target", "alpha-", "--format", "json")
     data = json.loads(out)
     assert data["combinatorial_dim"] == data["matrix_dim"] == 2
+
+
+def test_hom_maps_golden(capsys):
+    # the map lists of three pairs with several maps, over GF(2) and
+    # GF(4), pinned in order
+    cases = json.loads((Path(__file__).parent / "data" / "hom_maps.json").read_text())
+    for case in cases:
+        code, out = run_cli(capsys, *case["argv"])
+        assert code == 0
+        assert json.loads(out) == case["output"]
+        assert len(case["output"]["maps"]) >= 4
 
 
 def test_stable_end_and_ext(capsys):

@@ -6,6 +6,7 @@ from stringalg.errors import InvalidMultiplicity, ZeroLambda
 from stringalg.gf import OMEGA
 from stringalg.modules import (
     band_module,
+    graph_map_supports,
     string_hom_basis,
     string_hom_dim,
     string_module,
@@ -143,14 +144,28 @@ class TestStringHoms:
                     assert h.is_valid()
 
     def test_cross_engine_small(self):
-        strings = enumerate_strings(5)
+        # the support count, the graph-map basis and the matrix engine
+        # agree on every pair of strings of length <= 6
+        strings = enumerate_strings(6)
         mods = {s: string_module(s) for s in strings}
         for a in strings:
             for b in strings:
-                assert string_hom_dim(a, b) == C.hom_dim(mods[a], mods[b]), (
+                d = string_hom_dim(a, b)
+                assert d == len(string_hom_basis(a, b)) == C.hom_dim(mods[a], mods[b]), (
                     a.text(),
                     b.text(),
                 )
+
+    def test_supports_are_the_basis_matrices(self):
+        strings = enumerate_strings(4)
+        for a in strings:
+            for b in strings[::3]:
+                masks = list(graph_map_supports(a, b))
+                assert len(set(masks)) == len(masks)
+                width = len(a.letters) + 1
+                for mask, h in zip(masks, string_hom_basis(a, b)):
+                    ones = {(r, c) for r in range(h.matrix.nrows) for c in range(width) if h.matrix.entry(r, c)}
+                    assert ones == {divmod(k, width) for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 class TestStringTypeEndos:
