@@ -311,19 +311,11 @@ def _group_radical(ctx, basis):
     field = ctx.field
     rows = []
     for S in ctx.simples:
-        mats = [S.evaluate(((1, ctx.elements[x]),)) for x in basis]
-        d = S.dim
-        for i in range(d):
-            for j in range(d):
-                planes = [0] * field.degree
-                for k, m in enumerate(mats):
-                    e = m.entry(i, j)
-                    for p in range(field.degree):
-                        if (e >> p) & 1:
-                            planes[p] |= 1 << k
-                rows.append(planes)
-    system = Mat(field, len(rows), ctx.dim, rows)
-    kernel = system.nullspace()
+        # one equation per entry of S: the flattened element matrices,
+        # one per column
+        flat = [S.evaluate(((1, ctx.elements[x]),)).vector() for x in basis]
+        rows.extend(Mat(field, len(flat), S.dim * S.dim, flat).transpose().rows)
+    kernel = Mat(field, len(rows), ctx.dim, rows).nullspace()
     out = []
     for r in range(kernel.nrows):
         terms = tuple(

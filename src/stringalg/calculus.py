@@ -13,8 +13,10 @@ preserves vertices: the only unknowns are the X[i,j] with i and j at one
 vertex and the only equations are those of the arrows.  That is the full
 system with its forced-zero unknowns removed, so every answer, down to
 the order of a Hom basis, is the same; modules that are not graded get
-the full system.  A map factors through a projective iff it lifts along
-the projective cover of its target, which is one consistency solve.
+the full system.  hom_basis reads its maps off the kernel of the
+system's own reduced basis.  A map factors through a projective iff it
+lifts along the projective cover of its target, which is one
+consistency solve.
 Negative syzygies use the symmetry of the algebras at hand (socle of a
 projective indecomposable is isomorphic to its top; this is asserted at
 setup).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import islice, product
 from operator import or_
 from typing import NamedTuple
 
@@ -34,7 +37,7 @@ from .errors import (
     SplitFailure,
     SplitOnly,
 )
-from .matrix import Mat, RowBasis, hstack, kernel_of_rref, vstack
+from .matrix import Mat, RowBasis, hstack, repack, support, vstack
 from .rep import HomElement, ModuleRep, direct_sum
 
 
@@ -68,35 +71,38 @@ def _grading(M):
         for v, name in enumerate(ctx.idempotents):
             mask = 0
             for i, row in enumerate(M.action[name].rows):
-                if row[0]:
-                    if row[0] != 1 << i:
+                if row:
+                    if row != 1 << i:
                         return None
-                    mask |= row[0]
+                    mask |= row
                     verts[i] = v
-                if any(row[1:]):
-                    return None
             masks.append(mask)
         if sum(masks) != full or reduce(or_, masks) != full:
             return None
     for name, (s, t) in ctx.arrows.items():
-        rows = cols = 0
-        for i, row in enumerate(M.action[name].rows):
-            for plane in row:
-                if plane:
-                    rows |= 1 << i
-                    cols |= plane
+        arrow = M.action[name].rows
+        rows = sum(1 << i for i, row in enumerate(arrow) if row)
+        cols = support(reduce(or_, arrow, 0), M.dim)
         if rows & ~masks[t] or cols & ~masks[s]:
             return None
     return tuple(verts)
 
 
-def _spread(plane: int, places) -> int:
-    """Move bit k of plane to bit places[k]."""
+def _spread(v: int, places, width: int, new_width: int) -> int:
+    """Move entry k of each plane of v (planes `width` apart) to entry
+    places[k] of a vector with planes `new_width` apart; entries from
+    len(places) on are dropped."""
+    full = (1 << len(places)) - 1
     out = 0
-    while plane:
-        low = plane & -plane
-        out |= 1 << places[low.bit_length() - 1]
-        plane ^= low
+    shift = 0
+    while v:
+        plane = v & full
+        while plane:
+            low = plane & -plane
+            out |= 1 << (shift + places[low.bit_length() - 1])
+            plane ^= low
+        v >>= width
+        shift += new_width
     return out
 
 
@@ -107,8 +113,7 @@ class _HomParts(NamedTuple):
     pos: list  # pos[j]: j's place among the basis vectors at its vertex
     members: list  # members[v]: the basis vectors at vertex v, in order
     # per equation s -> t: the columns j at s (in the order of members[s],
-    # as planes with entry k moved to pos[k]) and the rows i at t as
-    # (i, planes)
+    # with entry k moved to pos[k]) and the rows i at t as (i, row)
     gens: list
 
 
@@ -132,17 +137,18 @@ def _hom_parts(M, graded: bool) -> _HomParts:
         for j, v in enumerate(verts):
             pos.append(len(members[v]))
             members[v].append(j)
+        n = M.dim
         gens = []
         for name, (s, t) in arrows:
             rows = M.action[name].rows
             # entry (k, j) sits in row k and source column j, and j is at s
-            cols = [[0] * ctx.field.degree for _ in members[s]]
+            cols = [0] * len(members[s])
             for k, row in enumerate(rows):
-                for p, plane in enumerate(row):
-                    while plane:
-                        low = plane & -plane
-                        cols[pos[low.bit_length() - 1]][p] |= 1 << pos[k]
-                        plane ^= low
+                while row:
+                    low = row & -row
+                    p, j = divmod(low.bit_length() - 1, n)
+                    cols[pos[j]] |= 1 << (p * n + pos[k])
+                    row ^= low
             gens.append((cols, [(i, rows[i]) for i in members[t]]))
         M.cache[key] = _HomParts(verts, pos, members, gens)
     return M.cache[key]
@@ -179,16 +185,17 @@ def _hom_rows(M, N, extra: int = 0) -> _HomSystem:
     for v in target.verts:
         base.append(unknowns)
         unknowns += len(source.members[v])
-    basis = RowBasis(M.field, unknowns + extra)
-    pack = basis.pack
+    width = unknowns + extra
+    degree = M.field.degree
+    basis = RowBasis(M.field, width)
     insert = basis.insert
     for (cols, _), (_, rows) in zip(source.gens, target.gens):
         # row (i, j): column j of a_M at X's row i, plus row i of a_N
         # spread over X's column j
-        acols = [pack(col) for col in cols]
+        acols = [repack(col, M.dim, width, degree) for col in cols]
         for i, row in rows:
             shift = base[i]
-            b = pack([_spread(plane, base) for plane in row])
+            b = _spread(row, base, N.dim, width)
             if b:
                 for pj, a in enumerate(acols):
                     v = (a << shift) ^ (b << pj)
@@ -214,22 +221,16 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
     _check_context(M, N)
     if M.dim * N.dim == 0:
         return []
-    field = M.field
     system = _hom_rows(M, N)
     basis = system.basis
-    unknowns = system.unknowns
-    rows = [basis.unpack(v) for v in basis.pivots.values()]
-    kernel = Mat(field, basis.rank, unknowns, rows).nullspace()
-    members = system.source.members
+    basis.reduce()
+    runs = [(base, system.source.members[v]) for base, v in zip(system.base, system.target.verts)]
     out = []
-    for k in range(kernel.nrows):
-        f = Mat.zeros(field, N.dim, M.dim)
-        for p in range(field.degree):
-            plane = kernel.rows[k][p]
-            for i, v in enumerate(system.target.verts):
-                run = (plane >> system.base[i]) & ((1 << len(members[v])) - 1)
-                f.rows[i][p] = _spread(run, members[v])
-        out.append(f)
+    for x in basis.kernel():
+        # row i of the map is the run of X's row i, spread over M's basis
+        # vectors at i's vertex
+        rows = [_spread(x >> base, members, basis.width, M.dim) for base, members in runs]
+        out.append(Mat(M.field, N.dim, M.dim, rows))
     return out
 
 
@@ -268,19 +269,22 @@ def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep
 
     Returns (Q, proj) with proj a (Q.dim x M.dim) projection matrix.
     """
-    R, pivots = rows.rref()
+    span = RowBasis(M.field, M.dim)
+    _grows(span, rows)
+    span.reduce()
     # e_pc reduces to its pivot row restricted to the free coordinates,
-    # so the projection is the kernel basis of R
-    proj = kernel_of_rref(R, pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.dim) if c not in pivot_set]
+    # so the projection is the kernel basis of the span
+    kernel = span.kernel()
+    proj = Mat(M.field, len(kernel), M.dim, kernel)
+    free = [c for c in range(M.dim) if c not in span.pivots]
     section = Mat.zeros(M.field, M.dim, len(free))
     for a, fc in enumerate(free):
-        section.rows[fc][0] |= 1 << a
+        section.rows[fc] = 1 << a
+    spanned = rows.transpose()
     action = {}
     for name in M.algebra.gen_names:
         act = proj.mul(M.action[name])
-        if not act.mul(R.transpose()).is_zero():
+        if not act.mul(spanned).is_zero():
             raise DimensionMismatch(f"span not invariant under {name}")
         action[name] = act.mul(section)
     Q = ModuleRep(M.algebra, len(free), action, label or f"quot({M.label})")
@@ -331,8 +335,8 @@ def socle_rows(M: ModuleRep) -> Mat:
 def _grows(span: RowBasis, mat: Mat) -> bool:
     """Insert the rows of mat into span; return whether the span grew."""
     rank = span.rank
-    for row in mat.rows:
-        span.insert(span.pack(row))
+    for v in mat.rows:
+        span.insert(v)
     return span.rank > rank
 
 
@@ -474,9 +478,10 @@ def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
     units = basis.units
     # g[k,j] is an unknown only for k at j's vertex v: row (i, j) is row i
     # of pi, cut to the k at v and spread over X's column j
-    keeps = [sum(1 << k for k in ks) for ks in system.target.members]
+    degree = M.field.degree
+    keeps = [sum(1 << (p * P.dim + k) for p in range(degree) for k in ks) for ks in system.target.members]
     for i, pi_row in enumerate(pi.rows):
-        spreads = [basis.pack([_spread(plane & keep, system.base) for plane in pi_row]) for keep in keeps]
+        spreads = [_spread(pi_row & keep, system.base, P.dim, basis.width) for keep in keeps]
         for j, v in enumerate(system.source.verts):
             row = (units[f.entry(i, j)] << rhs) ^ (spreads[v] << system.source.pos[j])
             if row:
@@ -489,21 +494,34 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
     return stable_hom_dim(syzygy(M), N)
 
 
+def _coboundaries(M: ModuleRep, N: ModuleRep):
+    """(P, Omega, inc, cob): the projective cover P of M, Omega(M) with
+    its inclusion inc into P, and the span of the coboundaries g*inc for
+    g in Hom(P, N), as flattened vectors."""
+    P, pi = projective_cover(M)
+    Omega, inc = sub_module(P, pi.nullspace(), label=f"O({M.label})")
+    cob = RowBasis(M.field, N.dim * Omega.dim)
+    for g in hom_basis(P, N):
+        cob.insert(g.mul(inc).vector())
+    return P, Omega, inc, cob
+
+
 def ext1_dim_cocycles(M: ModuleRep, N: ModuleRep) -> int:
     """Independent route: classes of cocycles Omega(M) -> N modulo
     restrictions of maps P(M) -> N."""
     _check_context(M, N)
-    P, pi = projective_cover(M)
-    krows = pi.nullspace()
-    OmegaM, inc = sub_module(P, krows, label=f"O({M.label})")
-    total = hom_dim(OmegaM, N)
-    basis = RowBasis(M.field, N.dim * OmegaM.dim)
-    for g in hom_basis(P, N):
-        basis.insert(g.mul(inc).vector())
-    return total - basis.rank
+    _, OmegaM, _, cob = _coboundaries(M, N)
+    return hom_dim(OmegaM, N) - cob.rank
 
 
 # -- isomorphism and decomposition ------------------------------------------------
+
+
+def _combinations(field, basis_mats):
+    """Every nonzero combination of the basis matrices, the coefficient of
+    the first one varying fastest."""
+    for coeffs in islice(product(field.elements(), repeat=len(basis_mats)), 1, None):
+        yield _combo(field, basis_mats, coeffs[::-1])
 
 
 def _combo(field, basis_mats, coeffs):
@@ -545,18 +563,7 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> bool:
         return False
     q = M.field.order
     if q**d <= 8192:
-        coeffs = [0] * d
-        for _ in range(q**d - 1):
-            k = 0
-            while True:
-                coeffs[k] += 1
-                if coeffs[k] < q:
-                    break
-                coeffs[k] = 0
-                k += 1
-            if _combo(M.field, H, coeffs).is_invertible():
-                return True
-        return False
+        return any(f.is_invertible() for f in _combinations(M.field, H))
     rng = random.Random(seed)
     for _ in range(64):
         coeffs = [rng.randrange(q) for _ in range(d)]
@@ -613,6 +620,10 @@ def _certified_iso(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def _split_by(f: Mat, M: ModuleRep):
+    """(image, kernel) of the Fitting power of f, or None if that power is
+    0 or invertible (f invertible makes it invertible)."""
+    if f.is_invertible():
+        return None
     g = _fitting_power(f)
     r = g.rank()
     if r == 0 or r == M.dim:
@@ -656,22 +667,10 @@ def decompose(M: ModuleRep) -> list[ModuleRep]:
 
     # certify indecomposability: every endomorphism nilpotent or invertible
     if field.order**d <= 8192:
-        coeffs = [0] * d
-        for _ in range(field.order**d - 1):
-            k = 0
-            while True:
-                coeffs[k] += 1
-                if coeffs[k] < field.order:
-                    break
-                coeffs[k] = 0
-                k += 1
-            f = _combo(field, E, coeffs)
-            g = _fitting_power(f)
-            r = g.rank()
-            if 0 < r < M.dim:
-                img, _ = image_module(g, M, label=f"{M.label}.im")
-                ker, _ = kernel_module(g, M, label=f"{M.label}.ker")
-                return decompose(img) + decompose(ker)
+        for f in _combinations(field, E):
+            split = _split_by(f, M)
+            if split:
+                return decompose(split[0]) + decompose(split[1])
         return [M]
     raise SplitFailure(f"cannot certify indecomposability of {M!r} (End dim {d})")
 
@@ -685,16 +684,10 @@ def nonsplit_extension(top: ModuleRep, bottom: ModuleRep, cocycle_index: int = 0
     Built as the pushout of Omega(top) -> P(top) along a cocycle
     Omega(top) -> bottom chosen outside the coboundary space."""
     _check_context(top, bottom)
-    P, pi = projective_cover(top)
-    OmegaT, inc = sub_module(P, pi.nullspace(), label=f"O({top.label})")
-    field = top.field
-    width = bottom.dim * OmegaT.dim
-    cob = RowBasis(field, width)
-    for g in hom_basis(P, bottom):
-        cob.insert(g.mul(inc).vector())
+    P, OmegaT, inc, cob = _coboundaries(top, bottom)
     chosen = []
     for h in hom_basis(OmegaT, bottom):
-        probe = RowBasis(field, width)
+        probe = RowBasis(top.field, cob.width)
         probe.pivots = dict(cob.pivots)
         if probe.insert(h.vector()):
             chosen.append(h)
@@ -702,17 +695,8 @@ def nonsplit_extension(top: ModuleRep, bottom: ModuleRep, cocycle_index: int = 0
         raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")
     h = chosen[cocycle_index % len(chosen)]
     big = direct_sum([bottom, P])
-    rows = Mat.zeros(field, OmegaT.dim, big.dim)
-    for k in range(OmegaT.dim):
-        for p in range(field.degree):
-            row = 0
-            for i in range(bottom.dim):
-                if (h.rows[i][p] >> k) & 1:
-                    row |= 1 << i
-            for i in range(P.dim):
-                if (inc.rows[i][p] >> k) & 1:
-                    row |= 1 << (bottom.dim + i)
-            rows.rows[k][p] = row
+    # row k: (h(w_k), inc(w_k)) for the basis vector w_k of Omega(top)
+    rows = vstack([h, inc]).transpose()
     E, _ = quotient_module(big, rows, label=f"E({top.label},{bottom.label})")
     if E.dim != top.dim + bottom.dim:
         raise DimensionMismatch("extension has wrong dimension")

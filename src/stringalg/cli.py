@@ -36,7 +36,7 @@ _SCALARS = {"1": (1, 1), "w": (OMEGA, 2), "w2": (GF4.inv(OMEGA), 2)}
 
 
 def _degree(args) -> int:
-    return 1 if getattr(args, "field", "gf2") == "gf2" else 2
+    return 1 if args.field == "gf2" else 2
 
 
 def _emit(args, text: str):
@@ -240,10 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices=("text", "json")):
+    def common(sp, fmt_choices=("text", "json"), field=False):
         sp.add_argument("--out", help="write output to this path")
         sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        sp.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
+        if field:
+            sp.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
 
     sp = sub.add_parser("strings", help="enumerate string classes")
     sp.add_argument("--max-len", type=int, required=True)
@@ -260,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--band")
     sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
     sp.add_argument("--mult", type=int, default=1)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_module)
 
     sp = sub.add_parser("hom", help="hom space between string modules")
     sp.add_argument("--source", required=True)
     sp.add_argument("--target", required=True)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_hom)
 
     sp = sub.add_parser("stable-end", help="stable endomorphism dimension")
@@ -274,19 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--band")
     sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
     sp.add_argument("--mult", type=int, default=1)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_stable_end)
 
     sp = sub.add_parser("ext1", help="first extension dimension")
     sp.add_argument("--source", required=True)
     sp.add_argument("--target", required=True)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_ext1)
 
     sp = sub.add_parser("omega", help="syzygy of a string, as a string")
     sp.add_argument("--string", required=True)
     sp.add_argument("--power", type=int, default=1)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_omega)
 
     sp = sub.add_parser("component", help="stable component window")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("taxonomy", help="classification family of a string")
     sp.add_argument("--string", required=True)
     sp.add_argument("--radius", type=int, default=6)
-    common(sp)
+    common(sp, field=True)
     sp.set_defaults(fn=cmd_taxonomy)
 
     sp = sub.add_parser("chars", help="character table and lift characters")

@@ -1,28 +1,27 @@
 """Dense exact matrices over GF(2^m), bit-plane packed.
 
-A row of a matrix is stored as ``degree`` Python ints ("planes"); bit ``c``
-of plane ``p`` is the coefficient of x^p in entry ``c``.  For GF(2) a row is
-a single int, so row operations are single XORs; for larger fields scalar
-multiplication mixes planes through the tables precomputed on the field.
+A row vector of ``width`` entries is one Python int with its bit planes
+side by side: bit ``p*width + c`` is the coefficient of x^p in entry
+``c``.  Over GF(2) that is the plain bitset of the row, and over every
+field adding two rows is one XOR.  This is the only row format: a row of a
+:class:`Mat` is such an int of width ``ncols``, and :class:`RowBasis`
+holds such ints as an echelon basis.  Scalar multiplication mixes the
+planes through the tables precomputed on the field (:func:`scale`), and
+:func:`repack` moves the planes of a vector to another width.
 
-For elimination a row vector of ``width`` entries is packed into one int
-with its planes side by side (bit ``c`` of plane ``p`` is bit
-``p*width + c``), so adding two rows is one XOR over every field.  One
-:class:`RowBasis` holds such vectors as an echelon basis and is the only
-elimination kernel: :meth:`Mat.rref` (and through it nullspace, row space,
-solve and inverse) inserts every row and then back-substitutes, and the
-Hom systems, covers and Ext^1 classes of the module calculus are reduced
-in it row by row.  The reduced row echelon form and its pivot columns are
-unique, so results do not depend on how the elimination is organised.
+:class:`RowBasis` is the only elimination kernel: :meth:`Mat.rref` (and
+through it row space, solve and inverse) inserts every row, then
+back-substitutes with :meth:`RowBasis.reduce`; :meth:`Mat.nullspace` reads
+:meth:`RowBasis.kernel` off the reduced basis.  The Hom systems, covers and
+Ext^1 classes of the module calculus are reduced in it row by row.  The
+reduced row echelon form and its pivot columns are unique, so results do
+not depend on how the elimination is organised.
 
 Everything here is exact and deterministic.  Matrices act on column
 vectors; subspaces are handled as matrices whose rows span them.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import or_
 
 from .errors import DimensionMismatch
 from .gf import FiniteField
@@ -35,6 +34,43 @@ def _bits(x: int):
         x ^= low
 
 
+def support(v: int, width: int) -> int:
+    """Mask of the nonzero entries of v (the OR of its planes)."""
+    full = (1 << width) - 1
+    s = 0
+    while v:
+        s |= v & full
+        v >>= width
+    return s
+
+
+def scale(field: FiniteField, c: int, v: int, width: int) -> int:
+    """The vector v times the scalar c."""
+    if c < 2:
+        return v if c else 0
+    full = (1 << width) - 1
+    out = 0
+    for p, srcs in enumerate(field.plane_sources[c]):
+        acc = 0
+        for j in srcs:
+            acc ^= v >> (j * width)
+        out |= (acc & full) << (p * width)
+    return out
+
+
+def repack(v: int, width: int, new_width: int, degree: int) -> int:
+    """The vector v with its planes moved from `width` to `new_width`
+    apart, each cut to its low `new_width` entries.  Over GF(2) there is
+    one plane and v is returned unchanged, so it must fit in new_width."""
+    if degree == 1:
+        return v
+    full = (1 << min(width, new_width)) - 1
+    out = 0
+    for p in range(degree):
+        out |= ((v >> (p * width)) & full) << (p * new_width)
+    return out
+
+
 class Mat:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -42,9 +78,7 @@ class Mat:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            rows = [[0] * field.degree for _ in range(nrows)]
-        self.rows = rows
+        self.rows = [0] * nrows if rows is None else rows
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -53,50 +87,48 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.rows[i][0] = 1 << i
-        return m
+        return cls(field, n, n, [1 << i for i in range(n)])
 
     @classmethod
     def from_entries(cls, field, entries):
         nrows = len(entries)
         ncols = len(entries[0]) if nrows else 0
-        m = cls(field, nrows, ncols)
-        for r, row in enumerate(entries):
+        rows = []
+        for row in entries:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged entry rows")
-            planes = m.rows[r]
+            v = 0
             for c, e in enumerate(row):
                 for p in _bits(e):
-                    planes[p] |= 1 << c
-        return m
+                    v |= 1 << (p * ncols + c)
+            rows.append(v)
+        return cls(field, nrows, ncols, rows)
 
     def copy(self):
-        return Mat(self.field, self.nrows, self.ncols, [row[:] for row in self.rows])
+        return Mat(self.field, self.nrows, self.ncols, self.rows[:])
 
     # -- entry access -----------------------------------------------------
     def entry(self, r, c):
+        v = self.rows[r] >> c
+        n = self.ncols
         e = 0
-        for p, plane in enumerate(self.rows[r]):
-            e |= ((plane >> c) & 1) << p
+        for p in range(self.field.degree):
+            e |= ((v >> (p * n)) & 1) << p
         return e
 
     def set_entry(self, r, c, e):
-        bit = 1 << c
-        planes = self.rows[r]
+        v = self.rows[r]
         for p in range(self.field.degree):
-            if (e >> p) & 1:
-                planes[p] |= bit
-            else:
-                planes[p] &= ~bit
+            bit = 1 << (p * self.ncols + c)
+            v = v | bit if (e >> p) & 1 else v & ~bit
+        self.rows[r] = v
 
     def to_entries(self):
         return [[self.entry(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
 
     def key(self):
         """Hashable canonical key (for dedup of equal matrices)."""
-        return (self.nrows, self.ncols, tuple(tuple(row) for row in self.rows))
+        return (self.nrows, self.ncols, tuple(self.rows))
 
     def __eq__(self, other):
         return (
@@ -109,71 +141,43 @@ class Mat:
         return hash(self.key())
 
     def is_zero(self):
-        return all(all(p == 0 for p in row) for row in self.rows)
-
-    # -- row helpers --------------------------------------------------------
-    def _scale_planes(self, s, planes):
-        deg = self.field.degree
-        if s == 0:
-            return [0] * deg
-        if s == 1:
-            return planes[:]
-        srcs = self.field.plane_sources[s]
-        out = []
-        for i in range(deg):
-            acc = 0
-            for j in srcs[i]:
-                acc ^= planes[j]
-            out.append(acc)
-        return out
-
-    def row_entry_iter(self, r):
-        """Yield (c, coeff) for nonzero entries of row r."""
-        planes = self.rows[r]
-        mask = 0
-        for p in planes:
-            mask |= p
-        for c in _bits(mask):
-            e = 0
-            for p, plane in enumerate(planes):
-                e |= ((plane >> c) & 1) << p
-            yield c, e
+        return not any(self.rows)
 
     # -- arithmetic -----------------------------------------------------------
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix add shape mismatch")
-        out = self.copy()
-        for r in range(self.nrows):
-            a, b = out.rows[r], other.rows[r]
-            for p in range(self.field.degree):
-                a[p] ^= b[p]
-        return out
+        return Mat(self.field, self.nrows, self.ncols, [a ^ b for a, b in zip(self.rows, other.rows)])
 
     def scale(self, s):
-        out = Mat(self.field, self.nrows, self.ncols)
-        for r in range(self.nrows):
-            out.rows[r] = self._scale_planes(s, self.rows[r])
-        return out
+        rows = [scale(self.field, s, v, self.ncols) for v in self.rows]
+        return Mat(self.field, self.nrows, self.ncols, rows)
 
     def mul(self, other):
+        """Row r of the product: for each plane p of row r of self, the XOR
+        of the rows of other it selects, times x^p."""
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix mul shape mismatch")
-        deg = self.field.degree
-        out = Mat(self.field, self.nrows, other.ncols)
-        for r in range(self.nrows):
-            acc = [0] * deg
-            for c, e in self.row_entry_iter(r):
-                brow = other.rows[c]
-                if e == 1:
-                    for p in range(deg):
-                        acc[p] ^= brow[p]
-                else:
-                    scaled = other._scale_planes(e, brow)
-                    for p in range(deg):
-                        acc[p] ^= scaled[p]
-            out.rows[r] = acc
-        return out
+        field = self.field
+        k, m = self.ncols, other.ncols
+        full = (1 << k) - 1
+        brows = other.rows
+        rows = []
+        for a in self.rows:
+            acc = 0
+            p = 0
+            while a:
+                plane = a & full
+                s = 0
+                while plane:
+                    low = plane & -plane
+                    s ^= brows[low.bit_length() - 1]
+                    plane ^= low
+                acc ^= scale(field, 1 << p, s, m) if p else s
+                a >>= k
+                p += 1
+            rows.append(acc)
+        return Mat(field, self.nrows, m, rows)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -191,64 +195,54 @@ class Mat:
         return result
 
     def transpose(self):
-        out = Mat(self.field, self.ncols, self.nrows)
-        for r in range(self.nrows):
-            for p, plane in enumerate(self.rows[r]):
-                for c in _bits(plane):
-                    out.rows[c][p] |= 1 << r
-        return out
+        n, m = self.ncols, self.nrows
+        rows = [0] * n
+        for r, v in enumerate(self.rows):
+            for b in _bits(v):
+                p, c = divmod(b, n)
+                rows[c] |= 1 << (p * m + r)
+        return Mat(self.field, n, m, rows)
 
     def submatrix(self, row_idx, col_idx):
-        out = Mat(self.field, len(row_idx), len(col_idx))
-        for rr, r in enumerate(row_idx):
-            planes = self.rows[r]
-            for cc, c in enumerate(col_idx):
-                for p in range(self.field.degree):
-                    if (planes[p] >> c) & 1:
-                        out.rows[rr][p] |= 1 << cc
-        return out
+        n, w = self.ncols, len(col_idx)
+        rows = []
+        for r in row_idx:
+            v = self.rows[r]
+            out = 0
+            for p in range(self.field.degree):
+                plane = v >> (p * n)
+                for cc, c in enumerate(col_idx):
+                    if (plane >> c) & 1:
+                        out |= 1 << (p * w + cc)
+            rows.append(out)
+        return Mat(self.field, len(rows), w, rows)
 
     # -- elimination -----------------------------------------------------------
     def vector(self) -> int:
         """The matrix flattened row after row, entry (i, j) in column
-        i*ncols + j, as one packed vector (see :class:`RowBasis`)."""
+        i*ncols + j, as one vector."""
         n = self.ncols
         size = self.nrows * n
+        degree = self.field.degree
         v = 0
         for i, row in enumerate(self.rows):
-            for p, plane in enumerate(row):
-                v |= plane << (p * size + i * n)
+            v |= repack(row, n, size, degree) << (i * n)
         return v
 
     def _basis(self):
         basis = RowBasis(self.field, self.ncols)
-        for row in self.rows:
-            basis.insert(basis.pack(row))
+        for v in self.rows:
+            basis.insert(v)
         return basis
 
     def rref(self):
-        """Return (reduced matrix, pivot column list).
-
-        Every row is inserted into one :class:`RowBasis`, which leaves an
-        echelon basis with leading 1s.  Then each pivot, from the last
-        pivot column back, clears its entries in the other pivot columns
-        with the pivots already cleared.  The reduced row echelon form and
-        its pivot columns are unique, so the result does not depend on the
-        order of the steps.
-        """
+        """Return (reduced matrix, pivot column list): the rows inserted
+        into one :class:`RowBasis`, reduced, in the order of their leads."""
         basis = self._basis()
-        pivots = basis.pivots
-        leads = sorted(pivots)
-        lead_mask = reduce(or_, (1 << lead for lead in leads), 0)
-        for lead in reversed(leads):
-            v = pivots[lead]
-            # a cleared pivot is zero in every other pivot column, so
-            # clearing with it adds no bit to this set
-            for col in _bits(basis.support(v) & lead_mask & ~(1 << lead)):
-                v = basis.clear(v, col, pivots[col])
-            pivots[lead] = v
-        rows = [basis.unpack(pivots[lead]) for lead in leads]
-        rows.extend([0] * self.field.degree for _ in range(self.nrows - len(rows)))
+        basis.reduce()
+        leads = sorted(basis.pivots)
+        rows = [basis.pivots[lead] for lead in leads]
+        rows.extend([0] * (self.nrows - len(rows)))
         return Mat(self.field, self.nrows, self.ncols, rows), leads
 
     def rank(self):
@@ -256,13 +250,14 @@ class Mat:
 
     def nullspace(self):
         """Basis of {x : self * x = 0}, one vector per row of the result."""
-        return kernel_of_rref(*self.rref())
+        basis = self._basis()
+        basis.reduce()
+        kernel = basis.kernel()
+        return Mat(self.field, len(kernel), self.ncols, kernel)
 
     def row_space(self):
         R, pivots = self.rref()
-        out = Mat(self.field, len(pivots), self.ncols)
-        out.rows = [R.rows[i][:] for i in range(len(pivots))]
-        return out
+        return Mat(self.field, len(pivots), self.ncols, R.rows[: len(pivots)])
 
     def column_space(self):
         return self.transpose().row_space()
@@ -272,25 +267,18 @@ class Mat:
         if b.nrows != self.nrows:
             raise DimensionMismatch("solve shape mismatch")
         n, k = self.ncols, b.ncols
-        aug = Mat(self.field, self.nrows, n + k)
-        for r in range(self.nrows):
-            for p in range(self.field.degree):
-                aug.rows[r][p] = self.rows[r][p] | (b.rows[r][p] << n)
-        R, pivots = aug.rref()
-        for j, pc in enumerate(pivots):
-            if pc >= n:
-                return None
+        R, pivots = hstack([self, b]).rref()
+        if pivots and pivots[-1] >= n:
+            return None
         x = Mat(self.field, n, k)
-        for j, pc in enumerate(pivots):
-            for p in range(self.field.degree):
-                x.rows[pc][p] = R.rows[j][p] >> n
+        for row, pc in zip(R.rows, pivots):
+            x.rows[pc] = repack(row >> n, n + k, k, self.field.degree)
         return x
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        x = self.solve(Mat.identity(self.field, self.nrows))
-        return x
+        return self.solve(Mat.identity(self.field, self.nrows))
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -299,38 +287,19 @@ class Mat:
         return f"Mat({self.field}, {self.nrows}x{self.ncols})"
 
 
-def kernel_of_rref(R: Mat, pivots) -> Mat:
-    """Basis of the kernel of a matrix with reduced form R and these pivot
-    columns: one vector per free column fc, with 1 at fc and, at each
-    pivot column pc, the entry of pc's pivot row at fc (char 2: x_pc =
-    R[pc-row, fc] * x_fc).  Copies the free-column bits plane by plane."""
-    free = ((1 << R.ncols) - 1) & ~reduce(or_, (1 << pc for pc in pivots), 0)
-    index = {fc: k for k, fc in enumerate(_bits(free))}
-    out = Mat(R.field, len(index), R.ncols)
-    for fc, k in index.items():
-        out.rows[k][0] = 1 << fc
-    for row, pc in zip(R.rows, pivots):
-        bit = 1 << pc
-        for p, plane in enumerate(row):
-            for fc in _bits(plane & free):
-                out.rows[index[fc]][p] |= bit
-    return out
-
-
 def hstack(mats):
     field = mats[0].field
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise DimensionMismatch("hstack row mismatch")
-    out = Mat(field, nrows, sum(m.ncols for m in mats))
-    for r in range(nrows):
-        shift = 0
-        planes = out.rows[r]
-        for m in mats:
-            for p in range(field.degree):
-                planes[p] |= m.rows[r][p] << shift
-            shift += m.ncols
-    return out
+    width = sum(m.ncols for m in mats)
+    rows = [0] * nrows
+    shift = 0
+    for m in mats:
+        for r, v in enumerate(m.rows):
+            rows[r] |= repack(v, m.ncols, width, field.degree) << shift
+        shift += m.ncols
+    return Mat(field, nrows, width, rows)
 
 
 def vstack(mats):
@@ -340,34 +309,26 @@ def vstack(mats):
         raise DimensionMismatch("vstack column mismatch")
     rows = []
     for m in mats:
-        rows.extend(row[:] for row in m.rows)
+        rows.extend(m.rows)
     return Mat(field, len(rows), ncols, rows)
 
 
 def block_diag(mats):
     field = mats[0].field
-    n = sum(m.nrows for m in mats)
-    c = sum(m.ncols for m in mats)
-    out = Mat(field, n, c)
-    roff = 0
-    coff = 0
+    width = sum(m.ncols for m in mats)
+    rows = []
+    shift = 0
     for m in mats:
-        for r in range(m.nrows):
-            for p in range(field.degree):
-                out.rows[roff + r][p] |= m.rows[r][p] << coff
-        roff += m.nrows
-        coff += m.ncols
-    return out
+        rows.extend(repack(v, m.ncols, width, field.degree) << shift for v in m.rows)
+        shift += m.ncols
+    return Mat(field, len(rows), width, rows)
 
 
 class RowBasis:
-    """Online row basis over GF(2^m) on packed row vectors.
+    """Online row basis over GF(2^m) on row vectors of ``width`` entries.
 
-    A row vector of ``width`` entries is one int with its bit planes side
-    by side: bit ``c`` of plane ``p`` is bit ``p*width + c``.  Over GF(2)
-    that is the plain bitset of the row, and over every field adding two
-    rows is one XOR.  Each pivot is reduced against the earlier ones, has
-    leading coefficient 1, and is keyed by its lowest nonzero column.
+    Each pivot is reduced against the earlier ones, has leading
+    coefficient 1, and is keyed by its lowest nonzero column.
     """
 
     __slots__ = ("field", "width", "full", "pivots", "units")
@@ -385,43 +346,16 @@ class RowBasis:
     def rank(self):
         return len(self.pivots)
 
-    def pack(self, planes) -> int:
-        """Packed vector of a plane list."""
-        v = 0
-        for p, plane in enumerate(planes):
-            v |= plane << (p * self.width)
-        return v
-
-    def unpack(self, v: int) -> list:
-        return [(v >> (p * self.width)) & self.full for p in range(self.field.degree)]
-
-    def support(self, v: int) -> int:
-        """Mask of the nonzero columns of v (the OR of its planes)."""
-        s = 0
-        while v:
-            s |= v & self.full
-            v >>= self.width
-        return s
-
     def _coefficient(self, v: int, col: int) -> int:
         c = 0
         for p in range(self.field.degree):
             c |= ((v >> (p * self.width + col)) & 1) << p
         return c
 
-    def _scale(self, c: int, v: int) -> int:
-        if c == 1:
-            return v
-        planes = self.unpack(v)
-        out = 0
-        for p, srcs in enumerate(self.field.plane_sources[c]):
-            out |= _xor_planes(planes, srcs) << (p * self.width)
-        return out
-
     def clear(self, v: int, col: int, pivot: int) -> int:
         """v minus the multiple of `pivot` (entry 1 in column `col`) that
         zeroes v's entry in that column."""
-        return v ^ self._scale(self._coefficient(v, col), pivot)
+        return v ^ scale(self.field, self._coefficient(v, col), pivot, self.width)
 
     def insert(self, v: int) -> bool:
         """Reduce v by the pivots; keep a nonzero remainder, scaled to a
@@ -439,19 +373,44 @@ class RowBasis:
                     return True
                 v ^= pivot
                 continue
-            support = self.support(v)
-            col = (support ^ (support - 1)).bit_length() - 1
+            s = support(v, self.width)
+            col = (s ^ (s - 1)).bit_length() - 1
             pivot = pivots.get(col)
             if pivot is None:
                 inv = self.field.inv(self._coefficient(v, col))
-                pivots[col] = self._scale(inv, v)
+                pivots[col] = scale(self.field, inv, v, self.width)
                 return True
             v = self.clear(v, col, pivot)
         return False
 
+    def reduce(self):
+        """Back-substitute: from the last pivot column back, each pivot
+        clears its entries in the other pivot columns with the pivots
+        already cleared.  The pivots, in the order of their leads, are then
+        the reduced row echelon form of the span."""
+        pivots = self.pivots
+        leads = sorted(pivots)
+        lead_mask = sum(1 << lead for lead in leads)
+        for lead in reversed(leads):
+            v = pivots[lead]
+            # a cleared pivot is zero in every other pivot column, so
+            # clearing with it adds no bit to this set
+            for col in _bits(support(v, self.width) & lead_mask & ~(1 << lead)):
+                v = self.clear(v, col, pivots[col])
+            pivots[lead] = v
 
-def _xor_planes(planes, srcs):
-    acc = 0
-    for j in srcs:
-        acc ^= planes[j]
-    return acc
+    def kernel(self) -> list:
+        """Basis of {x : p . x = 0 for every pivot p} of a reduced basis:
+        one vector per free column fc, with 1 at fc and, at each pivot
+        column pc, the entry of pc's pivot at fc (char 2: x_pc = p[fc] *
+        x_fc)."""
+        width = self.width
+        free = self.full & ~sum(1 << pc for pc in self.pivots)
+        index = {fc: k for k, fc in enumerate(_bits(free))}
+        out = [1 << fc for fc in index]
+        free_planes = sum(free << (p * width) for p in range(self.field.degree))
+        for pc, v in self.pivots.items():
+            for b in _bits(v & free_planes):
+                p, fc = divmod(b, width)
+                out[index[fc]] |= 1 << (p * width + pc)
+        return out

@@ -41,12 +41,12 @@ def string_module(S, degree: int = 1) -> ModuleRep:
     word = _word_of(S)
     ctx = quiver_context(degree)
     dim = len(word.letters) + 1
-    rows = {name: [[0] * ctx.field.degree for _ in range(dim)] for name in ctx.gen_names}
+    rows = {name: [0] * dim for name in ctx.gen_names}
     for i, v in enumerate(word.vertices()):
-        rows[_VERTEX_GEN[v]][i][0] = 1 << i
+        rows[_VERTEX_GEN[v]][i] = 1 << i
     for i, letter in enumerate(word.letters, start=1):
         dst, src = (i, i - 1) if is_inverse(letter) else (i - 1, i)
-        rows[ARROW_GEN[letter & 3]][dst][0] |= 1 << src
+        rows[ARROW_GEN[letter & 3]][dst] |= 1 << src
     action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
     return ModuleRep(ctx, dim, action, label=f"M({word.text()})")
 
@@ -168,10 +168,8 @@ def string_hom_basis(S, T, degree: int = 1) -> list[HomElement]:
     out = []
     for mask in graph_map_supports(S, T):
         # the mask is the matrix row after row, in plane 0
-        f = Mat.zeros(MS.field, MT.dim, width)
-        for dst, row in enumerate(f.rows):
-            row[0] = (mask >> (dst * width)) & full
-        out.append(HomElement(MS, MT, f))
+        rows = [(mask >> (dst * width)) & full for dst in range(MT.dim)]
+        out.append(HomElement(MS, MT, Mat(MS.field, MT.dim, width, rows)))
     return out
 
 
@@ -271,18 +269,14 @@ def _solve_on_support(M, pairs):
                     terms.setdefault((i, src), {})
                     terms[(i, src)][t] = terms[(i, src)].get(t, 0) ^ e
         for coeffs in terms.values():
-            planes = [0] * field.degree
-            nz = False
+            row = 0
             for t, v in coeffs.items():
-                if v:
-                    nz = True
-                    for p in range(field.degree):
-                        if (v >> p) & 1:
-                            planes[p] |= 1 << t
-            if nz:
-                rows.append(planes)
-    system = Mat(field, len(rows), k, rows if rows else None)
-    kernel = system.nullspace() if rows else Mat.identity(field, k)
+                for p in range(field.degree):
+                    if (v >> p) & 1:
+                        row |= 1 << (p * k + t)
+            if row:
+                rows.append(row)
+    kernel = Mat(field, len(rows), k, rows).nullspace()
     out = []
     for r in range(kernel.nrows):
         f = Mat.zeros(field, dim, dim)

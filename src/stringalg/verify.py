@@ -67,6 +67,9 @@ class SuiteConfig:
     include_timings: bool = False
 
     def validate(self):
+        for key in _BOUNDS:
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must not be negative")
         if self.string_scan_len > GUARDS["string_len"] or self.pair_len > 10:
             raise ConfigError("string length bound exceeds the guard")
         if self.mirror_len > GUARDS["string_len"]:
@@ -83,23 +86,24 @@ class SuiteConfig:
                 raise ConfigError(f"unknown section {s!r}")
 
 
+_BOUNDS = ("string_scan_len", "pair_len", "mirror_len", "band_len", "tower_n", "radius")
+_CONFIG_TYPES = {**dict.fromkeys(_BOUNDS + ("seed",), int), "include_timings": bool, "sections": list}
+
+
 def config_from_dict(data: dict) -> SuiteConfig:
+    """The suite config of a JSON object; a key of the wrong type (a bool
+    is not an int) or out of bounds raises ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     cfg = SuiteConfig()
-    fields = {
-        "sections": lambda v: tuple(v),
-        "string_scan_len": int,
-        "pair_len": int,
-        "mirror_len": int,
-        "band_len": int,
-        "tower_n": int,
-        "radius": int,
-        "seed": int,
-        "include_timings": bool,
-    }
     for key, value in data.items():
-        if key not in fields:
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, fields[key](value))
+        if type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
+            want = "a list of check ids" if kind is list else f"of type {kind.__name__}"
+            raise ConfigError(f"config key {key!r} must be {want}, not {value!r}")
+        setattr(cfg, key, tuple(value) if kind is list else value)
     cfg.validate()
     return cfg
 

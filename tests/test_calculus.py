@@ -310,6 +310,14 @@ class TestIsoAndDecompose:
         assert len(parts) == 2
         assert all(C.is_isomorphic(p, S0) for p in parts)
 
+    def test_combinations_vary_the_first_coefficient_fastest(self):
+        # decompose and is_isomorphic try combinations in this order, which
+        # fixes the order of the summands decompose returns
+        field = quiver_context(2).field
+        basis = [Mat.from_entries(field, [[1, 0]]), Mat.from_entries(field, [[0, 1]])]
+        combos = [f.to_entries() for f in C._combinations(field, basis)]
+        assert combos == [[[c1, c2]] for c2 in range(4) for c1 in range(4)][1:]
+
     def test_mixed_sum(self, lam):
         M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
         dims = sorted(p.dim for p in C.decompose(M))

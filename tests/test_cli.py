@@ -62,6 +62,17 @@ def test_hom_maps_golden(capsys):
         assert len(case["output"]["maps"]) >= 4
 
 
+def test_module_band_gf4_golden(capsys):
+    # a GF(4) band module with entries w and 1 in one row, so the hex rows
+    # pin the plane order of to_json_dict
+    golden = (Path(__file__).parent / "data" / "module_band_gf4.json").read_text()
+    code, out = run_cli(
+        capsys, "module", "--band", "eta- beta alpha- gamma", "--lam", "w", "--mult", "2", "--format", "json"
+    )
+    assert code == 0
+    assert out == golden
+
+
 def test_stable_end_and_ext(capsys):
     code, out = run_cli(capsys, "stable-end", "--string", "alpha-")
     assert "2" in out
@@ -126,6 +137,54 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     cfg.write_text(json.dumps({"band_len": 99}))
     code, _ = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        {"string_scan_len": "abc"},
+        {"string_scan_len": 8.0},
+        {"band_len": True},
+        {"include_timings": 1},
+        {"sections": 5},
+        {"sections": "c07-band-scan"},
+        {"sections": [7]},
+        {"string_scan_len": -3},
+        {"radius": -1},
+    ],
+)
+def test_config_of_wrong_type_or_negative_exits_2(capsys, tmp_path, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--band-len", "--n-max", "--radius"])
+def test_negative_bound_flag_exits_2(capsys, flag):
+    code = main(["verify", "--sections", "c09-characters", flag, "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["strings", "bands", "chars", "component", "verify"])
+def test_field_only_where_it_is_read(capsys, command):
+    argv = {
+        "strings": ["strings", "--max-len", "1"],
+        "bands": ["bands", "--max-len", "4"],
+        "chars": ["chars"],
+        "component": ["component", "--string", "1_1"],
+        "verify": ["verify", "--sections", "c09-characters"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--field", "gf4"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(

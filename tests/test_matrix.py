@@ -1,11 +1,12 @@
 import random
 from functools import reduce
-from operator import or_
 
 import pytest
 
 from stringalg.gf import GF, GF2, GF4
-from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
+from stringalg.matrix import Mat, RowBasis, block_diag, hstack, support, vstack
+
+GF8 = GF(3)
 
 
 def rand_mat(field, n, m, rng):
@@ -207,7 +208,7 @@ def test_row_basis_rank_matches_bitset_reference_up_to_512():
     rng = random.Random(5)
     for n in (16, 64, 128, 512):
         rows = [rng.getrandbits(n) for _ in range(n)]
-        A = Mat(GF2, n, n, [[r] for r in rows])
+        A = Mat(GF2, n, n, rows)
         basis = RowBasis(GF2, n)
         for r in rows:
             basis.insert(r)
@@ -220,25 +221,36 @@ def test_row_basis_matches_entrywise_reference(field):
     for A in _oracle_cases(field, rng):
         ref_R, ref_pivots = _rref_reference(A)
         basis = RowBasis(field, A.ncols)
-        for row in A.rows:
-            v = basis.pack(row)
-            assert basis.unpack(v) == row
-            assert basis.support(v) == reduce(or_, row)
+        for v, entries in zip(A.rows, A.to_entries()):
+            assert support(v, A.ncols) == sum(1 << c for c, e in enumerate(entries) if e)
             basis.insert(v)
         assert basis.rank == len(ref_pivots)
         leads = sorted(basis.pivots)
         assert leads == ref_pivots
-        P = Mat(field, len(leads), A.ncols, [basis.unpack(basis.pivots[lead]) for lead in leads])
+        P = Mat(field, len(leads), A.ncols, [basis.pivots[lead] for lead in leads])
         for k, lead in enumerate(leads):
             # lowest nonzero column is the key, with coefficient 1
             assert P.entry(k, lead) == 1
-            assert basis.support(basis.pivots[lead]) & ((1 << lead) - 1) == 0
+            assert support(basis.pivots[lead], A.ncols) & ((1 << lead) - 1) == 0
         # the pivots span the row space of A
         assert _rref_reference(P)[0].key()[2] == ref_R.key()[2][: len(leads)]
+        # reduced, they are the reduced row echelon form, and the kernel
+        # is the reference nullspace
+        basis.reduce()
+        assert [basis.pivots[lead] for lead in leads] == list(ref_R.rows[: len(leads)])
+        K = Mat(field, A.ncols - len(leads), A.ncols, basis.kernel())
+        assert K.rank() == K.nrows and (K.nrows == 0 or A.mul(K.transpose()).is_zero())
         top = max(A.ncols - 1, 0)
         for e in field.elements():
-            expected = [((e >> p) & 1) << top for p in range(field.degree)]
-            assert basis.unpack(basis.units[e] << top) == (expected if A.ncols else [0] * field.degree)
+            unit = Mat(field, 1, A.ncols, [basis.units[e] << top])
+            assert unit.to_entries() == ([[0] * top + [e]] if A.ncols else [[]])
+
+
+def _naive_mul(field, a, b):
+    return [
+        [reduce(field.add, (field.mul(a[i][t], b[t][j]) for t in range(len(b))), 0) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def test_stack_helpers():
@@ -250,11 +262,30 @@ def test_stack_helpers():
     assert V.nrows == 4
     D = block_diag([A, B])
     assert D.nrows == 4 and D.ncols == 3
+    rng = random.Random(19)
+    for field in (GF2, GF4, GF8):
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            mats = [rand_mat(field, n, rng.randint(0, 5), rng) for _ in range(rng.randint(1, 3))]
+            entries = [m.to_entries() for m in mats]
+            assert hstack(mats).to_entries() == [sum((e[r] for e in entries), []) for r in range(n)]
+            cols = mats[0].ncols
+            same = [rand_mat(field, rng.randint(1, 4), cols, rng) for _ in range(3)]
+            assert vstack(same).to_entries() == sum((m.to_entries() for m in same), [])
+            D = block_diag(mats)
+            width = sum(m.ncols for m in mats)
+            ref = []
+            left = 0
+            for m, e in zip(mats, entries):
+                ref.extend([0] * left + row + [0] * (width - left - m.ncols) for row in e)
+                left += m.ncols
+            assert (D.nrows, D.ncols) == (len(ref), width)
+            assert D.to_entries() == ref
 
 
 def test_mul_against_naive():
     rng = random.Random(17)
-    for field in (GF2, GF4):
+    for field in (GF2, GF4, GF8):
         for _ in range(10):
             n, k, m = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
             A = rand_mat(field, n, k, rng)
@@ -266,6 +297,32 @@ def test_mul_against_naive():
                     for t in range(k):
                         total = field.add(total, field.mul(A.entry(i, t), B.entry(t, j)))
                     assert C.entry(i, j) == total
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF8])
+def test_plane_moving_against_entrywise(field):
+    rng = random.Random(23 + field.degree)
+    for _ in range(15):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        A = rand_mat(field, n, m, rng)
+        a = A.to_entries()
+        assert A.transpose().to_entries() == [list(col) for col in zip(*a)]
+        rows = rng.sample(range(n), rng.randint(0, n))
+        cols = rng.sample(range(m), rng.randint(0, m))
+        assert A.submatrix(rows, cols).to_entries() == [[a[r][c] for c in cols] for r in rows]
+        flat = Mat(field, 1, n * m, [A.vector()])
+        assert flat.to_entries() == [sum(a, [])]
+        s = rng.randrange(field.order)
+        assert A.scale(s).to_entries() == [[field.mul(s, e) for e in row] for row in a]
+        B = rand_mat(field, n, m, rng)
+        assert A.add(B).to_entries() == [[x ^ y for x, y in zip(r, t)] for r, t in zip(a, B.to_entries())]
+        b = _naive_mul(field, a, rand_mat(field, m, 2, rng).to_entries())
+        X = A.solve(Mat.from_entries(field, b))
+        assert X is not None and _naive_mul(field, a, X.to_entries()) == b
+        sq = rand_mat(field, n, n, rng)
+        if sq.is_invertible():
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert _naive_mul(field, sq.to_entries(), sq.inverse().to_entries()) == ident
 
 
 def test_permutation_difference_rank():

@@ -197,10 +197,14 @@ class TestStringTypeEndos:
         assert hits, "no band exhibits the expected string types"
 
     def test_maps_are_valid_and_nonzero(self):
-        for b in enumerate_bands(8):
-            for s, h in string_type_endos(b, 1):
-                assert h.is_valid()
-                assert not h.matrix.is_zero()
+        found = 0
+        for lam, degree in ((1, 1), (OMEGA, 2)):
+            for b in enumerate_bands(8):
+                for s, h in string_type_endos(b, lam, degree):
+                    assert h.is_valid()
+                    assert not h.matrix.is_zero()
+                    found += degree == 2
+        assert found
 
 
 def test_comb_hom_maps_are_linearly_independent():
