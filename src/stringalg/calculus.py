@@ -192,7 +192,7 @@ def _hom_rows(M, N, extra: int = 0) -> _HomSystem:
     for (cols, _), (_, rows) in zip(source.gens, target.gens):
         # row (i, j): column j of a_M at X's row i, plus row i of a_N
         # spread over X's column j
-        acols = [repack(col, M.dim, width, degree) for col in cols]
+        acols = repack(cols, M.dim, width, degree)
         for i, row in rows:
             shift = base[i]
             b = _spread(row, base, N.dim, width)
@@ -223,7 +223,6 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
         return []
     system = _hom_rows(M, N)
     basis = system.basis
-    basis.reduce()
     runs = [(base, system.source.members[v]) for base, v in zip(system.base, system.target.verts)]
     out = []
     for x in basis.kernel():
@@ -271,7 +270,6 @@ def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep
     """
     span = RowBasis(M.field, M.dim)
     _grows(span, rows)
-    span.reduce()
     # e_pc reduces to its pivot row restricted to the free coordinates,
     # so the projection is the kernel basis of the span
     kernel = span.kernel()

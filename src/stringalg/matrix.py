@@ -7,7 +7,7 @@ field adding two rows is one XOR.  This is the only row format: a row of a
 :class:`Mat` is such an int of width ``ncols``, and :class:`RowBasis`
 holds such ints as an echelon basis.  Scalar multiplication mixes the
 planes through the tables precomputed on the field (:func:`scale`), and
-:func:`repack` moves the planes of a vector to another width.
+:func:`repack` moves the planes of vectors to another width.
 
 :class:`RowBasis` is the only elimination kernel: :meth:`Mat.rref` (and
 through it row space, solve and inverse) inserts every row, then
@@ -58,16 +58,14 @@ def scale(field: FiniteField, c: int, v: int, width: int) -> int:
     return out
 
 
-def repack(v: int, width: int, new_width: int, degree: int) -> int:
-    """The vector v with its planes moved from `width` to `new_width`
-    apart, each cut to its low `new_width` entries.  Over GF(2) there is
-    one plane and v is returned unchanged, so it must fit in new_width."""
-    if degree == 1:
-        return v
+def repack(vs: list, width: int, new_width: int, degree: int) -> list:
+    """The vectors vs with their planes moved from `width` to `new_width`
+    apart, each plane cut to its low `new_width` entries."""
     full = (1 << min(width, new_width)) - 1
-    out = 0
-    for p in range(degree):
-        out |= ((v >> (p * width)) & full) << (p * new_width)
+    out = [v & full for v in vs]
+    for p in range(1, degree):
+        a, b = p * width, p * new_width
+        out = [o | ((v >> a) & full) << b for o, v in zip(out, vs)]
     return out
 
 
@@ -173,7 +171,7 @@ class Mat:
                     low = plane & -plane
                     s ^= brows[low.bit_length() - 1]
                     plane ^= low
-                acc ^= scale(field, 1 << p, s, m) if p else s
+                acc ^= scale(field, 1 << p, s, m)
                 a >>= k
                 p += 1
             rows.append(acc)
@@ -225,8 +223,8 @@ class Mat:
         size = self.nrows * n
         degree = self.field.degree
         v = 0
-        for i, row in enumerate(self.rows):
-            v |= repack(row, n, size, degree) << (i * n)
+        for i, row in enumerate(repack(self.rows, n, size, degree)):
+            v |= row << (i * n)
         return v
 
     def _basis(self):
@@ -250,9 +248,7 @@ class Mat:
 
     def nullspace(self):
         """Basis of {x : self * x = 0}, one vector per row of the result."""
-        basis = self._basis()
-        basis.reduce()
-        kernel = basis.kernel()
+        kernel = self._basis().kernel()
         return Mat(self.field, len(kernel), self.ncols, kernel)
 
     def row_space(self):
@@ -271,8 +267,9 @@ class Mat:
         if pivots and pivots[-1] >= n:
             return None
         x = Mat(self.field, n, k)
-        for row, pc in zip(R.rows, pivots):
-            x.rows[pc] = repack(row >> n, n + k, k, self.field.degree)
+        parts = repack([row >> n for row in R.rows[: len(pivots)]], n + k, k, self.field.degree)
+        for row, pc in zip(parts, pivots):
+            x.rows[pc] = row
         return x
 
     def inverse(self):
@@ -296,8 +293,8 @@ def hstack(mats):
     rows = [0] * nrows
     shift = 0
     for m in mats:
-        for r, v in enumerate(m.rows):
-            rows[r] |= repack(v, m.ncols, width, field.degree) << shift
+        for r, v in enumerate(repack(m.rows, m.ncols, width, field.degree)):
+            rows[r] |= v << shift
         shift += m.ncols
     return Mat(field, nrows, width, rows)
 
@@ -319,7 +316,7 @@ def block_diag(mats):
     rows = []
     shift = 0
     for m in mats:
-        rows.extend(repack(v, m.ncols, width, field.degree) << shift for v in m.rows)
+        rows.extend(v << shift for v in repack(m.rows, m.ncols, width, field.degree))
         shift += m.ncols
     return Mat(field, len(rows), width, rows)
 
@@ -400,10 +397,11 @@ class RowBasis:
             pivots[lead] = v
 
     def kernel(self) -> list:
-        """Basis of {x : p . x = 0 for every pivot p} of a reduced basis:
-        one vector per free column fc, with 1 at fc and, at each pivot
-        column pc, the entry of pc's pivot at fc (char 2: x_pc = p[fc] *
-        x_fc)."""
+        """Basis of {x : p . x = 0 for every pivot p}, read off the
+        reduced basis: one vector per free column fc, with 1 at fc and, at
+        each pivot column pc, the entry of pc's pivot at fc (char 2: x_pc =
+        p[fc] * x_fc)."""
+        self.reduce()
         width = self.width
         free = self.full & ~sum(1 << pc for pc in self.pivots)
         index = {fc: k for k, fc in enumerate(_bits(free))}

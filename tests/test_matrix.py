@@ -240,6 +240,11 @@ def test_row_basis_matches_entrywise_reference(field):
         assert [basis.pivots[lead] for lead in leads] == list(ref_R.rows[: len(leads)])
         K = Mat(field, A.ncols - len(leads), A.ncols, basis.kernel())
         assert K.rank() == K.nrows and (K.nrows == 0 or A.mul(K.transpose()).is_zero())
+        # kernel() reduces an unreduced basis itself
+        fresh = RowBasis(field, A.ncols)
+        for v in A.rows:
+            fresh.insert(v)
+        assert fresh.kernel() == K.rows
         top = max(A.ncols - 1, 0)
         for e in field.elements():
             unit = Mat(field, 1, A.ncols, [basis.units[e] << top])
