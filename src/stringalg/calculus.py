@@ -17,6 +17,16 @@ the full system.  hom_basis reads its maps off the kernel of the
 system's own reduced basis.  A map factors through a projective iff it
 lifts along the projective cover of its target, which is one
 consistency solve.
+decompose and is_isomorphic rest on one deterministic search (_split):
+basis endomorphisms, then their products with the nilpotents found so
+far, are shifted by the first monic polynomial that makes them singular.
+A shifted map that is not nilpotent splits the module (Fitting's lemma);
+the nilpotent ones span V, and End is certified local once V is closed
+under multiplication by End and End = k[g] + V for one shifted map g.
+SplitFailure is raised only when the search ends with neither; no such
+input is known.  Isomorphism is an invertible basis map, or else
+Krull-Schmidt on the two decompositions.
+
 Negative syzygies use the symmetry of the algebras at hand (socle of a
 projective indecomposable is isomorphic to its top; this is asserted at
 setup).
@@ -24,9 +34,7 @@ setup).
 
 from __future__ import annotations
 
-import random
 from functools import reduce
-from itertools import islice, product
 from operator import or_
 from typing import NamedTuple
 
@@ -515,39 +523,9 @@ def ext1_dim_cocycles(M: ModuleRep, N: ModuleRep) -> int:
 # -- isomorphism and decomposition ------------------------------------------------
 
 
-def _combinations(field, basis_mats):
-    """Every nonzero combination of the basis matrices, the coefficient of
-    the first one varying fastest."""
-    for coeffs in islice(product(field.elements(), repeat=len(basis_mats)), 1, None):
-        yield _combo(field, basis_mats, coeffs[::-1])
-
-
-def _combo(field, basis_mats, coeffs):
-    out = Mat.zeros(field, basis_mats[0].nrows, basis_mats[0].ncols)
-    for c, h in zip(coeffs, basis_mats):
-        if c == 0:
-            continue
-        out = out.add(h if c == 1 else h.scale(c))
-    return out
-
-
-def _fitting_power(f: Mat) -> Mat:
-    pw = 1
-    while pw < f.nrows:
-        pw <<= 1
-    return f.power(pw)
-
-
-def _nilpotent(f: Mat) -> bool:
-    return _fitting_power(f).is_zero()
-
-
-def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> bool:
-    """Exact isomorphism test.
-
-    Exhaustive search for an invertible hom when the space is tiny, then
-    seeded random combinations, then a complete certificate based on
-    Fitting decomposition and local endomorphism rings."""
+def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
+    """Exact isomorphism test: an invertible basis map of Hom(M, N), or
+    else Krull-Schmidt on the two decompositions."""
     _check_context(M, N)
     if M.dim != N.dim:
         return False
@@ -559,118 +537,126 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> bool:
         return False
     if not (hom_dim(M, M) == hom_dim(N, N) == hom_dim(N, M) == d):
         return False
-    q = M.field.order
-    if q**d <= 8192:
-        return any(f.is_invertible() for f in _combinations(M.field, H))
-    rng = random.Random(seed)
-    for _ in range(64):
-        coeffs = [rng.randrange(q) for _ in range(d)]
-        if any(coeffs) and _combo(M.field, H, coeffs).is_invertible():
-            return True
-    return _certified_iso(M, N)
-
-
-def _indecomposable_iso(U: ModuleRep, V: ModuleRep) -> bool:
-    """U, V indecomposable: isomorphic iff some composite V->U->V ... of
-    basis homs is non-nilpotent (local endomorphism rings)."""
-    if U.dim != V.dim:
-        return False
-    fwd = hom_basis(U, V)
-    bwd = hom_basis(V, U)
-    for f in fwd:
-        for g in bwd:
-            if not _nilpotent(g.mul(f)):
-                return True
-    return False
-
-
-def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
-    """Deterministic isomorphism test for modules KNOWN to be
-    indecomposable: local endomorphism rings make a non-nilpotent
-    composite through the other module a complete certificate."""
-    _check_context(U, V)
-    if U.dim != V.dim:
-        return False
-    if U.dim == 0:
+    if any(f.is_invertible() for f in H):
         return True
-    if hom_dim(U, U) != hom_dim(V, V) or hom_dim(U, V) != hom_dim(V, U):
-        return False
-    if hom_dim(U, V) == 0:
-        return False
-    return _indecomposable_iso(U, V)
-
-
-def _certified_iso(M: ModuleRep, N: ModuleRep) -> bool:
-    parts_m = decompose(M)
-    parts_n = list(decompose(N))
-    if len(parts_m) != len(parts_n):
-        return False
-    for U in parts_m:
-        hit = None
-        for k, V in enumerate(parts_n):
-            if _indecomposable_iso(U, V):
-                hit = k
-                break
+    parts_n = decompose(N)
+    for U in decompose(M):
+        hit = next((k for k, V in enumerate(parts_n) if indec_isomorphic(U, V)), None)
         if hit is None:
             return False
         parts_n.pop(hit)
-    return True
+    return not parts_n
 
 
-def _split_by(f: Mat, M: ModuleRep):
-    """(image, kernel) of the Fitting power of f, or None if that power is
-    0 or invertible (f invertible makes it invertible)."""
-    if f.is_invertible():
-        return None
-    g = _fitting_power(f)
-    r = g.rank()
-    if r == 0 or r == M.dim:
-        return None
-    img, _ = image_module(g, M, label=f"{M.label}.im")
-    ker, _ = kernel_module(g, M, label=f"{M.label}.ker")
-    return img, ker
+def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
+    """Isomorphism test for U KNOWN to be indecomposable: some basis map
+    U -> V is invertible.  End(U) is local, so when U = V the maps U -> V
+    that are not isomorphisms form a proper subspace, which holds no
+    basis."""
+    _check_context(U, V)
+    if U.dim != V.dim:
+        return False
+    return U.dim == 0 or any(f.is_invertible() for f in hom_basis(U, V))
+
+
+def _fitting_power(f: Mat) -> Mat:
+    pw = 1
+    while pw < f.nrows:
+        pw <<= 1
+    return f.power(pw)
+
+
+def _shift(f: Mat, ident: Mat) -> tuple[Mat, int]:
+    """(p(f), deg p) for the first monic p over the field, in order of
+    degree, with p(f) singular; degree 1 gives the scalar shifts f + c.
+    That p is irreducible: a factor of lower degree would have made p(f)
+    singular first."""
+    elements = f.field.elements()
+    lower = [ident.scale(c) for c in elements]  # the values of degree < 1
+    power = f
+    degree = 1
+    while True:
+        for low in lower:
+            value = power.add(low)
+            if not value.is_invertible():
+                return value, degree
+        lower = [low.add(power.scale(c)) for c in elements for low in lower]
+        power = power.mul(f)
+        degree += 1
+
+
+def _split(M: ModuleRep, E: list[Mat]):
+    """(image, kernel) of a Fitting split of M, or None once End(M) is
+    proved local; E is a basis of End(M).
+
+    Candidates are the basis E, then the products v*e and e*v of each
+    nilpotent v spanning V (below) with each e in E.  A candidate f
+    outside V is shifted by the first monic p with p(f) singular (see
+    _shift).  If the Fitting power of p(f) is nonzero, it is neither 0 nor
+    invertible, and M is its image plus its kernel.  Otherwise p(f) is
+    nilpotent and joins V, and f is kept as g if deg p = r is the largest
+    so far.
+
+    Certificate: every product v*e and e*v lies in V, and every e in E lies
+    in span(1, g, ..., g^(r-1)) + V.  Then V is a two-sided ideal spanned
+    by nilpotents, so it lies in the radical: its image in End(M)/rad, a
+    product of matrix algebras over finite fields, is the product of some
+    of the factors and is spanned by nilpotents; the trace down to k
+    vanishes on nilpotents but on no factor, so that image is 0.  So V is
+    nilpotent, and End(M)/V is spanned by the powers of g with p(g) in V:
+    it is k[x]/(p), a field, and End(M) is local.  Products that land merely in k + V prove nothing:
+    M_3(GF(2)) = k + sl_3 is spanned by 1 and nilpotents and is not local.
+
+    SplitFailure is raised when the candidates run out with neither."""
+    field = M.field
+    ident = Mat.identity(field, M.dim)
+    V = RowBasis(field, M.dim * M.dim)
+    nil = []  # the basis of V
+    outside = []  # products that were left outside V
+    gen, degree = ident, 1
+
+    def candidates():
+        for e in E:
+            yield e, False
+        for v in nil:  # nil grows while it is read
+            for e in E:
+                yield v.mul(e), True
+                yield e.mul(v), True
+
+    for f, product in candidates():
+        x = f.vector()
+        if V.contains(x):
+            continue
+        value, d = _shift(f, ident)
+        power = _fitting_power(value)
+        if not power.is_zero():
+            img, _ = image_module(power, M, label=f"{M.label}.im")
+            ker, _ = kernel_module(power, M, label=f"{M.label}.ker")
+            return img, ker
+        if V.insert(value.vector()):
+            nil.append(value)
+        if d > degree:
+            gen, degree = f, d
+        if product and not V.contains(x):
+            outside.append(x)
+    if all(V.contains(x) for x in outside):
+        power = ident
+        for _ in range(degree):
+            V.insert(power.vector())
+            power = power.mul(gen)
+        if all(V.contains(e.vector()) for e in E):
+            return None
+    raise SplitFailure(f"cannot split {M!r} or certify it indecomposable (End dim {len(E)})")
 
 
 def decompose(M: ModuleRep) -> list[ModuleRep]:
-    """Indecomposable direct summands via Fitting splitting."""
+    """Indecomposable direct summands via Fitting splitting (see _split)."""
     if M.dim == 0:
         return []
-    E = hom_basis(M, M)
-    d = len(E)
-    if d == 1:
+    split = _split(M, hom_basis(M, M))
+    if split is None:
         return [M]
-    field = M.field
-    ident = Mat.identity(field, M.dim)
-
-    def candidates():
-        for f in E:
-            yield f
-        for f in E:
-            for c in field.nonzero_elements():
-                yield f.add(ident.scale(c))
-        for f in E:
-            for g in E:
-                if f is not g:
-                    yield f.mul(g)
-        for f in E:
-            for g in E:
-                if f is not g:
-                    for c in field.nonzero_elements():
-                        yield f.mul(g).add(ident.scale(c))
-
-    for f in candidates():
-        split = _split_by(f, M)
-        if split:
-            return decompose(split[0]) + decompose(split[1])
-
-    # certify indecomposability: every endomorphism nilpotent or invertible
-    if field.order**d <= 8192:
-        for f in _combinations(field, E):
-            split = _split_by(f, M)
-            if split:
-                return decompose(split[0]) + decompose(split[1])
-        return [M]
-    raise SplitFailure(f"cannot certify indecomposability of {M!r} (End dim {d})")
+    return decompose(split[0]) + decompose(split[1])
 
 
 # -- extensions -----------------------------------------------------------------
@@ -683,12 +669,7 @@ def nonsplit_extension(top: ModuleRep, bottom: ModuleRep, cocycle_index: int = 0
     Omega(top) -> bottom chosen outside the coboundary space."""
     _check_context(top, bottom)
     P, OmegaT, inc, cob = _coboundaries(top, bottom)
-    chosen = []
-    for h in hom_basis(OmegaT, bottom):
-        probe = RowBasis(top.field, cob.width)
-        probe.pivots = dict(cob.pivots)
-        if probe.insert(h.vector()):
-            chosen.append(h)
+    chosen = [h for h in hom_basis(OmegaT, bottom) if not cob.contains(h.vector())]
     if not chosen:
         raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")
     h = chosen[cocycle_index % len(chosen)]

@@ -25,22 +25,6 @@ class LimitExceeded(StringAlgError):
     pass
 
 
-class OnPeak(StringAlgError):
-    pass
-
-
-class InDeep(StringAlgError):
-    pass
-
-
-class Ambiguous(StringAlgError):
-    """More than one legal hook/cohook extension (only empty strings)."""
-
-    def __init__(self, message, candidates):
-        super().__init__(message)
-        self.candidates = candidates
-
-
 class EmptyString(StringAlgError):
     pass
 

@@ -354,9 +354,10 @@ class RowBasis:
         zeroes v's entry in that column."""
         return v ^ scale(self.field, self._coefficient(v, col), pivot, self.width)
 
-    def insert(self, v: int) -> bool:
-        """Reduce v by the pivots; keep a nonzero remainder, scaled to a
-        leading 1, as a new pivot.  Return whether v was independent."""
+    def insert(self, v: int, keep: bool = True) -> bool:
+        """Reduce v by the pivots; if `keep`, keep a nonzero remainder,
+        scaled to a leading 1, as a new pivot.  Return whether v was
+        independent."""
         pivots = self.pivots
         full = self.full
         while v:
@@ -366,7 +367,8 @@ class RowBasis:
                 col = (v ^ (v - 1)).bit_length() - 1
                 pivot = pivots.get(col)
                 if pivot is None:
-                    pivots[col] = v
+                    if keep:
+                        pivots[col] = v
                     return True
                 v ^= pivot
                 continue
@@ -374,11 +376,16 @@ class RowBasis:
             col = (s ^ (s - 1)).bit_length() - 1
             pivot = pivots.get(col)
             if pivot is None:
-                inv = self.field.inv(self._coefficient(v, col))
-                pivots[col] = scale(self.field, inv, v, self.width)
+                if keep:
+                    inv = self.field.inv(self._coefficient(v, col))
+                    pivots[col] = scale(self.field, inv, v, self.width)
                 return True
             v = self.clear(v, col, pivot)
         return False
+
+    def contains(self, v: int) -> bool:
+        """Whether v lies in the span of the pivots."""
+        return not self.insert(v, keep=False)
 
     def reduce(self):
         """Back-substitute: from the last pivot column back, each pivot

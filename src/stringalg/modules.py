@@ -1,6 +1,5 @@
-"""String and band modules over the quiver algebra, the combinatorial
-basis of homomorphisms between string modules, and endomorphisms of band
-modules factoring through string modules.
+"""String and band modules over the quiver algebra and the combinatorial
+basis of homomorphisms between string modules.
 
 A word w_1...w_n yields a module on the basis z_0..z_n: a direct letter
 w_i = xi sends z_i to z_{i-1}, an inverse letter w_i = xi^{-1} sends
@@ -24,7 +23,7 @@ from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ZeroLambda
 from .matrix import Mat
 from .rep import HomElement, ModuleRep
-from .words import INV, Band, String, Word, e_of, is_inverse
+from .words import INV, Word, e_of, is_inverse
 
 _VERTEX_GEN = ("e0", "e1")
 
@@ -178,112 +177,3 @@ def string_hom_dim(S, T, degree: int = 1) -> int:
     which are linearly independent (distinct 0/1 supports).  Builds no
     module and no matrix."""
     return sum(1 for _ in graph_map_supports(S, T))
-
-
-def string_type_endos(B, lam: int, degree: int = 1):
-    """Endomorphisms of M(B, lambda, 1) factoring through string modules.
-
-    Scans rotations of both orientations for intervals reading a string S
-    that occur both as a quotient interval and as a submodule interval of
-    the cycle; for each such pair of occurrences the intertwining system
-    restricted to the matching support is solved.  Returns a list of
-    (S, HomElement)."""
-    band = B if isinstance(B, Band) else Band.from_word(_word_of(B))
-    M = band_module(band, lam, 1, degree)
-    field = M.field
-    n = len(band.letters)
-    results = []
-    seen = set()
-    orientations = [band.letters, band.word.inverse().letters]
-    for ln in range(0, n - 1):
-        for o1, letters1 in enumerate(orientations):
-            for a in range(n):
-                window = tuple(letters1[(a + k) % n] for k in range(ln))
-                before = letters1[(a - 1) % n]
-                after = letters1[(a + ln) % n]
-                if is_inverse(before) or not is_inverse(after):
-                    continue  # not a quotient interval
-                # positions in the canonical orientation
-                for o2, letters2 in enumerate(orientations):
-                    for b in range(n):
-                        window2 = tuple(letters2[(b + k) % n] for k in range(ln))
-                        if window2 != window:
-                            continue
-                        before2 = letters2[(b - 1) % n]
-                        after2 = letters2[(b + ln) % n]
-                        if not is_inverse(before2) or is_inverse(after2):
-                            continue  # not a submodule interval
-                        if ln == 0 and e_of(letters1[a]) != e_of(letters2[b]):
-                            continue
-                        pairs = _support_pairs(n, a, b, ln, o1, o2)
-                        if pairs is None:
-                            continue
-                        sols = _solve_on_support(M, pairs)
-                        for f in sols:
-                            k = f.key()
-                            if k in seen:
-                                continue
-                            seen.add(k)
-                            if ln == 0:
-                                s_obj = String((), e_of(letters1[a % n]))
-                            else:
-                                s_obj = String.from_word(Word(window))
-                            results.append((s_obj, HomElement(M, M, f)))
-    return results
-
-
-def _support_pairs(n, a, b, ln, o1, o2):
-    """Map basis position of the quotient occurrence to the submodule
-    occurrence, translating reversed orientations back to the canonical
-    cycle; position p in the reversed word is n-1-p... handled via index
-    arithmetic on z-points (cycle positions are mod n)."""
-    pairs = []
-    for t in range(ln + 1):
-        src = (a + t) % n if o1 == 0 else (n - (a + t)) % n
-        dst = (b + t) % n if o2 == 0 else (n - (b + t)) % n
-        pairs.append((dst, src))
-    return pairs
-
-
-def _solve_on_support(M, pairs):
-    """Nonzero module endomorphisms of M supported on the given entry
-    positions (dst, src)."""
-    field = M.field
-    dim = M.dim
-    k = len(pairs)
-    # unknown c_t at entry pairs[t]; intertwining gives linear conditions
-    rows = []
-    for name in M.algebra.gen_names:
-        A = M.action[name]
-        terms = {}
-        # (f A - A f)[i][j] = sum_t c_t ([dst=i] A[src,j] - A[i,dst] [src=j])
-        for t, (dst, src) in enumerate(pairs):
-            for j in range(dim):
-                e = A.entry(src, j)
-                if e:
-                    terms.setdefault((dst, j), {})
-                    terms[(dst, j)][t] = terms[(dst, j)].get(t, 0) ^ e
-            for i in range(dim):
-                e = A.entry(i, dst)
-                if e:
-                    terms.setdefault((i, src), {})
-                    terms[(i, src)][t] = terms[(i, src)].get(t, 0) ^ e
-        for coeffs in terms.values():
-            row = 0
-            for t, v in coeffs.items():
-                for p in range(field.degree):
-                    if (v >> p) & 1:
-                        row |= 1 << (p * k + t)
-            if row:
-                rows.append(row)
-    kernel = Mat(field, len(rows), k, rows).nullspace()
-    out = []
-    for r in range(kernel.nrows):
-        f = Mat.zeros(field, dim, dim)
-        for t, (dst, src) in enumerate(pairs):
-            e = kernel.entry(r, t)
-            if e:
-                f.set_entry(dst, src, e)
-        if not f.is_zero():
-            out.append(f)
-    return out

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    Ambiguous,
     EmptyString,
     ForbiddenSubword,
-    InDeep,
     LimitExceeded,
     NotComposable,
-    OnPeak,
     ParseError,
 )
 
@@ -386,11 +383,9 @@ def enumerate_bands(max_len: int) -> list[Band]:
     _check_enum_bound("band", max_len)
     classes = set()
     for w in _all_words_upto(max_len):
-        word = Word(w)
-        if is_band(word):
-            canon = _band_canonical(w)
-            if w == canon:
-                classes.add(Band(w))
+        # one word per class is canonical; test that first, it is cheaper
+        if w == _band_canonical(w) and is_band(Word(w)):
+            classes.add(Band(w))
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))
 
 
@@ -468,19 +463,6 @@ def modify_candidates(word: Word, op: str, side: str) -> list[Word]:
             return []
         return _cohook_right_candidates(word)
     raise ValueError(f"unknown op {op!r}")
-
-
-def modify(word: Word, op: str, side: str) -> Word:
-    """Add a hook or cohook per the defining search; unique for nonempty
-    strings, Ambiguous for empty ones (two legal extensions exist)."""
-    cands = modify_candidates(word, op, side)
-    if not cands:
-        if op == "hook":
-            raise OnPeak(f"{word.text()} {'starts' if side == 'right' else 'ends'} on a peak")
-        raise InDeep(f"{word.text()} {'starts' if side == 'right' else 'ends'} in a deep")
-    if len(cands) > 1:
-        raise Ambiguous(f"{len(cands)} legal extensions of {word.text()}", cands)
-    return cands[0]
 
 
 def removal_candidates(word: Word, op: str, side: str) -> list[Word]:

@@ -8,10 +8,11 @@ from stringalg import calculus as C
 from stringalg.algebra import group_context, quiver_context
 from stringalg.errors import SplitOnly
 from stringalg.gf import OMEGA
+from stringalg.groupside import standard_reps
 from stringalg.matrix import Mat
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum, module_from_json
-from stringalg.words import Band, enumerate_strings, parse_word
+from stringalg.words import Band, enumerate_bands, enumerate_strings, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -310,14 +311,6 @@ class TestIsoAndDecompose:
         assert len(parts) == 2
         assert all(C.is_isomorphic(p, S0) for p in parts)
 
-    def test_combinations_vary_the_first_coefficient_fastest(self):
-        # decompose and is_isomorphic try combinations in this order, which
-        # fixes the order of the summands decompose returns
-        field = quiver_context(2).field
-        basis = [Mat.from_entries(field, [[1, 0]]), Mat.from_entries(field, [[0, 1]])]
-        combos = [f.to_entries() for f in C._combinations(field, basis)]
-        assert combos == [[[c1, c2]] for c2 in range(4) for c1 in range(4)][1:]
-
     def test_mixed_sum(self, lam):
         M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
         dims = sorted(p.dim for p in C.decompose(M))
@@ -345,6 +338,145 @@ class TestIsoAndDecompose:
             label="scrambled",
         )
         assert C.is_isomorphic(M, N)
+
+
+def _lines(field, basis, nrows, ncols):
+    """One nonzero combination of the basis matrices per line through 0
+    (its last nonzero coefficient is 1); being nilpotent or invertible does
+    not change along a line."""
+    span = [Mat.zeros(field, nrows, ncols)]
+    lines = []
+    for k, h in enumerate(basis):
+        lines += [f.add(h) for f in span]
+        if k + 1 < len(basis):
+            span = [f.add(h.scale(c)) for c in field.elements() for f in span]
+    return lines
+
+
+def _fits(M, N):
+    """Is Hom(M, N) small enough to list (at most 4096 elements)?"""
+    return M.field.order ** C.hom_dim(M, N) <= 4096
+
+
+def _oracle_indecomposable(M):
+    """Brute force: every endomorphism is nilpotent or invertible."""
+    n = M.dim
+    return all(
+        f.is_invertible() or f.power(n).is_zero()
+        for f in _lines(M.field, C.hom_basis(M, M), n, n)
+    )
+
+
+def _oracle_isomorphic(M, N):
+    """Brute force: some combination of the Hom(M, N) basis is invertible."""
+    if M.dim != N.dim:
+        return False
+    return M.dim == 0 or any(f.is_invertible() for f in _lines(M.field, C.hom_basis(M, N), N.dim, M.dim))
+
+
+def _oracle_pool(degree):
+    """Indecomposables whose End is small enough to list: strings of length
+    <= 6, bands of length <= 8 with m <= 2, the group-side reps."""
+    lams = (1,) if degree == 1 else (OMEGA, OMEGA ^ 1)
+    mods = [string_module(s, degree) for s in enumerate_strings(6)]
+    mods += [band_module(b, lam, m, degree) for b in enumerate_bands(8) for lam in lams for m in (1, 2)]
+    mods += list(standard_reps(degree).values())
+    return [M for M in mods if _fits(M, M)]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_decompose_and_is_isomorphic_match_the_brute_force_oracle(degree):
+    # every pool module is indecomposable by the oracle, so decompose must
+    # return it whole; on seeded sums of two or three pool modules its
+    # summands must match the parts one to one, and is_isomorphic must
+    # agree with the oracle
+    pool = _oracle_pool(degree)
+    rng = random.Random(degree)
+    wrong = []
+    for M in pool:
+        if [p.dim for p in C.decompose(M)] != [M.dim] or not _oracle_indecomposable(M):
+            wrong.append(("decompose", M))
+    for _ in range(40):
+        first = rng.choice(pool)
+        parts = [first] + rng.choices([X for X in pool if X.algebra is first.algebra], k=rng.choice((1, 2)))
+        M = direct_sum(parts)
+        found = C.decompose(M)
+        left = list(parts)
+        for U in found:
+            # U = X needs dim Hom(U, X) = dim End(X), which is listable
+            hit = next((k for k, X in enumerate(left) if _fits(U, X) and _oracle_isomorphic(U, X)), None)
+            if hit is None:
+                wrong.append(("summand", M, U))
+                break
+            left.pop(hit)
+        if left:
+            wrong.append(("summands", M))
+        swapped = parts[1:] + parts[:1]
+        same_dim = [X for X in pool if X.algebra is first.algebra and X.dim == first.dim]
+        others = [swapped, swapped[:-1] + [rng.choice(same_dim)]]
+        for N in map(direct_sum, others):
+            if _fits(M, N) and C.is_isomorphic(M, N) != _oracle_isomorphic(M, N):
+                wrong.append(("is_isomorphic", M, N))
+    assert wrong == []
+
+
+def _companion_band():
+    """The GF(2) band module of alpha beta- gamma- with its wrap letter
+    twisted by the companion matrix of x^2+x+1 instead of a Jordan block,
+    so that End/rad = GF(4)."""
+    M = band_module(parse_word("alpha beta- gamma-"), 1, 2)
+    gamma = M.action["gamma"].copy()
+    # the wrap letter gamma- maps cycle point 2 (basis 4, 5) to 0 (basis 0, 1)
+    for (r, c), e in zip(((0, 4), (0, 5), (1, 4), (1, 5)), (0, 1, 1, 1)):
+        gamma.set_entry(r, c, e)
+    return ModuleRep(M.algebra, M.dim, dict(M.action, gamma=gamma), label="M(alpha beta- gamma-; x^2+x+1)")
+
+
+def _unit(field, i, j, n=3):
+    return Mat.from_entries(field, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("copies", [3, 4, 5])
+    def test_long_strings_are_certified(self, degree, copies):
+        # End dimension 13, 21, 31: too large to list the endomorphisms
+        M = string_module(parse_word(" ".join(["alpha beta- gamma-"] * copies)), degree)
+        assert [p.dim for p in C.decompose(M)] == [3 * copies + 1]
+
+    def test_double_of_a_long_string(self):
+        M = string_module(parse_word(" ".join(["alpha beta- gamma-"] * 4)), 2)
+        MM = direct_sum([M, M])
+        assert [p.dim for p in C.decompose(MM)] == [13, 13]
+        assert C.is_isomorphic(MM, direct_sum([M, M]))
+
+    def test_residue_field_larger_than_the_field(self):
+        M = _companion_band()
+        assert [p.dim for p in C.decompose(M)] == [6]
+        assert _oracle_indecomposable(M)
+        MM = direct_sum([M, M])
+        assert [p.dim for p in C.decompose(MM)] == [6, 6]
+        assert C.is_isomorphic(MM, direct_sum([M, M]))
+
+    def test_double_projective_with_an_element_of_order_three(self, ks4):
+        # End(P(T1) + P(T1)) has basis elements with no eigenvalue in GF(2)
+        P = ks4.pims[1]
+        PP = direct_sum([P, P])
+        assert [p.dim for p in C.decompose(PP)] == [8, 8]
+        assert C.is_isomorphic(PP, direct_sum([P, P]))
+
+    def test_products_in_k_plus_v_do_not_certify(self, lam):
+        # End(S0^3) = M_3(GF(2)) is spanned by 1 and nilpotents (N1, N2 are
+        # nilpotent in characteristic 2) but is not local
+        S0 = lam.simples[0]
+        field = S0.field
+        units = [_unit(field, i, j) for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))]
+        n1 = Mat.from_entries(field, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+        n2 = Mat.from_entries(field, [[0, 0, 0], [0, 1, 1], [0, 1, 1]])
+        basis = [Mat.identity(field, 3)] + units + [n1, n2]
+        split = C._split(direct_sum([S0, S0, S0]), basis)
+        assert split is not None
+        assert sorted(p.dim for p in split) == [1, 2]
 
 
 class TestExtensions:

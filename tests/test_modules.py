@@ -10,7 +10,6 @@ from stringalg.modules import (
     string_hom_basis,
     string_hom_dim,
     string_module,
-    string_type_endos,
 )
 from stringalg.rep import module_from_json
 from stringalg.words import Band, String, enumerate_bands, enumerate_strings, parse_word
@@ -166,45 +165,6 @@ class TestStringHoms:
                 for mask, h in zip(masks, string_hom_basis(a, b)):
                     ones = {(r, c) for r in range(h.matrix.nrows) for c in range(width) if h.matrix.entry(r, c)}
                     assert ones == {divmod(k, width) for k in range(mask.bit_length()) if mask >> k & 1}
-
-
-class TestStringTypeEndos:
-    def test_gamma_type_for_piece_pattern(self):
-        # a band whose piece sequence contains the direct run alpha.gamma
-        # followed by eta-: its one-parameter module has an endomorphism of
-        # string type gamma or gamma.alpha- (class of gamma- alpha)
-        b = Band.from_word(parse_word("beta- gamma- alpha gamma eta- beta alpha"))
-        types = {s.text() for s, _ in string_type_endos(b, 1)}
-        assert types & {"gamma", "alpha- gamma"}, types
-
-    def test_longer_type_for_eta_pattern(self):
-        # a band containing the window eta- beta alpha- beta- eta: expect
-        # an endomorphism of string type in the class of beta- eta gamma-
-        # (canonical text gamma eta- beta) or alpha beta- eta gamma- alpha
-        target = {"gamma eta- beta", "alpha beta- eta gamma- alpha"}
-        pattern = tuple(parse_word("eta- beta alpha- beta- eta").letters)
-        hits = set()
-        matched = 0
-        for b in enumerate_bands(12):
-            for letters in (b.letters, b.word.inverse().letters):
-                doubled = letters * 2
-                if any(doubled[i : i + 5] == pattern for i in range(len(letters))):
-                    matched += 1
-                    types = {s.text() for s, _ in string_type_endos(b, 1)}
-                    hits |= types & target
-                    break
-        assert matched > 0
-        assert hits, "no band exhibits the expected string types"
-
-    def test_maps_are_valid_and_nonzero(self):
-        found = 0
-        for lam, degree in ((1, 1), (OMEGA, 2)):
-            for b in enumerate_bands(8):
-                for s, h in string_type_endos(b, lam, degree):
-                    assert h.is_valid()
-                    assert not h.matrix.is_zero()
-                    found += degree == 2
-        assert found
 
 
 def test_comb_hom_maps_are_linearly_independent():

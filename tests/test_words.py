@@ -1,12 +1,10 @@
 import pytest
 
 from stringalg.errors import (
-    Ambiguous,
     EmptyString,
     ForbiddenSubword,
     LimitExceeded,
     NotComposable,
-    OnPeak,
     ParseError,
 )
 from stringalg.words import (
@@ -21,7 +19,6 @@ from stringalg.words import (
     is_band,
     make_string,
     mirror_string,
-    modify,
     modify_candidates,
     parse_word,
     removal_candidates,
@@ -148,36 +145,32 @@ class TestEnumeration:
 
 class TestHooks:
     def test_hook_right_of_alpha_inverse(self):
-        assert modify(parse_word("alpha-"), "hook", "right").text() == "alpha- gamma eta-"
+        [hook] = modify_candidates(parse_word("alpha-"), "hook", "right")
+        assert hook.text() == "alpha- gamma eta-"
 
     def test_hook_right_of_eta_is_on_peak(self):
-        with pytest.raises(OnPeak):
-            modify(parse_word("eta"), "hook", "right")
+        assert modify_candidates(parse_word("eta"), "hook", "right") == []
 
     def test_hook_left_of_eta_exists(self):
         # eta does not end on a peak, so the left hook is defined; the
         # result is the depth-2 tube module over the boundary
-        assert modify(parse_word("eta"), "hook", "left").text() == "beta alpha beta- eta"
+        [hook] = modify_candidates(parse_word("eta"), "hook", "left")
+        assert hook.text() == "beta alpha beta- eta"
 
     def test_empty_string_is_ambiguous(self):
-        with pytest.raises(Ambiguous) as info:
-            modify(empty_word(0), "hook", "right")
-        texts = sorted(w.text() for w in info.value.candidates)
-        assert texts == ["alpha beta- gamma-", "gamma eta-"]
+        cands = modify_candidates(empty_word(0), "hook", "right")
+        assert sorted(w.text() for w in cands) == ["alpha beta- gamma-", "gamma eta-"]
 
     def test_cohook_round_trip(self):
         for text in ("alpha-", "gamma beta", "alpha beta- gamma-"):
             w = parse_word(text)
-            try:
-                c = modify(w, "cohook", "right")
-            except Exception:
-                continue
-            back = removal_candidates(c, "cohook", "right")
-            assert [b.letters for b in back] == [w.letters]
+            for c in modify_candidates(w, "cohook", "right"):
+                back = removal_candidates(c, "cohook", "right")
+                assert [b.letters for b in back] == [w.letters]
 
     def test_hook_then_removal(self):
         a1 = parse_word("alpha beta- gamma-")
-        a2 = modify(a1, "hook", "right")
+        [a2] = modify_candidates(a1, "hook", "right")
         assert a2.text() == "alpha beta- gamma- alpha beta- gamma-"
         assert [b.letters for b in removal_candidates(a2, "hook", "right")] == [a1.letters]
 
@@ -238,8 +231,6 @@ class TestTopSocle:
 
 
 def test_cohook_of_deep_string_raises():
-    from stringalg.errors import InDeep
-
-    # beta- gamma- starts in a deep (its trailing inverse run is maximal)
-    with pytest.raises(InDeep):
-        modify(parse_word("beta- gamma-"), "cohook", "right")
+    # beta- gamma- starts in a deep (its trailing inverse run is maximal),
+    # so no cohook can be added on the right
+    assert modify_candidates(parse_word("beta- gamma-"), "cohook", "right") == []
