@@ -1,7 +1,10 @@
 """Walking stable components of the module category along hooks and
-cohooks, computing syzygies on the level of strings, classifying
-components (plain sheets vs tubes), and locating strings in the
-classification families.
+cohooks, syzygies of strings, classifying components (plain sheets vs
+tubes), and locating strings in the classification families.
+
+Syzygies and tube ranks are read off the word (`words.syzygy_word`); no
+module is built for them.  The module route (`calculus.syzygy` followed by
+an isomorphism test) is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -9,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import calculus
-from .errors import IdentificationFailed, LimitExceeded, Undecided
+from .errors import LimitExceeded, Undecided
 from .modules import string_module
 from .words import (
     String,
     enumerate_strings,
+    mirror_string,
     modify_candidates,
     removal_candidates,
+    syzygy_word,
 )
 
 _RADIUS_LIMIT = 8
@@ -92,87 +97,56 @@ def component_window(seed: String, radius: int, guard: bool = True) -> ARCompone
     return comp
 
 
-def syzygy_string(s: String, power: int = 1, degree: int = 1) -> String:
-    """The string whose module is the syzygy (or cosyzygy) of M(S),
-    identified among enumerated strings by dimension, vertex multiplicities
-    and an isomorphism test."""
-    cur = s
-    step = 1 if power > 0 else -1
+def syzygy_string(s: String, power: int = 1) -> String:
+    """The string of Omega^power(M(S)), negative powers being cosyzygies.
+    Omega is read off the word; Omega^-1 is its conjugate by the mirror,
+    the duality onto the opposite algebra (isomorphic to the algebra by
+    swapping beta and gamma).  No field enters: strings have 0/1 modules."""
+    if power < 0:
+        s = _mirror(s)
     for _ in range(abs(power)):
-        cur = _syzygy_string_once(cur, step, degree)
-    return cur
+        s = syzygy_word(s)
+    return _mirror(s) if power < 0 else s
 
 
-def _identify_string(module) -> String:
-    length = module.dim - 1
-    if length < 0:
-        raise IdentificationFailed("zero module has no string")
-    v0 = module.action["e0"].rank()
-    if length == 0:
-        return String((), 0 if v0 else 1)
-    candidates = [
-        t
-        for t in enumerate_strings(length)
-        if len(t.letters) == length and t.word.vertices().count(0) == v0
-    ]
-    hits = []
-    for t in candidates:
-        # syzygies of indecomposables stay indecomposable here, so the
-        # local-ring certificate decides isomorphism deterministically
-        if calculus.indec_isomorphic(module, string_module(t, module.field.degree)):
-            hits.append(t)
-    if len(hits) != 1:
-        raise IdentificationFailed(
-            f"{len(hits)} strings match a module of dimension {module.dim}"
-        )
-    return hits[0]
+def _mirror(s: String) -> String:
+    return mirror_string(s) if s.letters else s  # 1_v is self-dual
 
 
-def _syzygy_string_once(s: String, step: int, degree: int) -> String:
-    M = string_module(s, degree)
-    omega = calculus.syzygy(M, step)
-    return _identify_string(omega)
-
-
-def tube_rank(s: String, max_rank: int = 3, degree: int = 1) -> int | None:
+def tube_rank(s: String, max_rank: int = 3) -> int | None:
     """r if M(S) is fixed by the r-th power of the translate (= double
-    syzygy), None if no period up to max_rank (a plain sheet here)."""
-    M = string_module(s, degree)
-    cur = M
+    syzygy, the algebra being symmetric), None if no period up to
+    max_rank (a plain sheet here)."""
+    cur = s
     for r in range(1, max_rank + 1):
-        cur = calculus.syzygy(cur, 2)
-        if cur.dim == M.dim and calculus.indec_isomorphic(cur, M):
+        cur = syzygy_word(syzygy_word(cur))
+        if cur == s:
             return r
     return None
 
 
-def component_kind(s: String, degree: int = 1) -> str:
+def component_kind(s: String) -> str:
     """'tube(r)' when the translate has period r at this string, else
     'za-infinity-infinity' (the only component shapes strings live in)."""
-    rank = tube_rank(s, degree=degree)
+    rank = tube_rank(s)
     return f"tube({rank})" if rank else "za-infinity-infinity"
 
 
-def three_tube_boundary(degree: int = 1) -> list[String]:
+def three_tube_boundary() -> list[String]:
     """The three boundary strings of the rank-3 tube: the uniserial with
     socle and top non-isomorphic and its two syzygies (derived, not
     transcribed)."""
-    x1 = None
-    for s in enumerate_strings(2):
-        if len(s.letters) != 2:
-            continue
-        layers = calculus.radical_series(string_module(s, degree))
-        if layers == [[1, 0], [1, 0], [0, 1]]:
-            x1 = s
-            break
-    if x1 is None:
-        raise IdentificationFailed("no uniserial length-3 string with distinct ends")
-    o1 = syzygy_string(x1, 1, degree)
-    o2 = syzygy_string(o1, 1, degree)
-    return [x1, o1, o2]
+    x1 = next(
+        s
+        for s in enumerate_strings(2)
+        if len(s.letters) == 2
+        and calculus.radical_series(string_module(s)) == [[1, 0], [1, 0], [0, 1]]
+    )
+    o1 = syzygy_string(x1)
+    return [x1, o1, syzygy_string(o1)]
 
 
-def classification_targets(degree: int = 1) -> dict[str, list[String]]:
+def classification_targets() -> dict[str, list[String]]:
     """Strings whose components make up the families of the main
     classification: the trivial-vertex empty string and its syzygy
     (their two components form one syzygy-closed family), and the other
@@ -180,27 +154,27 @@ def classification_targets(degree: int = 1) -> dict[str, list[String]]:
     s0 = String((), 0)
     s1 = String((), 1)
     return {
-        "s0-family": [s0, syzygy_string(s0, 1, degree)],
+        "s0-family": [s0, syzygy_string(s0)],
         "s1-family": [s1],
     }
 
 
-def classify(s: String, radius: int = 6, degree: int = 1) -> str:
+def classify(s: String, radius: int = 6) -> str:
     """Locate a string in the classification: 's0-family' (component or
     its syzygy shift reaches the trivial vertex string), 's1-family',
     'tube-boundary', or 'outside' (tube interior / band tubes); raises
     Undecided when the explored window is too small to tell."""
     if radius > _RADIUS_LIMIT:
         raise LimitExceeded(f"radius {radius} > {_RADIUS_LIMIT}")
-    rank = tube_rank(s, degree=degree)
+    rank = tube_rank(s)
     if rank == 1:
         return "outside"
     if rank == 3:
-        boundary = set(three_tube_boundary(degree))
+        boundary = set(three_tube_boundary())
         if s in boundary:
             return "tube-boundary"
         return "outside"
-    targets = classification_targets(degree)
+    targets = classification_targets()
     window = component_window(s, radius, guard=False)
     for name in ("s0-family", "s1-family"):
         if any(t in window.nodes for t in targets[name]):

@@ -148,7 +148,7 @@ def cmd_ext1(args):
 
 def cmd_omega(args):
     s = String.from_word(parse_word(args.string))
-    t = syzygy_string(s, args.power, _degree(args))
+    t = syzygy_string(s, args.power)
     if args.format == "json":
         _emit(args, json.dumps({"string": s.text(), "power": args.power, "result": t.text()}) + "\n")
     else:
@@ -172,7 +172,7 @@ def cmd_component(args):
 
 def cmd_taxonomy(args):
     s = String.from_word(parse_word(args.string))
-    family = classify(s, radius=args.radius, degree=_degree(args))
+    family = classify(s, radius=args.radius)
     if args.format == "json":
         _emit(args, json.dumps({"string": s.text(), "family": family}) + "\n")
     else:
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("omega", help="syzygy of a string, as a string")
     sp.add_argument("--string", required=True)
     sp.add_argument("--power", type=int, default=1)
-    common(sp, field=True)
+    common(sp)
     sp.set_defaults(fn=cmd_omega)
 
     sp = sub.add_parser("component", help="stable component window")
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("taxonomy", help="classification family of a string")
     sp.add_argument("--string", required=True)
     sp.add_argument("--radius", type=int, default=6)
-    common(sp, field=True)
+    common(sp)
     sp.set_defaults(fn=cmd_taxonomy)
 
     sp = sub.add_parser("chars", help="character table and lift characters")

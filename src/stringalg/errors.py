@@ -53,10 +53,6 @@ class SplitOnly(StringAlgError):
     pass
 
 
-class IdentificationFailed(StringAlgError):
-    pass
-
-
 class Undecided(StringAlgError):
     pass
 

@@ -30,9 +30,6 @@ class ModuleRep:
     def field(self):
         return self.algebra.field
 
-    def act(self, name: str) -> Mat:
-        return self.action[name]
-
     def evaluate(self, expr) -> Mat:
         """expr is a tuple of (coeff, generator-name word); the word
         multiplies left to right, so the rightmost generator acts first."""

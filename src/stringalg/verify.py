@@ -25,7 +25,7 @@ from .chars import (
     check_lift_counts,
     lift_characters,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .gf import GF4, OMEGA
 from .groupside import (
     extension_tower,
@@ -43,6 +43,7 @@ from .words import (
     String,
     enumerate_bands,
     enumerate_strings,
+    make_string,
     mirror_string,
     parse_word,
     top_socle_decomposition,
@@ -226,19 +227,9 @@ def check_s1_component(cfg, memo):
             ok = ok and C.stable_end_dim(string_module(w)) >= 2
             witnesses[f"C{level},{n}"] = ok
 
-    window = component_window(s1, 2)
-    s00 = string_module(parse_word("alpha"))
-    target2 = C.syzygy(string_module(parse_word("alpha- gamma eta-")))
-    found_s00 = any(
-        len(t.letters) + 1 == s00.dim
-        and C.indec_isomorphic(s00, string_module(t))
-        for t in window.nodes
-    )
-    found_o = any(
-        len(t.letters) + 1 == target2.dim
-        and C.indec_isomorphic(target2, string_module(t))
-        for t in window.nodes
-    )
+    nodes = component_window(s1, 2).nodes
+    found_s00 = make_string("alpha") in nodes
+    found_o = syzygy_string(make_string("alpha- gamma eta-")) in nodes
     return (
         "the syzygy orbit of the 1-dim string at the second vertex has stable "
         "endomorphism ring k for |i| <= 4; the three surrounding string "
@@ -555,7 +546,7 @@ def _express_in_sub(rows: Mat, inc: Mat) -> Mat:
     R, pivots = basis.rref()
     out = rows.submatrix(range(rows.nrows), pivots)
     if out.mul(basis) != rows:
-        raise ConfigError("vectors do not lie in the submodule")
+        raise DimensionMismatch("vectors do not lie in the submodule")
     return out
 
 

@@ -313,10 +313,6 @@ def make_string(text: str) -> String:
     return String.from_word(parse_word(text))
 
 
-def make_band(text: str) -> Band:
-    return Band.from_word(parse_word(text))
-
-
 # -- enumeration ----------------------------------------------------------
 
 _ENUM_LIMIT = 24
@@ -494,6 +490,52 @@ def removal_candidates(word: Word, op: str, side: str) -> list[Word]:
     if any(c.letters == word.letters for c in modify_candidates(base, op, "right")):
         return [base]
     return []
+
+
+# -- syzygies on words -------------------------------------------------------
+
+# The two arms of each indecomposable projective P(v): arrows in the order
+# they act from the top, the last one reaching the socle.
+_ARMS = {
+    0: ((ALPHA, BETA, GAMMA), (BETA, GAMMA, ALPHA)),
+    1: ((GAMMA, ALPHA, BETA), (ETA, ETA)),
+}
+
+
+def syzygy_word(s: String) -> String:
+    """The string of the syzygy Omega(M(S)), read off the word
+    (Butler-Ringel 1987; Erdmann, LNM 1428).
+
+    A peak z_p of S at vertex v, with a direct run of l letters on its
+    left and an inverse run of r letters on its right, is the image of the
+    top of P(v), whose two arms cover the two runs.  Its part of the
+    kernel is a V: down the left arm from position l to the socle
+    (inverse letters), then up the right arm to position r (direct
+    letters).  Neighbouring Vs share the point above the deep between
+    their peaks; at either end of S the V starts one position further
+    along the arm."""
+    w = s.letters
+    n = len(w)
+    verts = s.word.vertices()
+    out = []
+    for p in range(n + 1):
+        if (p and is_inverse(w[p - 1])) or (p < n and not is_inverse(w[p])):
+            continue  # z_p is not a peak
+        l = 0
+        while l < p and not is_inverse(w[p - l - 1]):
+            l += 1
+        r = 0
+        while p + r < n and is_inverse(w[p + r]):
+            r += 1
+        v = verts[p]
+        left, right = _ARMS[v]
+        if (l and left[0] != w[p - 1] & 3) or (not l and r and right[0] != w[p] & 3):
+            left, right = right, left
+        out += [a | INV for a in left[l + (l == p) :]]
+        out += reversed(right[r + (p + r == n) :])
+    if not out:
+        return String((), v)  # a lone V on the socle of P(v)
+    return String.from_word(Word(tuple(out)))
 
 
 # -- the arrow-swap mirror symmetry -----------------------------------------

@@ -13,7 +13,7 @@ from stringalg.arquiver import (
 )
 from stringalg.errors import LimitExceeded, Undecided
 from stringalg.modules import string_module
-from stringalg.words import String, make_string, parse_word
+from stringalg.words import String, enumerate_strings, make_string, parse_word
 
 
 class TestNeighbors:
@@ -57,17 +57,40 @@ class TestSyzygyStrings:
         assert len(syzygy_string(String((), 1)).letters) == 3  # dim 4
 
     def test_matches_module_computation(self):
-        for text in ("alpha-", "gamma beta", "alpha- gamma eta-"):
-            s = make_string(text)
-            t = syzygy_string(s)
-            assert C.indec_isomorphic(
-                string_module(t), C.syzygy(string_module(s))
-            )
+        # the module route is the oracle: M(Omega^{+-1}(S)) is the module
+        # syzygy (cosyzygy) of M(S), for every string of length <= 12
+        for s in enumerate_strings(12):
+            M = string_module(s)
+            for step in (1, -1):
+                t = syzygy_string(s, step)
+                assert C.indec_isomorphic(
+                    string_module(t), C.syzygy(M, step)
+                ), (s.text(), step, t.text())
 
     def test_round_trip(self):
-        for text in ("alpha-", "gamma beta"):
-            s = make_string(text)
-            assert syzygy_string(syzygy_string(s, 1), -1) == s
+        for s in enumerate_strings(10):
+            for k in (1, 2):
+                assert syzygy_string(syzygy_string(s, k), -k) == s
+                assert syzygy_string(syzygy_string(s, -k), k) == s
+
+    def test_tube_rank_matches_module_period(self):
+        # the least r with tau^r M = M, tau = Omega^2, on modules
+        for s in enumerate_strings(8):
+            M = string_module(s)
+            period = next(
+                (r for r in (1, 2, 3) if C.indec_isomorphic(C.syzygy(M, 2 * r), M)),
+                None,
+            )
+            assert tube_rank(s) == period, s.text()
+
+
+class TestMesh:
+    def test_translate_matches_hook_calculus(self):
+        # the algebra is symmetric, so tau = Omega^2: the predecessors of
+        # M(S) are the successors of tau M(S) in the stable quiver
+        for s in enumerate_strings(10):
+            tau = syzygy_string(s, 2)
+            assert ar_neighbors(s)["predecessors"] == ar_neighbors(tau)["successors"], s.text()
 
 
 class TestTubes:

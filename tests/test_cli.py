@@ -173,13 +173,17 @@ def test_negative_bound_flag_exits_2(capsys, flag):
     assert captured.err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("command", ["strings", "bands", "chars", "component", "verify"])
+@pytest.mark.parametrize(
+    "command", ["strings", "bands", "chars", "component", "omega", "taxonomy", "verify"]
+)
 def test_field_only_where_it_is_read(capsys, command):
     argv = {
         "strings": ["strings", "--max-len", "1"],
         "bands": ["bands", "--max-len", "4"],
         "chars": ["chars"],
         "component": ["component", "--string", "1_1"],
+        "omega": ["omega", "--string", "1_1"],
+        "taxonomy": ["taxonomy", "--string", "1_1"],
         "verify": ["verify", "--sections", "c09-characters"],
     }[command]
     with pytest.raises(SystemExit) as info:
