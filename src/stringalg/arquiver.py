@@ -16,18 +16,14 @@ from .errors import LimitExceeded, Undecided
 from .modules import string_module
 from .words import (
     String,
+    add_hook,
     enumerate_strings,
     mirror_string,
-    modify_candidates,
-    removal_candidates,
+    remove_hook,
     syzygy_word,
 )
 
 _RADIUS_LIMIT = 8
-
-
-def _classes(words) -> set[String]:
-    return {String.from_word(w) for w in words}
 
 
 def _skey(s: String):
@@ -35,23 +31,17 @@ def _skey(s: String):
 
 
 def ar_neighbors(s: String) -> dict[str, list[String]]:
-    """Successors and predecessors of M(S) in the stable quiver.
-
-    Successors are targets of canonical injections (hooks added to S) and
-    of canonical projections (cohooks removed from S); predecessors dually.
-    Both orientations of the word are scanned, which covers both sides;
-    the two legal extensions of an empty string are both genuine
-    neighbors, one per side."""
-    words = [s.word]
-    if s.letters:
-        words.append(s.word.inverse())
+    """Successors and predecessors of M(S) in the stable quiver, by the
+    hook rule (Butler-Ringel 1987): at each end, a successor adds a hook,
+    or removes a cohook when no hook fits; predecessors dually.  The left
+    end is the right end of the inverse word.  An empty string has two
+    hooks, one per end."""
     succ: set[String] = set()
     pred: set[String] = set()
-    for w in words:
-        succ |= _classes(modify_candidates(w, "hook", "right"))
-        succ |= _classes(removal_candidates(w, "cohook", "right"))
-        pred |= _classes(modify_candidates(w, "cohook", "right"))
-        pred |= _classes(removal_candidates(w, "hook", "right"))
+    for w in {s.word, s.word.inverse()}:
+        for moves, cohook in ((succ, False), (pred, True)):
+            ends = add_hook(w, cohook) or [remove_hook(w, not cohook)]
+            moves.update(String.from_word(t) for t in ends if t is not None)
     return {"successors": sorted(succ, key=_skey), "predecessors": sorted(pred, key=_skey)}
 
 
@@ -69,8 +59,8 @@ class ARComponent:
 
 def component_window(seed: String, radius: int, guard: bool = True) -> ARComponent:
     """Closure of the seed under neighbor moves up to the given distance."""
-    if guard and radius > _RADIUS_LIMIT:
-        raise LimitExceeded(f"radius {radius} > {_RADIUS_LIMIT}")
+    if radius < 0 or (guard and radius > _RADIUS_LIMIT):
+        raise LimitExceeded(f"radius {radius} not in 0..{_RADIUS_LIMIT}")
     nodes = {seed: 0}
     edges = set()
     frontier = [seed]
@@ -164,8 +154,8 @@ def classify(s: String, radius: int = 6) -> str:
     its syzygy shift reaches the trivial vertex string), 's1-family',
     'tube-boundary', or 'outside' (tube interior / band tubes); raises
     Undecided when the explored window is too small to tell."""
-    if radius > _RADIUS_LIMIT:
-        raise LimitExceeded(f"radius {radius} > {_RADIUS_LIMIT}")
+    if not 0 <= radius <= _RADIUS_LIMIT:
+        raise LimitExceeded(f"radius {radius} not in 0..{_RADIUS_LIMIT}")
     rank = tube_rank(s)
     if rank == 1:
         return "outside"

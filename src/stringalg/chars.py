@@ -9,7 +9,7 @@ relations; nothing is transcribed.
 
 from __future__ import annotations
 
-from .errors import NonIntegral
+from .errors import LimitExceeded, NonIntegral
 
 CLASS_NAMES = ("e", "(12)", "(12)(34)", "(123)", "(1234)")
 CLASS_SIZES = (1, 6, 3, 8, 6)
@@ -98,7 +98,9 @@ def char_table() -> dict:
 
 def lift_characters(n: int) -> tuple[CharacterVector, CharacterVector]:
     """Characters of the two inequivalent lattice lifts of V_n, split on
-    the parity of n; both have degree 4n + 1."""
+    the parity of n; both have degree 4n + 1.  Levels start at n = 0."""
+    if n < 0:
+        raise LimitExceeded(f"lift level {n} < 0")
     chi1, chi2, chi3, chi4, _ = irreducible_characters()
     pair13 = chi1 + chi3
     pair24 = chi2 + chi4

@@ -19,7 +19,7 @@ from .arquiver import (
     syzygy_string,
 )
 from .chars import lift_characters, table_json
-from .errors import ConfigError, StringAlgError
+from .errors import ConfigError, LimitExceeded, StringAlgError
 from .gf import GF4, OMEGA
 from .modules import band_module, string_hom_basis, string_module
 from .rep import ModuleRep
@@ -180,6 +180,8 @@ def cmd_taxonomy(args):
 
 
 def cmd_chars(args):
+    if args.n_max < 0:
+        raise LimitExceeded(f"n_max {args.n_max} < 0")
     data = table_json()
     data["lift_characters"] = {
         f"n={n}": [list(c) for c in lift_characters(n)] for n in range(args.n_max + 1)

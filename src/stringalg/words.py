@@ -12,6 +12,13 @@ The canonical representative of a string class is the lexicographically
 smaller of the word and its inverse under alpha < beta < gamma < eta <
 alpha- < beta- < gamma- < eta-; band classes are minimized over all
 rotations of both orientations.
+
+AR neighbours of string modules follow the hook rule (Butler-Ringel 1987),
+applied at the right end of a word.  A hook is a direct letter followed by
+the longest inverse run; a cohook is the same with the directions swapped.
+A successor adds a hook, or removes a cohook when no hook fits; a
+predecessor adds a cohook, or removes a hook.  The left end is the right
+end of the inverse word.
 """
 
 from __future__ import annotations
@@ -45,9 +52,6 @@ J_SET = {
     (ALPHA, GAMMA, BETA),
     (BETA, ALPHA, GAMMA),
 }
-
-# Maximal directed strings, as arrow tuples.
-MAXIMAL_DIRECT = ((GAMMA, BETA), (BETA, ALPHA), (ALPHA, GAMMA), (ETA,))
 
 # Legal top-socle pieces of a band (inverse-letter words).
 TOP_SOCLE_PIECES = {
@@ -318,8 +322,11 @@ def make_string(text: str) -> String:
 _ENUM_LIMIT = 24
 
 
-def _extensions(letters):
-    """Letters that may be appended on the right keeping validity."""
+def _extensions(letters, vertex=None):
+    """Letters that may be appended on the right keeping validity; after
+    an empty word at `vertex`, those that end there."""
+    if not letters:
+        return [l for l in range(8) if e_of(l) == vertex]
     out = []
     last = letters[-1]
     src = s_of(last)
@@ -388,108 +395,37 @@ def enumerate_bands(max_len: int) -> list[Band]:
 # -- hooks and cohooks ------------------------------------------------------
 
 
-def _trailing_run(letters):
-    """(start index, arrows tuple oriented as a path, inverted flag) of the
-    trailing same-direction run, or None for empty words."""
-    if not letters:
+def add_hook(word: Word, cohook: bool = False) -> list[Word]:
+    """The words got by adding a hook on the right: a direct letter z that
+    may follow, then the longest inverse run after it (for a cohook, an
+    inverse z and the longest direct run; Butler-Ringel 1987).  Special
+    biseriality leaves at most one letter at each step, and two choices of
+    z only after an empty word."""
+    out = []
+    for z in _extensions(word.letters, word.vertex):
+        if is_inverse(z) != cohook:
+            continue
+        letters = word.letters + (z,)
+        while run := [l for l in _extensions(letters) if is_inverse(l) != cohook]:
+            letters += (run[0],)
+        out.append(Word(letters))
+    return out
+
+
+def remove_hook(word: Word, cohook: bool = False) -> Word | None:
+    """The word T with `word` in add_hook(T, cohook), if there is one: drop
+    the trailing inverse run (direct for a cohook) and the letter before
+    it."""
+    letters = word.letters
+    k = len(letters)
+    while k and is_inverse(letters[k - 1]) != cohook:
+        k -= 1
+    if not 0 < k < len(letters):
         return None
-    start, length, invflag = _runs(letters)[-1]
-    arrows = tuple(l & 3 for l in letters[start:])
-    if invflag:
-        arrows = tuple(reversed(arrows))
-    return start, arrows, invflag
-
-
-def starts_on_peak(word: Word) -> bool:
-    run = _trailing_run(word.letters)
-    return run is not None and not run[2] and run[1] in MAXIMAL_DIRECT
-
-
-def starts_in_deep(word: Word) -> bool:
-    run = _trailing_run(word.letters)
-    return run is not None and run[2] and run[1] in MAXIMAL_DIRECT
-
-
-def _attach_right(word: Word, tail: tuple[int, ...]) -> Word | None:
-    """word followed by tail, or None if not a valid string word."""
-    if word.letters:
-        letters = word.letters + tail
-    else:
-        if e_of(tail[0]) != word.vertex:
-            return None
-        letters = tail
-    if word_flaw(letters) is None:
-        return Word(letters)
+    base = Word(letters[: k - 1]) if k > 1 else empty_word(e_of(letters[0]))
+    if any(w.letters == letters for w in add_hook(base, cohook)):
+        return base
     return None
-
-
-def _hook_right_candidates(word: Word) -> list[Word]:
-    out = []
-    for zeta in range(4):
-        for m_arrows in MAXIMAL_DIRECT:
-            tail = (zeta,) + tuple(a | INV for a in reversed(m_arrows))
-            cand = _attach_right(word, tail)
-            if cand is not None:
-                out.append(cand)
-    return out
-
-
-def _cohook_right_candidates(word: Word) -> list[Word]:
-    out = []
-    for zeta in range(4):
-        for m_arrows in MAXIMAL_DIRECT:
-            tail = (zeta | INV,) + m_arrows
-            cand = _attach_right(word, tail)
-            if cand is not None:
-                out.append(cand)
-    return out
-
-
-def modify_candidates(word: Word, op: str, side: str) -> list[Word]:
-    """All legal results of adding a hook/cohook on the given side."""
-    if side == "left":
-        mirrored = modify_candidates(word.inverse(), op, "right")
-        return [w.inverse() for w in mirrored]
-    if op == "hook":
-        if starts_on_peak(word):
-            return []
-        return _hook_right_candidates(word)
-    if op == "cohook":
-        if starts_in_deep(word):
-            return []
-        return _cohook_right_candidates(word)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def removal_candidates(word: Word, op: str, side: str) -> list[Word]:
-    """Words T such that adding a hook/cohook on the given side of T gives
-    back this word (confirmed by re-adding)."""
-    if side == "left":
-        mirrored = removal_candidates(word.inverse(), op, "right")
-        return [w.inverse() for w in mirrored]
-    run = _trailing_run(word.letters)
-    if run is None:
-        return []
-    start, arrows, invflag = run
-    # hooks end with zeta M^{-1} (zeta direct), cohooks with zeta^{-1} M
-    want_inverted_tail = op == "hook"
-    if invflag != want_inverted_tail or arrows not in MAXIMAL_DIRECT:
-        return []
-    if start == 0:
-        return []
-    zeta = word.letters[start - 1]
-    if is_inverse(zeta) == (op == "hook"):
-        return []
-    rest = word.letters[: start - 1]
-    if rest:
-        base = Word(rest)
-    else:
-        base = empty_word(e_of(zeta))
-    if word_flaw(base.letters) is not None:
-        return []
-    if any(c.letters == word.letters for c in modify_candidates(base, op, "right")):
-        return [base]
-    return []
 
 
 # -- syzygies on words -------------------------------------------------------

@@ -28,17 +28,26 @@ class TestNeighbors:
         assert len(nb["predecessors"]) == 1
 
     def test_empty_string_neighbor_dims(self):
-        # middle terms of the two almost split sequences through the
-        # vertex simples: dimension counts fix the candidate sets
-        for s in (String((), 0), String((), 1)):
+        # dimensions add up along the almost split sequences
+        # 0 -> M -> E -> Omega^-2 M -> 0 and 0 -> Omega^2 M -> E' -> M -> 0
+        # (tau = Omega^2, the algebra being symmetric).  E is the
+        # successors plus P(v) when M = rad P(v) = Omega(1_v); E' is the
+        # predecessors plus P(v) when M = P(v)/soc P(v) = Omega^-1(1_v)
+        projective = {}
+        for v in (0, 1):
+            simple = String((), v)
+            dim_p = C.projective_cover(string_module(simple))[0].dim
+            projective[syzygy_string(simple, 1), "successors"] = dim_p
+            projective[syzygy_string(simple, -1), "predecessors"] = dim_p
+            nb = ar_neighbors(simple)
+            assert len(nb["successors"]) == len(nb["predecessors"]) == 2
+        for s in enumerate_strings(10):
             M = string_module(s)
             nb = ar_neighbors(s)
-            assert len(nb["successors"]) == 2
-            assert len(nb["predecessors"]) == 2
-            succ = sum(len(t.letters) + 1 for t in nb["successors"])
-            pred = sum(len(t.letters) + 1 for t in nb["predecessors"])
-            assert succ == M.dim + C.syzygy(M, -2).dim
-            assert pred == M.dim + C.syzygy(M, 2).dim
+            for side, step in (("successors", -2), ("predecessors", 2)):
+                middle = sum(len(t.letters) + 1 for t in nb[side])
+                middle += projective.get((s, side), 0)
+                assert middle == M.dim + C.syzygy(M, step).dim, (s.text(), side)
 
     def test_edge_duality(self):
         # every successor edge is matched by a predecessor edge seen from
@@ -111,8 +120,11 @@ class TestTubes:
 
 class TestWindows:
     def test_radius_guard(self):
-        with pytest.raises(LimitExceeded):
-            component_window(String((), 0), 9)
+        for radius in (-1, 9):
+            with pytest.raises(LimitExceeded):
+                component_window(String((), 0), radius)
+            with pytest.raises(LimitExceeded):
+                classify(String((), 0), radius)
 
     def test_figure_window_contents(self):
         comp = component_window(String((), 1), 2)

@@ -11,7 +11,7 @@ from stringalg.chars import (
     irreducible_characters,
     lift_characters,
 )
-from stringalg.errors import NonIntegral
+from stringalg.errors import LimitExceeded, NonIntegral
 
 
 def test_orthogonality():
@@ -69,6 +69,12 @@ def test_lift_characters_n3():
     chars = irreducible_characters()
     u1, _ = lift_characters(3)
     assert u1 == chars[0] + (chars[0] + chars[2]) + 2 * (chars[1] + chars[3])
+
+
+def test_lift_characters_reject_negative_level():
+    # the tower starts at V_0; a negative level would give degree 4n + 1 < 0
+    with pytest.raises(LimitExceeded):
+        lift_characters(-1)
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -73,6 +73,20 @@ def test_module_band_gf4_golden(capsys):
     assert out == golden
 
 
+def test_component_taxonomy_golden(capsys):
+    # component windows (json and dot, radius 2 and 3) and taxonomy
+    # answers, one of them Undecided, pinned byte for byte
+    cases = json.loads((Path(__file__).parent / "data" / "component_taxonomy.json").read_text())
+    for case in cases:
+        code = main(case["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["exit"],
+            case["stdout"],
+            case["stderr"],
+        ), case["argv"]
+
+
 def test_stable_end_and_ext(capsys):
     code, out = run_cli(capsys, "stable-end", "--string", "alpha-")
     assert "2" in out
@@ -199,6 +213,9 @@ def test_field_only_where_it_is_read(capsys, command):
         ("stable-end", "--band", "eta- beta alpha- gamma", "--mult", "0"),
         ("strings", "--max-len", "-1"),
         ("bands", "--max-len", "-1"),
+        ("component", "--string", "1_0", "--radius", "-1"),
+        ("taxonomy", "--string", "1_0", "--radius", "-1"),
+        ("chars", "--n-max", "-1"),
     ],
 )
 def test_out_of_domain_arguments_exit_2(capsys, argv):

@@ -11,6 +11,7 @@ from stringalg.words import (
     Band,
     String,
     Word,
+    add_hook,
     empty_word,
     enumerate_bands,
     enumerate_strings,
@@ -19,9 +20,8 @@ from stringalg.words import (
     is_band,
     make_string,
     mirror_string,
-    modify_candidates,
     parse_word,
-    removal_candidates,
+    remove_hook,
     s_of,
     top_socle_decomposition,
     word_flaw,
@@ -145,42 +145,46 @@ class TestEnumeration:
 
 class TestHooks:
     def test_hook_right_of_alpha_inverse(self):
-        [hook] = modify_candidates(parse_word("alpha-"), "hook", "right")
+        [hook] = add_hook(parse_word("alpha-"))
         assert hook.text() == "alpha- gamma eta-"
 
     def test_hook_right_of_eta_is_on_peak(self):
-        assert modify_candidates(parse_word("eta"), "hook", "right") == []
+        assert add_hook(parse_word("eta")) == []
 
     def test_hook_left_of_eta_exists(self):
         # eta does not end on a peak, so the left hook is defined; the
         # result is the depth-2 tube module over the boundary
-        [hook] = modify_candidates(parse_word("eta"), "hook", "left")
-        assert hook.text() == "beta alpha beta- eta"
+        [hook] = add_hook(parse_word("eta").inverse())
+        assert hook.inverse().text() == "beta alpha beta- eta"
 
     def test_empty_string_is_ambiguous(self):
-        cands = modify_candidates(empty_word(0), "hook", "right")
+        cands = add_hook(empty_word(0))
         assert sorted(w.text() for w in cands) == ["alpha beta- gamma-", "gamma eta-"]
 
     def test_cohook_round_trip(self):
         for text in ("alpha-", "gamma beta", "alpha beta- gamma-"):
             w = parse_word(text)
-            for c in modify_candidates(w, "cohook", "right"):
-                back = removal_candidates(c, "cohook", "right")
-                assert [b.letters for b in back] == [w.letters]
+            for c in add_hook(w, cohook=True):
+                assert remove_hook(c, cohook=True).letters == w.letters
 
     def test_hook_then_removal(self):
         a1 = parse_word("alpha beta- gamma-")
-        [a2] = modify_candidates(a1, "hook", "right")
+        [a2] = add_hook(a1)
         assert a2.text() == "alpha beta- gamma- alpha beta- gamma-"
-        assert [b.letters for b in removal_candidates(a2, "hook", "right")] == [a1.letters]
+        assert remove_hook(a2).letters == a1.letters
 
     def test_unique_for_nonempty(self):
-        for s in enumerate_strings(6):
+        # at each end of a nonempty string there is at most one move each
+        # way: a hook added or a cohook removed, a cohook added or a hook
+        # removed
+        for s in enumerate_strings(10):
             if not s.letters:
                 continue
-            for op in ("hook", "cohook"):
-                for side in ("left", "right"):
-                    assert len(modify_candidates(s.word, op, side)) <= 1
+            for w in (s.word, s.word.inverse()):
+                for cohook in (False, True):
+                    added = add_hook(w, cohook)
+                    removed = remove_hook(w, not cohook)
+                    assert len(added) + (removed is not None) <= 1, (w.text(), cohook)
 
 
 class TestMirror:
@@ -233,4 +237,4 @@ class TestTopSocle:
 def test_cohook_of_deep_string_raises():
     # beta- gamma- starts in a deep (its trailing inverse run is maximal),
     # so no cohook can be added on the right
-    assert modify_candidates(parse_word("beta- gamma-"), "cohook", "right") == []
+    assert add_hook(parse_word("beta- gamma-"), cohook=True) == []
