@@ -7,37 +7,45 @@ z_{i-1} to z_i.  Band modules use the same rule on a cyclic basis
 z_0..z_{n-1} tensored with k^m, with the wrap-around letter twisted by a
 Jordan block J_m(lambda).
 
-Homomorphisms between string modules are spanned by maps supported on a
-common interval C that is a quotient interval of the source (flanked by a
-direct letter before and an inverse letter after) and a submodule interval
-of the target (flanked the other way around); both orientations of both
-words are scanned.  A graph map is a 0/1 matrix, so it is its support:
-the maps are generated as int masks of their supports, duplicates are
-removed by mask, and the Hom dimension is a count of masks that builds
-no module and no matrix (Crawley-Boevey 1989, Krause 1991).
+Homomorphisms between string modules are spanned by graph maps: one for
+each common interval C that is a quotient interval of the source (flanked
+by a direct letter before and an inverse letter after) and a submodule
+interval of the target (flanked the other way around), with the letters
+of C read in either orientation (Crawley-Boevey 1989, Krause 1991).  A
+nonempty string is never its own inverse, so only a single point can
+match both ways, and the Hom dimension is a dot product of two
+per-string tables of interval counts: no map is listed or deduplicated.
+The basis lists the maps by the int masks of their 0/1 supports.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+
 from .algebra import ARROW_GEN, quiver_context
-from .errors import InvalidMultiplicity, ZeroLambda
+from .errors import InvalidMultiplicity, ParseError, ZeroLambda
 from .matrix import Mat
 from .rep import HomElement, ModuleRep
-from .words import INV, Word, e_of, is_inverse
+from .words import INV, Band, String, Word, e_of, is_inverse, validate_string_word
 
 _VERTEX_GEN = ("e0", "e1")
 
 
-def _word_of(obj) -> Word:
+def _string_word(obj) -> Word:
+    """The word of a string argument: a String as it is, a Word once it
+    passes as a string word (NotComposable, ForbiddenSubword)."""
+    if isinstance(obj, String):
+        return obj.word
     if isinstance(obj, Word):
-        return obj
-    return obj.word
+        return validate_string_word(obj)
+    raise ParseError(f"not a string or a word: {obj!r}")
 
 
 def string_module(S, degree: int = 1) -> ModuleRep:
     """Canonical module of a string (or of a specific word representative,
     keeping the basis aligned with that word's letters)."""
-    word = _word_of(S)
+    word = _string_word(S)
     ctx = quiver_context(degree)
     dim = len(word.letters) + 1
     rows = {name: [0] * dim for name in ctx.gen_names}
@@ -57,7 +65,9 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
         raise ZeroLambda("band parameter must be nonzero")
     if mult < 1:
         raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
-    word = _word_of(B)
+    word = B.word if isinstance(B, Band) else B
+    if not isinstance(word, Word):
+        raise ParseError(f"not a band or a word: {B!r}")
     ctx = quiver_context(degree)
     field = ctx.field
     if lam >= field.order:
@@ -103,9 +113,10 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
 def _intervals(word: Word, quotient: bool, flip: bool):
     """The quotient (or submodule) intervals of a word as (position,
     length, key), by start and then by length.  The key is the interval's
-    letters, or ('vertex', v) for a single point.  The position is that
-    of its first point, counted from the far end when `flip` says that the
-    word is the inverse of the one the module is built on.
+    letters packed 3 bits each behind a leading 1, or -1 - v for a single
+    point at vertex v.  The position is that of its first point, counted
+    from the far end when `flip` says that the word is the inverse of the
+    one the module is built on.
 
     A quotient interval is flanked by a direct letter before and an
     inverse letter after, where those exist; a submodule interval the
@@ -114,14 +125,17 @@ def _intervals(word: Word, quotient: bool, flip: bool):
     verts = word.vertices()
     n = len(letters)
     before = 0 if quotient else INV  # inverse bit of the letter before
-    starts = [i for i in range(n + 1) if i == 0 or (letters[i - 1] & INV) == before]
-    ends = [e for e in range(n + 1) if e == n or (letters[e] & INV) != before]
-    return [
-        (n - i if flip else i, e - i, tuple(letters[i:e]) if e > i else ("vertex", verts[i]))
-        for i in starts
-        for e in ends
-        if e >= i
-    ]
+    out = []
+    for i in range(n + 1):
+        if i and (letters[i - 1] & INV) != before:
+            continue
+        key = 1
+        for e in range(i, n + 1):
+            if e == n or (letters[e] & INV) != before:
+                out.append((n - i if flip else i, e - i, key if e > i else -1 - verts[i]))
+            if e < n:
+                key = key << 3 | letters[e]
+    return out
 
 
 def graph_map_supports(S, T):
@@ -133,8 +147,8 @@ def graph_map_supports(S, T):
     submodule interval of T, scanning both orientations of T and, inside
     each, both orientations of S; a map met twice is given once, at its
     first occurrence."""
-    sw = _word_of(S)
-    tw = _word_of(T)
+    sw = _string_word(S)
+    tw = _string_word(T)
     width = len(sw.letters) + 1
     sources = [(flip, _intervals(w, True, flip)) for flip, w in ((False, sw), (True, sw.inverse()))]
     seen = set()
@@ -172,8 +186,22 @@ def string_hom_basis(S, T, degree: int = 1) -> list[HomElement]:
     return out
 
 
-def string_hom_dim(S, T, degree: int = 1) -> int:
-    """Dimension of Hom(M(S), M(T)): the number of distinct graph maps,
-    which are linearly independent (distinct 0/1 supports).  Builds no
-    module and no matrix."""
-    return sum(1 for _ in graph_map_supports(S, T))
+@lru_cache(maxsize=None)
+def _interval_counts(word: Word, quotient: bool) -> Counter:
+    """How often each interval key occurs among the submodule intervals of
+    the word, or among the quotient intervals of both of its orientations
+    (a single point once).  Memoised on the word's value; callers only
+    read the shared table."""
+    counts = Counter(key for _, _, key in _intervals(word, quotient, False))
+    if quotient:
+        counts.update(key for _, ln, key in _intervals(word.inverse(), True, False) if ln)
+    return counts
+
+
+def string_hom_dim(S, T) -> int:
+    """Dimension of Hom(M(S), M(T)): the number of graph maps, which are
+    linearly independent (distinct 0/1 supports), as the dot product of
+    the quotient counts of S and the submodule counts of T.  Builds no
+    module, no matrix and no map."""
+    q = _interval_counts(_string_word(S), True)
+    return sum(q.get(key, 0) * c for key, c in _interval_counts(_string_word(T), False).items())

@@ -24,7 +24,7 @@ end of the inverse word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     EmptyString,
@@ -201,7 +201,7 @@ class String:
         rev = word.inverse().letters
         return cls(min(word.letters, rev))
 
-    @property
+    @cached_property
     def word(self) -> Word:
         return Word(self.letters, self.vertex)
 
@@ -323,26 +323,27 @@ _ENUM_LIMIT = 24
 
 
 def _extensions(letters, vertex=None):
-    """Letters that may be appended on the right keeping validity; after
-    an empty word at `vertex`, those that end there."""
-    if not letters:
-        return [l for l in range(8) if e_of(l) == vertex]
-    out = []
-    last = letters[-1]
-    src = s_of(last)
-    for a in range(4):
-        for cand in (a, a | INV):
-            if e_of(cand) != src or cand == inv_letter(last):
-                continue
-            tail = letters[-3:] + (cand,)
-            bad = False
-            for start, length, invflag in _runs(tail):
-                if _run_forbidden(tail, start, length, invflag):
-                    bad = True
-                    break
-            if not bad:
-                out.append(cand)
-    return out
+    """Letters that may be appended on the right of a valid word keeping
+    it valid; after an empty word at `vertex`, those that end there."""
+    return _follow(letters[-2:], vertex)
+
+
+@lru_cache(maxsize=None)
+def _follow(tail, vertex):
+    """The follow rule of :func:`_extensions`.  J has no path longer than
+    3, so on a valid word only the last two letters (the vertex, for an
+    empty word) decide which letters may follow."""
+    if not tail:
+        return tuple(l for l in range(8) if e_of(l) == vertex)
+    last = tail[-1]
+    return tuple(
+        cand
+        for a in range(4)
+        for cand in (a, a | INV)
+        if e_of(cand) == s_of(last)
+        and cand != inv_letter(last)
+        and not any(_run_forbidden(tail + (cand,), *run) for run in _runs(tail + (cand,)))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -216,6 +216,9 @@ def test_field_only_where_it_is_read(capsys, command):
         ("component", "--string", "1_0", "--radius", "-1"),
         ("taxonomy", "--string", "1_0", "--radius", "-1"),
         ("chars", "--n-max", "-1"),
+        ("module", "--string", "alpha alpha"),
+        ("hom", "--source", "alpha alpha", "--target", "alpha"),
+        ("stable-end", "--string", "alpha alpha"),
     ],
 )
 def test_out_of_domain_arguments_exit_2(capsys, argv):

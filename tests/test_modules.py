@@ -2,7 +2,13 @@ import pytest
 
 from stringalg import calculus as C
 from stringalg.algebra import quiver_context
-from stringalg.errors import InvalidMultiplicity, ZeroLambda
+from stringalg.errors import (
+    ForbiddenSubword,
+    InvalidMultiplicity,
+    NotComposable,
+    ParseError,
+    ZeroLambda,
+)
 from stringalg.gf import OMEGA
 from stringalg.modules import (
     band_module,
@@ -12,7 +18,16 @@ from stringalg.modules import (
     string_module,
 )
 from stringalg.rep import module_from_json
-from stringalg.words import Band, String, enumerate_bands, enumerate_strings, parse_word
+from stringalg.words import (
+    ALPHA,
+    BETA,
+    Band,
+    String,
+    Word,
+    enumerate_bands,
+    enumerate_strings,
+    parse_word,
+)
 
 RELATION_WORDS = [
     ("alpha", "alpha"),
@@ -155,6 +170,33 @@ class TestStringHoms:
                     b.text(),
                 )
 
+    def test_count_equals_support_enumeration(self):
+        # the interval-count dot product against the listed graph maps, on
+        # every ordered pair of strings of length <= 7
+        strings = enumerate_strings(7)
+        for a in strings:
+            for b in strings:
+                assert string_hom_dim(a, b) == len(list(graph_map_supports(a, b))), (a.text(), b.text())
+
+    def test_count_ignores_representative(self):
+        # a String, its Word and the inverse Word: the memo keys and both
+        # orientations of each argument
+        strings = enumerate_strings(5)
+        forms = {s: (s, s.word, s.word.inverse()) for s in strings}
+        for a in strings:
+            for b in strings:
+                d = string_hom_dim(a, b)
+                assert {string_hom_dim(x, y) for x in forms[a] for y in forms[b]} == {d}, (a.text(), b.text())
+
+    def test_count_for_vertex_strings(self):
+        simples = [String((), 0), String((), 1)]
+        for t in enumerate_strings(8):
+            for e in simples:
+                for a, b in ((e, t), (t, e)):
+                    assert string_hom_dim(a, b) == len(list(graph_map_supports(a, b))), (a.text(), b.text())
+        # Hom(S_v, S_w) is k exactly when v = w
+        assert [[string_hom_dim(a, b) for b in simples] for a in simples] == [[1, 0], [0, 1]]
+
     def test_supports_are_the_basis_matrices(self):
         strings = enumerate_strings(4)
         for a in strings:
@@ -165,6 +207,42 @@ class TestStringHoms:
                 for mask, h in zip(masks, string_hom_basis(a, b)):
                     ones = {(r, c) for r in range(h.matrix.nrows) for c in range(width) if h.matrix.entry(r, c)}
                     assert ones == {divmod(k, width) for k in range(mask.bit_length()) if mask >> k & 1}
+
+
+class TestStringArguments:
+    def test_forbidden_word_raises(self):
+        w = Word((ALPHA, ALPHA))
+        for call in (
+            lambda: string_module(w),
+            lambda: string_hom_dim(w, String((), 0)),
+            lambda: string_hom_dim(String((), 0), w),
+            lambda: string_hom_basis(w, w),
+        ):
+            with pytest.raises(ForbiddenSubword):
+                call()
+
+    def test_uncomposable_word_raises(self):
+        with pytest.raises(NotComposable):
+            string_module(Word((ALPHA, BETA)))
+
+    def test_band_is_not_a_string(self):
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        with pytest.raises(ParseError):
+            string_hom_dim(b, b)
+        with pytest.raises(ParseError):
+            string_module(b)
+
+    def test_text_is_not_a_string(self):
+        with pytest.raises(ParseError):
+            string_hom_dim("alpha", "alpha")
+        with pytest.raises(ParseError):
+            string_hom_basis("alpha", String((), 0))
+
+    def test_band_module_takes_band_or_word(self):
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        assert C.is_isomorphic(band_module(b, 1), band_module(b.word, 1))
+        with pytest.raises(ParseError):
+            band_module("eta- beta alpha- gamma", 1)
 
 
 def test_comb_hom_maps_are_linearly_independent():

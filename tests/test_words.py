@@ -8,9 +8,14 @@ from stringalg.errors import (
     ParseError,
 )
 from stringalg.words import (
+    INV,
     Band,
     String,
     Word,
+    _all_words_upto,
+    _extensions,
+    _run_forbidden,
+    _runs,
     add_hook,
     empty_word,
     enumerate_bands,
@@ -129,6 +134,34 @@ class TestEnumeration:
         assert sorted(found, key=lambda b: (len(b.letters), b.letters)) == enumerate_bands(8)
         for b in enumerate_bands(8):
             assert is_band(b.word)
+
+    def test_follow_rule_matches_full_scan(self):
+        # reference: try all 8 letters against the last three letters of
+        # the word, rescanning every run of the 4-letter tail
+        def scan(letters):
+            last = letters[-1]
+            out = []
+            for a in range(4):
+                for cand in (a, a | INV):
+                    if e_of(cand) != s_of(last) or cand == inv_letter(last):
+                        continue
+                    tail = letters[-3:] + (cand,)
+                    if not any(_run_forbidden(tail, *run) for run in _runs(tail)):
+                        out.append(cand)
+            return out
+
+        words = _all_words_upto(12)
+        assert len(words) == len(set(words))
+        for w in words:
+            assert list(_extensions(w)) == scan(w), w
+        # the reference grows the same words, level by level
+        frontier, grown = [(l,) for l in range(8)], []
+        while frontier:
+            grown += frontier
+            frontier = [w + (l,) for w in frontier if len(w) < 12 for l in scan(w)]
+        assert sorted(grown) == sorted(words)
+        for v in (0, 1):
+            assert list(_extensions((), v)) == [l for l in range(8) if e_of(l) == v]
 
     def test_canonicalization_idempotent(self):
         for s in enumerate_strings(6):
