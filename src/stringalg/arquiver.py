@@ -41,7 +41,7 @@ def ar_neighbors(s: String) -> dict[str, list[String]]:
     for w in {s.word, s.word.inverse()}:
         for moves, cohook in ((succ, False), (pred, True)):
             ends = add_hook(w, cohook) or [remove_hook(w, not cohook)]
-            moves.update(String.from_word(t) for t in ends if t is not None)
+            moves.update(String.from_valid_word(t) for t in ends if t is not None)
     return {"successors": sorted(succ, key=_skey), "predecessors": sorted(pred, key=_skey)}
 
 

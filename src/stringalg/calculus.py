@@ -29,7 +29,12 @@ Krull-Schmidt on the two decompositions.
 
 Negative syzygies use the symmetry of the algebras at hand (socle of a
 projective indecomposable is isomorphic to its top; this is asserted at
-setup).
+setup).  The same premise makes P_i the injective hull of S_i, so that
+dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
+stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
+with t the top and c the composition multiplicities.  Omega of a string
+module is read off its word; the kernel of the cover (syzygy) stays the
+route for every other module and the oracle for strings.
 """
 
 from __future__ import annotations
@@ -324,7 +329,11 @@ def rad_rows(M: ModuleRep) -> Mat:
 
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
-    return [hom_dim(M, S) for S in M.algebra.simples]
+    """How often each P_i is a summand of P(M); cached in M.cache, a list
+    that callers only read."""
+    if "tops" not in M.cache:
+        M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
+    return M.cache["tops"]
 
 
 def socle_multiplicities(M: ModuleRep) -> list[int]:
@@ -453,18 +462,42 @@ def syzygy(M: ModuleRep, steps: int = 1, strict: bool = False) -> ModuleRep:
 # -- stable homs, Ext^1 ------------------------------------------------------------
 
 
-def stable_hom_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim of Hom(M,N) modulo maps factoring through a projective.
+def _omega(M: ModuleRep) -> ModuleRep:
+    """Omega(M) up to isomorphism: read off the word for a string module
+    (words.syzygy_word), cached in M.cache; the kernel of the projective
+    cover (syzygy) for any other module."""
+    s = M.cache.get("string")
+    if s is None:
+        return syzygy(M)
+    if "omega" not in M.cache:
+        from .modules import string_module  # modules -> algebra -> calculus
+        from .words import syzygy_word
 
-    A map factors through a projective iff it lifts along the projective
-    cover of N, so the factoring subspace is the image of Hom(M, P(N))
-    under composition with the cover map."""
+        M.cache["omega"] = string_module(syzygy_word(s), M.field.degree)
+    return M.cache["omega"]
+
+
+def stable_hom_dim(M: ModuleRep, N: ModuleRep) -> int:
+    """dim of Hom(M,N) modulo maps factoring through a projective:
+
+        hom(M, N) - sum_i t_i(N) * c_i(M) + hom(M, Omega N)
+
+    with t_i(N) the number of copies of P_i in P(N) (top_multiplicities)
+    and c_i(M) = [M : S_i] (composition_multiplicities).
+
+    A map factors through a projective iff it lifts along the cover
+    P(N) ->> N, and Hom(M, -) of 0 -> Omega N -> P(N) -> N is left exact,
+    so the factoring maps number hom(M, P(N)) - hom(M, Omega N).  Every
+    context is checked at set-up to have split simples and each P_i with
+    a simple socle isomorphic to S_i; so P_i is the injective hull of S_i
+    and hom(M, P_i) = [M : S_i].  No cover is built."""
     _check_context(M, N)
     if N.dim == 0 or M.dim == 0:
         return 0
-    P, _ = projective_cover(N)
-    omega_n = syzygy(N)
-    return hom_dim(M, N) - (hom_dim(M, P) - hom_dim(M, omega_n))
+    tops = top_multiplicities(N)
+    comp = composition_multiplicities(M)
+    through_p = sum(t * c for t, c in zip(tops, comp))
+    return hom_dim(M, N) - through_p + hom_dim(M, _omega(N))
 
 
 def stable_end_dim(M: ModuleRep) -> int:
@@ -496,8 +529,9 @@ def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim Ext^1(M, N) via the stable-Hom formula for symmetric algebras."""
-    return stable_hom_dim(syzygy(M), N)
+    """dim Ext^1(M, N) via the stable-Hom formula for symmetric algebras:
+    the stable Hom from Omega(M) to N."""
+    return stable_hom_dim(_omega(M), N)
 
 
 def _coboundaries(M: ModuleRep, N: ModuleRep):
@@ -715,8 +749,11 @@ def socle_series(M: ModuleRep) -> list[list[int]]:
 
 def composition_multiplicities(M: ModuleRep) -> list[int]:
     """Multiplicity of each simple among composition factors, counted via
-    Hom from the projective indecomposables."""
-    return [hom_dim(P_i, M) for P_i in M.algebra.pims]
+    Hom from the projective indecomposables; cached in M.cache, a list
+    that callers only read."""
+    if "composition" not in M.cache:
+        M.cache["composition"] = [hom_dim(P_i, M) for P_i in M.algebra.pims]
+    return M.cache["composition"]
 
 
 def structure(M: ModuleRep) -> dict:

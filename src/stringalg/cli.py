@@ -49,13 +49,13 @@ def _emit(args, text: str):
 
 
 def _module_from_args(args) -> ModuleRep:
-    if getattr(args, "string", None):
+    if bool(args.string) == bool(args.band):
+        raise ConfigError("give exactly one of --string or --band")
+    if args.string:
         return string_module(parse_word(args.string), _degree(args))
-    if getattr(args, "band", None):
-        lam, deg = _SCALARS[args.lam]
-        deg = max(deg, _degree(args))
-        return band_module(Band.from_word(parse_word(args.band)), lam, args.mult, deg)
-    raise ConfigError("need --string or --band")
+    lam, deg = _SCALARS[args.lam]
+    deg = max(deg, _degree(args))
+    return band_module(Band.from_word(parse_word(args.band)), lam, args.mult, deg)
 
 
 def cmd_strings(args):

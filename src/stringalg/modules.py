@@ -44,7 +44,8 @@ def _string_word(obj) -> Word:
 
 def string_module(S, degree: int = 1) -> ModuleRep:
     """Canonical module of a string (or of a specific word representative,
-    keeping the basis aligned with that word's letters)."""
+    keeping the basis aligned with that word's letters).  Its String is
+    kept in M.cache["string"], so that Omega can be read off the word."""
     word = _string_word(S)
     ctx = quiver_context(degree)
     dim = len(word.letters) + 1
@@ -55,7 +56,9 @@ def string_module(S, degree: int = 1) -> ModuleRep:
         dst, src = (i, i - 1) if is_inverse(letter) else (i - 1, i)
         rows[ARROW_GEN[letter & 3]][dst] |= 1 << src
     action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
-    return ModuleRep(ctx, dim, action, label=f"M({word.text()})")
+    M = ModuleRep(ctx, dim, action, label=f"M({word.text()})")
+    M.cache["string"] = S if isinstance(S, String) else String.from_valid_word(word)
+    return M
 
 
 def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:

@@ -112,7 +112,7 @@ class Word:
     def inverse(self) -> "Word":
         if not self.letters:
             return self
-        return Word(tuple(inv_letter(l) for l in reversed(self.letters)))
+        return Word(tuple([inv_letter(l) for l in reversed(self.letters)]))
 
     def vertices(self) -> tuple[int, ...]:
         """v(0..n): v(i) = e(w_{i+1}) for i < n, v(n) = s(w_n)."""
@@ -152,9 +152,11 @@ def _runs(letters):
 
 def _run_forbidden(letters, start, length, invflag) -> bool:
     """Does the run contain a subpath (after orienting) lying in J?"""
-    arrows = tuple(l & 3 for l in letters[start : start + length])
+    # tuple([...]) rather than tuple(<generator>): a list gives the tuple
+    # its length, and resized tuples fragment the allocator on hot paths
+    arrows = tuple([l & 3 for l in letters[start : start + length]])
     if invflag:
-        arrows = tuple(reversed(arrows))
+        arrows = arrows[::-1]
     for ln in (2, 3):
         for k in range(len(arrows) - ln + 1):
             if arrows[k : k + ln] in J_SET:
@@ -196,10 +198,15 @@ class String:
     @classmethod
     def from_word(cls, word: Word) -> "String":
         validate_string_word(word)
+        return cls.from_valid_word(word)
+
+    @classmethod
+    def from_valid_word(cls, word: Word) -> "String":
+        """The class of a word already known to be a string word (built by
+        a rule that keeps words valid, or validated before): no check."""
         if not word.letters:
             return cls((), word.vertex)
-        rev = word.inverse().letters
-        return cls(min(word.letters, rev))
+        return cls(min(word.letters, word.inverse().letters))
 
     @cached_property
     def word(self) -> Word:
@@ -251,7 +258,7 @@ class Band:
 def _band_canonical(letters):
     n = len(letters)
     best = None
-    for seq in (letters, tuple(inv_letter(l) for l in reversed(letters))):
+    for seq in (letters, tuple([inv_letter(l) for l in reversed(letters)])):
         for i in range(n):
             rot = seq[i:] + seq[:i]
             if best is None or rot < best:
@@ -376,7 +383,7 @@ def enumerate_strings(max_len: int) -> list[String]:
     _check_enum_bound("string", max_len)
     classes = {String((), 0), String((), 1)}
     for w in _all_words_upto(max_len) if max_len >= 1 else []:
-        rev = tuple(inv_letter(l) for l in reversed(w))
+        rev = tuple([inv_letter(l) for l in reversed(w)])
         if w <= rev:
             classes.add(String(w))
     return sorted(classes, key=lambda s: (len(s.letters), s.vertex or 0, s.letters))
@@ -472,7 +479,7 @@ def syzygy_word(s: String) -> String:
         out += reversed(right[r + (p + r == n) :])
     if not out:
         return String((), v)  # a lone V on the socle of P(v)
-    return String.from_word(Word(tuple(out)))
+    return String.from_valid_word(Word(tuple(out)))
 
 
 # -- the arrow-swap mirror symmetry -----------------------------------------
@@ -485,7 +492,7 @@ def mirror_string(s: String) -> String:
     letter in place.  A length-preserving involution on nonempty strings."""
     if not s.letters:
         raise EmptyString("mirror of an empty string")
-    letters = tuple(_MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters)
+    letters = tuple([_MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters])
     return String.from_word(Word(letters))
 
 

@@ -13,7 +13,7 @@ from stringalg.arquiver import (
 )
 from stringalg.errors import LimitExceeded, Undecided
 from stringalg.modules import string_module
-from stringalg.words import String, enumerate_strings, make_string, parse_word
+from stringalg.words import String, enumerate_strings, make_string, parse_word, word_flaw
 
 
 class TestNeighbors:
@@ -75,6 +75,17 @@ class TestSyzygyStrings:
                 assert C.indec_isomorphic(
                     string_module(t), C.syzygy(M, step)
                 ), (s.text(), step, t.text())
+
+    def test_word_rules_build_valid_words(self):
+        # syzygy_word and ar_neighbors canonicalise without re-checking
+        # their words; the check is kept here, over every string <= 12
+        for s in enumerate_strings(12):
+            nb = ar_neighbors(s)
+            built = [syzygy_string(s, 1), syzygy_string(s, -1)]
+            built += nb["successors"] + nb["predecessors"]
+            for t in built:
+                assert word_flaw(t.letters) is None, (s.text(), t.text())
+                assert String.from_word(t.word) == t, (s.text(), t.text())
 
     def test_round_trip(self):
         for s in enumerate_strings(10):

@@ -269,6 +269,74 @@ class TestStableAndExt:
         assert C.ext1_dim(m_eta, m_eta) == 0
 
 
+def _untagged(M):
+    """M with a fresh cache, so without its string tag: stable Hom and Ext^1
+    take the cover and kernel route on it."""
+    return ModuleRep(M.algebra, M.dim, M.action)
+
+
+def _stable_hom_via_cover(M, N):
+    """hom(M, N) minus the maps that lift along the cover P(N) ->> N,
+    from the cover module itself."""
+    if M.dim * N.dim == 0:
+        return 0
+    P, _ = C.projective_cover(N)
+    return C.hom_dim(M, N) - C.hom_dim(M, P) + C.hom_dim(M, C.syzygy(N))
+
+
+class TestStableHomRoutes:
+    """Stable Hom and Ext^1 of string modules read Omega off the word and
+    the P term off multiplicities; the module route is the oracle."""
+
+    def test_string_tag(self):
+        s = enumerate_strings(3)[-1]
+        assert string_module(s).cache["string"] == s
+        assert string_module(s.word.inverse()).cache["string"] == s
+        assert "string" not in _untagged(string_module(s)).cache
+
+    def test_stable_end_and_self_ext_of_strings(self):
+        for s in enumerate_strings(10):
+            M = string_module(s)
+            U = _untagged(M)
+            assert C.stable_end_dim(M) == C.stable_end_dim(U), s.text()
+            assert C.ext1_dim(M, M) == C.ext1_dim(U, U), s.text()
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_string_pairs(self, degree):
+        tagged = [string_module(s, degree) for s in enumerate_strings(4)]
+        untagged = [_untagged(M) for M in tagged]
+        for M, UM in zip(tagged, untagged):
+            for N, UN in zip(tagged, untagged):
+                assert C.stable_hom_dim(M, N) == C.stable_hom_dim(UM, UN), (M, N)
+                assert C.stable_hom_dim(M, N) == _stable_hom_via_cover(UM, UN), (M, N)
+                assert C.ext1_dim(M, N) == C.ext1_dim(UM, UN), (M, N)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_p_term_matches_the_cover_on_other_modules(self, degree):
+        mods = _oracle_modules(degree) + list(standard_reps(degree).values())
+        for M in mods:
+            for N in mods:
+                if M.algebra is N.algebra:
+                    assert C.stable_hom_dim(M, N) == _stable_hom_via_cover(M, N), (M, N)
+
+    def test_ext_equals_cocycle_count_on_string_pairs(self):
+        mods = [string_module(s) for s in enumerate_strings(3)]
+        for M in mods:
+            for N in mods:
+                assert C.ext1_dim(M, N) == C.ext1_dim_cocycles(M, N), (M, N)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_maps_into_a_projective_count_composition_factors(self, degree):
+        # the premise of the formula: P_i is the injective hull of S_i
+        mods = _oracle_modules(degree) + list(standard_reps(degree).values())
+        for name in ("S4", "C2") + (("A4",) if degree == 2 else ()):  # A4 needs GF(4)
+            ctx = group_context(name, degree)
+            mods += list(ctx.simples) + list(ctx.pims)
+        for M in mods:
+            for P_i in M.algebra.pims:
+                assert C.hom_dim(M, P_i) == C.hom_dim(P_i, M), (M, P_i)
+
+
 class TestFactorsThroughProjective:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_identity_of_pim_factors(self, degree):

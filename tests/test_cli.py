@@ -229,6 +229,15 @@ def test_out_of_domain_arguments_exit_2(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["module", "stable-end"])
+def test_string_and_band_together_exit_2(capsys, command):
+    code = main([command, "--string", "alpha", "--band", "eta- beta alpha- gamma"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "config error: give exactly one of --string or --band\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["strings"])  # missing required --max-len
