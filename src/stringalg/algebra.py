@@ -1,13 +1,14 @@
 """Algebra contexts: the fixed two-vertex path algebra with relations and
 the group algebras over GF(2)/GF(4) it is compared against.
 
-A context carries the regular module, expressions for a basis and for a
-spanning set of the radical (as words in the generators, so they can be
-evaluated on any module), the simple modules and the projective
-indecomposables.  Group-algebra radicals are computed as the joint
-annihilator of the simples; completeness of the simple list is checked
-against the Wedderburn dimension count, and the symmetric-algebra
-property soc(P) = top(P) is asserted rather than assumed.
+A context carries the regular module, expressions for a spanning set of
+the radical and for the image of each generator under an
+anti-automorphism (as words in the generators, so they can be evaluated
+on any module), the simple modules and the projective indecomposables.
+Group-algebra radicals are computed as the joint annihilator of the
+simples; completeness of the simple list is checked against the
+Wedderburn dimension count, and the symmetric-algebra properties
+soc(P) = top(P) and D(P) projective are asserted rather than assumed.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ class AlgebraContext:
         "arrows",
         "dim",
         "regular",
-        "basis_expr",
         "rad_expr",
+        "opposite",
         "simples",
-        "simple_names",
         "pims",
         "gen_perms",
         "elements",
@@ -50,10 +50,10 @@ class AlgebraContext:
         self.arrows = {name: (0, 0) for name in self.gen_names}
         self.dim = 0
         self.regular = None
-        self.basis_expr = []
         self.rad_expr = []
+        # generator -> expression of its image under an anti-automorphism
+        self.opposite = {}
         self.simples = []
-        self.simple_names = []
         self.pims = []
         self.gen_perms = None
         self.elements = None
@@ -126,14 +126,16 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
             return ((1, tuple(ARROW_GEN[a] for a in arrows)),)
         return ((1, (("e0", "e1")[end],)),)
 
-    ctx.basis_expr = [expr_of(i) for i in range(ctx.dim)]
     ctx.rad_expr = [expr_of(i) for i in range(ctx.dim) if _PATHS[i][1]]
+    # beta <-> gamma reverses every path and keeps both relations: the
+    # letterwise symmetry of words.mirror_string
+    swap = {"beta": "gamma", "gamma": "beta"}
+    ctx.opposite = {g: ((1, (swap.get(g, g),)),) for g in ctx.gen_names}
 
     for v, name in ((0, "S0"), (1, "S1")):
         act = {g: Mat.zeros(field, 1, 1) for g in ctx.gen_names}
         act[("e0", "e1")[v]] = Mat.identity(field, 1)
         ctx.simples.append(ModuleRep(ctx, 1, act, label=name))
-    ctx.simple_names = ["S0", "S1"]
 
     for v, name in ((0, "P0"), (1, "P1")):
         idx = [i for i, (_, _, _, src) in enumerate(_PATHS) if src == v]
@@ -220,7 +222,7 @@ def _s4_simples(ctx):
         },
         label="T1",
     )
-    return [t0, t1], ["T0", "T1"]
+    return [t0, t1]
 
 
 def _a4_simples(ctx):
@@ -228,7 +230,6 @@ def _a4_simples(ctx):
     if field.order < 4:
         raise FieldTooSmall("cube roots of unity need GF(4)")
     simples = []
-    names = []
     for k, name in ((0, "E0"), (1, "E1"), (2, "E2")):
         scalar = field.pow(OMEGA, k)
         act = {
@@ -236,8 +237,7 @@ def _a4_simples(ctx):
             "v": Mat.identity(field, 1),
         }
         simples.append(ModuleRep(ctx, 1, act, label=name))
-        names.append(name)
-    return simples, names
+    return simples
 
 
 def _c2_simples(ctx):
@@ -247,7 +247,7 @@ def _c2_simples(ctx):
         {g: Mat.identity(ctx.field, 1) for g in ctx.gen_names},
         label="k",
     )
-    return [t0], ["k"]
+    return [t0]
 
 
 def group_context(name: str, degree: int = 1) -> AlgebraContext:
@@ -272,14 +272,15 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
             m.set_entry(pos[perm_compose(g, x)], i, 1)
         action[gname] = m
     ctx.regular = ModuleRep(ctx, order, action, label="k" + name)
-    ctx.basis_expr = [((1, ctx.elements[x]),) for x in basis]
+    # g -> g^-1
+    ctx.opposite = {g: ((1, ctx.elements[perm_inverse(gens[g])]),) for g in ctx.gen_names}
 
     if name == "S4":
-        ctx.simples, ctx.simple_names = _s4_simples(ctx)
+        ctx.simples = _s4_simples(ctx)
     elif name == "A4":
-        ctx.simples, ctx.simple_names = _a4_simples(ctx)
+        ctx.simples = _a4_simples(ctx)
     else:
-        ctx.simples, ctx.simple_names = _c2_simples(ctx)
+        ctx.simples = _c2_simples(ctx)
     for S in ctx.simples:
         _assert_is_representation(ctx, S)
 
@@ -368,8 +369,8 @@ def _verify_context(ctx):
         for e in ctx.rad_expr:
             if not S.evaluate(e).is_zero():
                 raise SplitFailure(f"{ctx.name}: radical does not annihilate {S.label}")
-    # symmetric-algebra property used for negative syzygies:
-    # socle of each PIM is simple and isomorphic to its top
+    # socle of each PIM is simple and isomorphic to its top, so P_i is the
+    # injective hull of S_i (stable Hom without a cover)
     for P, S in zip(ctx.pims, ctx.simples):
         soc = calculus.socle_rows(P)
         if soc.nrows != S.dim:
@@ -377,4 +378,12 @@ def _verify_context(ctx):
         sub, _ = calculus.sub_module(P, soc)
         if not calculus.is_isomorphic(sub, S):
             raise SplitFailure(f"{ctx.name}: socle of {P.label} is not its top")
-
+    # Omega^-1 = D Omega D: the dual of each PIM is a PIM.  An invertible
+    # intertwiner proves it whatever the premise of indec_isomorphic, so
+    # D(regular) satisfies the relations; the regular module is faithful,
+    # so ctx.opposite is an anti-automorphism and D an exact duality that
+    # takes projectives to projectives
+    for P in ctx.pims:
+        DP = calculus.dual(P)
+        if not any(calculus.indec_isomorphic(DP, Q) for Q in ctx.pims):
+            raise SplitFailure(f"{ctx.name}: the dual of {P.label} is not projective")

@@ -27,9 +27,13 @@ SplitFailure is raised only when the search ends with neither; no such
 input is known.  Isomorphism is an invertible basis map, or else
 Krull-Schmidt on the two decompositions.
 
-Negative syzygies use the symmetry of the algebras at hand (socle of a
-projective indecomposable is isomorphic to its top; this is asserted at
-setup).  The same premise makes P_i the injective hull of S_i, so that
+Negative syzygies are D Omega D, with D the k-dual made a module
+through the context's anti-automorphism (ctx.opposite): D is an exact
+duality, and at set-up the dual of each projective indecomposable is
+checked to be one, so D takes the projective cover of D(M) to the
+injective envelope of M and Omega^-1 = D Omega D.  The socle of each
+projective indecomposable is checked to be simple and isomorphic to its
+top; that makes P_i the injective hull of S_i, so that
 dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
 stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
 with t the top and c the composition multiplicities.  Omega of a string
@@ -391,71 +395,36 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     return result
 
 
-def injective_envelope(M: ModuleRep) -> tuple[ModuleRep, Mat]:
-    """(I, emb) with emb: M >-> I injective (emb is I.dim x M.dim).
-
-    Uses that the projective indecomposables are also the injective
-    indecomposables with matching socle (symmetric algebra)."""
-    if "envelope" in M.cache:
-        return M.cache["envelope"]
-    ctx = M.algebra
-    socs = socle_multiplicities(M)
-    soc_inc = socle_rows(M).transpose()  # M.dim x socdim
-    blocks = []
-    summands = []
-    # a module map is injective iff it is injective on the socle, so grow
-    # the span of the chosen maps restricted to soc(M)
-    span = RowBasis(M.field, soc_inc.ncols)
-    for i, P_i in enumerate(ctx.pims):
-        need = socs[i]
-        if need == 0:
-            continue
-        for g in hom_basis(M, P_i):
-            if need == 0:
-                break
-            if _grows(span, g.mul(soc_inc)):
-                blocks.append(g)
-                summands.append(P_i)
-                need -= 1
-        if need:
-            raise SplitFailure(f"envelope of {M!r}: not enough maps to {P_i.label}")
-    if span.rank != soc_inc.ncols:
-        raise SplitFailure(f"envelope of {M!r} is not injective on the socle")
-    emb = vstack(blocks)
-    if emb.nullspace().nrows != 0:
-        raise SplitFailure(f"envelope of {M!r} is not injective")
-    I = direct_sum(summands, label=f"I({M.label})")
-    result = (I, emb)
-    M.cache["envelope"] = result
-    return result
+def dual(M: ModuleRep, label: str = "") -> ModuleRep:
+    """The k-dual D(M) = Hom_k(M, k), a module through the context's
+    anti-automorphism: each generator acts by the transpose of its
+    opposite expression (ctx.opposite) on M."""
+    action = {name: M.evaluate(expr).transpose() for name, expr in M.algebra.opposite.items()}
+    return ModuleRep(M.algebra, M.dim, action, label or f"D({M.label})")
 
 
 def syzygy(M: ModuleRep, steps: int = 1, strict: bool = False) -> ModuleRep:
-    """Omega^steps: kernels of covers for steps > 0, cokernels of
-    envelopes for steps < 0.
+    """Omega^steps: kernels of covers for steps > 0, and D Omega D for
+    steps < 0 (D is an exact duality that takes projectives to
+    projectives).
 
     Projective direct summands are absorbed (the kernel of a cover does
-    not see them); with strict=True a projective input raises
-    ProjectiveInput instead of returning the zero module."""
+    not see them), and Omega of the zero module is the zero module; with
+    strict=True a projective input raises ProjectiveInput instead of
+    returning the zero module."""
     if strict and M.dim and syzygy(M).dim == 0:
         raise ProjectiveInput(f"{M.label} is projective")
     cur = M
-    while steps > 0:
-        key = "syzygy"
+    while steps and cur.dim:
+        key = "syzygy" if steps > 0 else "cosyzygy"
         if key not in cur.cache:
-            P, pi = projective_cover(cur)
-            S, _ = sub_module(P, pi.nullspace(), label=f"O({cur.label})")
-            cur.cache[key] = S
+            if steps > 0:
+                P, pi = projective_cover(cur)
+                cur.cache[key], _ = sub_module(P, pi.nullspace(), label=f"O({cur.label})")
+            else:
+                cur.cache[key] = dual(syzygy(dual(cur)), label=f"O-({cur.label})")
         cur = cur.cache[key]
-        steps -= 1
-    while steps < 0:
-        key = "cosyzygy"
-        if key not in cur.cache:
-            I, emb = injective_envelope(cur)
-            Q, _ = quotient_module(I, emb.transpose().row_space(), label=f"O-({cur.label})")
-            cur.cache[key] = Q
-        cur = cur.cache[key]
-        steps += 1
+        steps += -1 if steps > 0 else 1
     return cur
 
 

@@ -53,8 +53,6 @@ def inner_product(chi: CharacterVector, psi: CharacterVector) -> int:
     return total // GROUP_ORDER
 
 
-hom_dim_f = inner_product
-
 TRIVIAL = CharacterVector((1, 1, 1, 1, 1))
 SIGN = CharacterVector((1, -1, 1, 1, -1))
 # fixed points of the natural 4-point action on each class

@@ -27,7 +27,7 @@ from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ParseError, ZeroLambda
 from .matrix import Mat
 from .rep import HomElement, ModuleRep
-from .words import INV, Band, String, Word, e_of, is_inverse, validate_string_word
+from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
 
 _VERTEX_GEN = ("e0", "e1")
 
@@ -63,13 +63,18 @@ def string_module(S, degree: int = 1) -> ModuleRep:
 
 def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     """M(B, lambda, m): the wrap-around letter acts through the Jordan
-    block J_m(lambda); basis index = cycle position * m + Jordan slot."""
+    block J_m(lambda); basis index = cycle position * m + Jordan slot.
+    B is a Band, or a Word that passes as a band word (ForbiddenSubword),
+    whose own rotation is kept for the basis."""
     if lam == 0:
         raise ZeroLambda("band parameter must be nonzero")
     if mult < 1:
         raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
-    word = B.word if isinstance(B, Band) else B
-    if not isinstance(word, Word):
+    if isinstance(B, Band):
+        word = B.word
+    elif isinstance(B, Word):
+        word = validate_band_word(B)
+    else:
         raise ParseError(f"not a band or a word: {B!r}")
     ctx = quiver_context(degree)
     field = ctx.field

@@ -82,21 +82,6 @@ class ModuleRep:
         return f"ModuleRep({self.algebra.name}, dim={self.dim}{tag})"
 
 
-def module_from_json(algebra, data: dict) -> ModuleRep:
-    m = algebra.field.degree
-    dim = data["dim"]
-    mask = (1 << m) - 1
-    action = {}
-    for name, rows in data["generators"].items():
-        mat = Mat.zeros(algebra.field, dim, dim)
-        for r, hexrow in enumerate(rows):
-            v = int(hexrow, 16)
-            for c in range(dim):
-                mat.set_entry(r, c, (v >> (c * m)) & mask)
-        action[name] = mat
-    return ModuleRep(algebra, dim, action, data.get("label", ""))
-
-
 class HomElement:
     """A linear map source -> target commuting with every generator."""
 

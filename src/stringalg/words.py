@@ -165,16 +165,17 @@ def _run_forbidden(letters, start, length, invflag) -> bool:
 
 
 def word_flaw(letters) -> str | None:
-    """None if the letter sequence is a valid string word, else a reason."""
-    n = len(letters)
-    for i in range(n - 1):
+    """None if the letter sequence is a valid string word, else a reason.
+
+    Composability is checked first; then each letter must be one that
+    may follow its two predecessors (_follow), which by induction form a
+    valid word."""
+    letters = tuple(letters)
+    for i in range(len(letters) - 1):
         if s_of(letters[i]) != e_of(letters[i + 1]):
             return "not composable"
-    for i in range(n - 1):
-        if letters[i + 1] == inv_letter(letters[i]):
-            return "letter followed by its inverse"
-    for start, length, invflag in _runs(letters):
-        if _run_forbidden(letters, start, length, invflag):
+    for i in range(1, len(letters)):
+        if letters[i] not in _follow(letters[max(0, i - 2) : i], None):
             return "forbidden subword"
     return None
 
@@ -231,10 +232,7 @@ class Band:
 
     @classmethod
     def from_word(cls, word: Word) -> "Band":
-        flaw = band_flaw(word)
-        if flaw is not None:
-            raise ForbiddenSubword(f"{word.text()}: {flaw}")
-        return cls(_band_canonical(word.letters))
+        return cls(_band_canonical(validate_band_word(word).letters))
 
     @property
     def word(self) -> Word:
@@ -270,26 +268,31 @@ def band_flaw(word: Word) -> str | None:
     """None if the word satisfies every band condition, else a reason.
 
     The "every power is a string" condition is finite: J has no member of
-    length > 3, so all windows of w^3 of length <= 3 are checked.
+    length > 3, so it holds once each letter, read cyclically, may follow
+    its two predecessors (_follow): letters 1..n+1 of w^3 are checked.
     """
     letters = word.letters
     n = len(letters)
     if n == 0:
         return "empty"
     for i in range(n):
-        a, b = letters[i], letters[(i + 1) % n]
-        if s_of(a) != e_of(b):
+        if s_of(letters[i - 1]) != e_of(letters[i]):
             return "not cyclically composable"
-        if b == inv_letter(a):
-            return "letter followed by its inverse"
     for d in range(1, n):
         if n % d == 0 and letters == letters[:d] * (n // d):
             return "proper power"
-    tripled = letters * 3
-    for start, length, invflag in _runs(tripled):
-        if _run_forbidden(tripled, start, length, invflag):
+    cycled = (letters * 3)[: n + 2]
+    for i in range(1, n + 2):
+        if cycled[i] not in _follow(cycled[max(0, i - 2) : i], None):
             return "forbidden subword in a power"
     return None
+
+
+def validate_band_word(word: Word) -> Word:
+    flaw = band_flaw(word)
+    if flaw is not None:
+        raise ForbiddenSubword(f"{word.text()}: {flaw}")
+    return word
 
 
 def is_band(word: Word) -> bool:

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringalg import calculus as C
-from stringalg.algebra import group_context, quiver_context
-from stringalg.errors import SplitOnly
+from stringalg.algebra import _verify_context, group_context, quiver_context
+from stringalg.errors import ProjectiveInput, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.groupside import standard_reps
 from stringalg.matrix import Mat
 from stringalg.modules import band_module, string_module
-from stringalg.rep import ModuleRep, direct_sum, module_from_json
+from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import Band, enumerate_bands, enumerate_strings, parse_word
 
 
@@ -119,15 +119,14 @@ def _conjugated(M, seed):
             return ModuleRep(M.algebra, d, action, label=f"conj({M.label})"), P
 
 
-def _off_vertex_json(M):
-    """M through JSON with one alpha entry from a vertex-1 basis vector,
-    so the arrow matrix leaves its vertex pair (0 -> 0)."""
+def _off_vertex(M):
+    """M with one alpha entry from a vertex-1 basis vector, so the arrow
+    matrix leaves its vertex pair (0 -> 0)."""
     verts = C.vertex_grading(M)
     j = verts.index(1)
     alpha = M.action["alpha"].copy()
     alpha.set_entry(0, j, 1)
-    bad = ModuleRep(M.algebra, M.dim, dict(M.action, alpha=alpha), label="bad")
-    return module_from_json(M.algebra, bad.to_json_dict())
+    return ModuleRep(M.algebra, M.dim, dict(M.action, alpha=alpha), label="bad")
 
 
 def _oracle_modules(degree):
@@ -161,7 +160,7 @@ class TestHomAgainstEntrywiseSystem:
     def test_one_block_modules(self, degree):
         strings = [string_module(parse_word(t), degree) for t in ("gamma beta alpha-", "alpha beta- eta gamma-")]
         odd = [_conjugated(M, seed)[0] for seed, M in enumerate(strings)]
-        odd += [_off_vertex_json(M) for M in strings]
+        odd += [_off_vertex(M) for M in strings]
         assert all(C.vertex_grading(M) is None for M in odd)
         for M in odd:
             for N in odd + strings:
@@ -230,6 +229,64 @@ class TestCoversAndSyzygies:
         x1 = string_module(parse_word("beta alpha"))
         assert C.is_isomorphic(C.syzygy(x1, 3), x1)
         assert C.is_isomorphic(C.syzygy(x1, 1), C.syzygy(x1, -2))
+
+    @pytest.mark.parametrize("name, degree", [("Lambda", 1), ("S4", 1), ("A4", 2)])
+    def test_projectives_and_zero_have_zero_syzygies(self, name, degree):
+        ctx = _context(name, degree)
+        for P in ctx.pims:
+            for k in (1, 2, 3, -1, -2, -3):
+                assert C.syzygy(P, k).dim == 0, (P, k)
+            for k in (1, -1):
+                with pytest.raises(ProjectiveInput):
+                    C.syzygy(P, k, strict=True)
+        zero = C.syzygy(ctx.pims[0])
+        assert C.syzygy(zero, 2).dim == C.syzygy(zero, -2).dim == 0
+
+
+def _context(name, degree):
+    return quiver_context(degree) if name == "Lambda" else group_context(name, degree)
+
+
+_ALL_CONTEXTS = [("Lambda", 1), ("Lambda", 2), ("S4", 1), ("S4", 2), ("A4", 2), ("C2", 1)]
+
+
+class TestDuality:
+    """D through ctx.opposite, and Omega^-1 = D Omega D."""
+
+    @pytest.mark.parametrize("name, degree", _ALL_CONTEXTS)
+    def test_dual_of_each_pim_is_a_pim(self, name, degree):
+        ctx = _context(name, degree)
+        for P in ctx.pims:
+            assert sum(C.indec_isomorphic(C.dual(P), Q) for Q in ctx.pims) == 1, P
+
+    def test_set_up_refuses_an_opposite_that_is_no_anti_automorphism(self, lam, monkeypatch):
+        # without the beta <-> gamma swap, D(P0) is no Lambda-module
+        monkeypatch.setattr(lam, "opposite", {g: ((1, (g,)),) for g in lam.gen_names})
+        with pytest.raises(SplitFailure, match="dual of"):
+            _verify_context(lam)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_dual_of_dual_is_the_module(self, degree):
+        mods = _oracle_modules(degree) + list(standard_reps(degree).values())
+        mods += [group_context("S4", degree).regular]
+        for M in mods:
+            DD = C.dual(C.dual(M))
+            assert all(DD.action[g] == M.action[g] for g in M.algebra.gen_names), M
+
+    def test_dual_swaps_the_two_nontrivial_simples_of_a4(self):
+        E0, E1, E2 = group_context("A4", 2).simples
+        assert C.is_isomorphic(C.dual(E0), E0)
+        assert C.is_isomorphic(C.dual(E1), E2)
+        assert C.is_isomorphic(C.dual(E2), E1)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_cosyzygy_of_standard_reps(self, degree):
+        for label, M in standard_reps(degree).items():
+            N = C.syzygy(M, -1)
+            assert C.is_isomorphic(C.syzygy(N), M), label
+            pims = M.algebra.pims
+            for U in C.decompose(N):
+                assert not any(C.indec_isomorphic(U, P) for P in pims), label
 
 
 class TestStableAndExt:

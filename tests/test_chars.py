@@ -6,7 +6,6 @@ from stringalg.chars import (
     CharacterVector,
     char_table,
     check_lift_counts,
-    hom_dim_f,
     inner_product,
     irreducible_characters,
     lift_characters,
@@ -45,13 +44,13 @@ def test_degree_identity():
 
 def test_perm_character_decomposition():
     chars = irreducible_characters()
-    assert hom_dim_f(PERM_CHARACTER, chars[0]) == 1
+    assert inner_product(PERM_CHARACTER, chars[0]) == 1
     assert PERM_CHARACTER == chars[0] + chars[2]
 
 
 def test_distinct_irreducibles_orthogonal():
     chars = irreducible_characters()
-    assert hom_dim_f(chars[0], chars[1]) == 0
+    assert inner_product(chars[0], chars[1]) == 0
 
 
 def test_non_integral_input():

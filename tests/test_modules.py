@@ -17,7 +17,6 @@ from stringalg.modules import (
     string_hom_dim,
     string_module,
 )
-from stringalg.rep import module_from_json
 from stringalg.words import (
     ALPHA,
     BETA,
@@ -84,14 +83,6 @@ def test_string_module_iso_inverse():
             A = string_module(s.word)
             B = string_module(s.word.inverse())
             assert C.is_isomorphic(A, B)
-
-
-def test_module_json_round_trip():
-    M = string_module(parse_word("alpha- gamma eta-"))
-    data = M.to_json_dict()
-    back = module_from_json(M.algebra, data)
-    for name in M.algebra.gen_names:
-        assert back.action[name] == M.action[name]
 
 
 class TestBandModules:
@@ -241,8 +232,23 @@ class TestStringArguments:
     def test_band_module_takes_band_or_word(self):
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
         assert C.is_isomorphic(band_module(b, 1), band_module(b.word, 1))
+        # a word keeps its own rotation: basis vector 0 sits at the end
+        # vertex of its first letter
+        for i in range(len(b)):
+            rot = b.rotation(i)
+            M = band_module(rot, 1)
+            assert C.vertex_grading(M)[0] == rot.end
+            assert C.is_isomorphic(M, band_module(b, 1))
         with pytest.raises(ParseError):
             band_module("eta- beta alpha- gamma", 1)
+        # alpha^2 is also forbidden; beta- follows its inverse across the wrap
+        for text, flaw in (
+            ("alpha alpha", "proper power"),
+            ("beta alpha", "not cyclically composable"),
+            ("beta alpha beta-", "forbidden subword in a power"),
+        ):
+            with pytest.raises(ForbiddenSubword, match=flaw):
+                band_module(parse_word(text), 1)
 
 
 def test_comb_hom_maps_are_linearly_independent():

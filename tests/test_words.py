@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from stringalg.errors import (
@@ -9,6 +11,7 @@ from stringalg.errors import (
 )
 from stringalg.words import (
     INV,
+    J_SET,
     Band,
     String,
     Word,
@@ -17,6 +20,7 @@ from stringalg.words import (
     _run_forbidden,
     _runs,
     add_hook,
+    band_flaw,
     empty_word,
     enumerate_bands,
     enumerate_strings,
@@ -162,6 +166,35 @@ class TestEnumeration:
         assert sorted(grown) == sorted(words)
         for v in (0, 1):
             assert list(_extensions((), v)) == [l for l in range(8) if e_of(l) == v]
+
+    def test_flaws_match_a_scan_against_j(self):
+        # reference: no letter followed by its inverse and no path of J in
+        # a run of one direction, of the word or (for a band) of its cube
+        def flawless(letters, cyclic):
+            n = len(letters)
+            if cyclic and any(letters == letters[:d] * (n // d) for d in range(1, n) if n % d == 0):
+                return False
+            seq = letters * 3 if cyclic else letters
+            if any(s_of(a) != e_of(b) or b == inv_letter(a) for a, b in zip(seq, seq[1:])):
+                return False
+            for ln in (2, 3):
+                for k in range(len(seq) - ln + 1):
+                    window = seq[k : k + ln]
+                    if len({l & INV for l in window}) == 1:
+                        arrows = tuple(l & 3 for l in window)
+                        if window[0] & INV:
+                            arrows = arrows[::-1]
+                        if arrows in J_SET:
+                            return False
+            return True
+
+        for w in itertools.chain.from_iterable(itertools.product(range(8), repeat=n) for n in range(6)):
+            flaw = word_flaw(w)
+            assert (flaw is None) == flawless(w, False), w
+            composable = all(s_of(a) == e_of(b) for a, b in zip(w, w[1:]))
+            assert (flaw == "not composable") == (not composable), w
+            if w:
+                assert (band_flaw(Word(w)) is None) == flawless(w, True), w
 
     def test_canonicalization_idempotent(self):
         for s in enumerate_strings(6):
