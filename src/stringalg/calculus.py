@@ -25,7 +25,10 @@ the nilpotent ones span V, and End is certified local once V is closed
 under multiplication by End and End = k[g] + V for one shifted map g.
 SplitFailure is raised only when the search ends with neither; no such
 input is known.  Isomorphism is an invertible basis map, or else
-Krull-Schmidt on the two decompositions.
+Krull-Schmidt on the two decompositions.  The End(M) basis (end_basis)
+and the summands of decompose are cached in M.cache, so each is solved
+once per module; is_isomorphic reads dim End from the cached bases and
+reuses the cached summands.
 
 Negative syzygies are D Omega D, with D the k-dual made a module
 through the context's anti-automorphism (ctx.opposite): D is an exact
@@ -258,6 +261,14 @@ def end_dim(M: ModuleRep) -> int:
     return hom_dim(M, M)
 
 
+def end_basis(M: ModuleRep) -> list[Mat]:
+    """hom_basis(M, M), solved once and cached in M.cache, a list that
+    callers only read."""
+    if "end" not in M.cache:
+        M.cache["end"] = hom_basis(M, M)
+    return M.cache["end"]
+
+
 # -- sub/quotient machinery ---------------------------------------------------
 
 
@@ -273,7 +284,7 @@ def sub_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep, Mat
     action = {}
     for name in M.algebra.gen_names:
         prod = M.action[name].mul(inc)  # M.dim x r
-        coords = prod.submatrix(pivots, range(r))
+        coords = Mat(M.field, r, r, [prod.rows[p] for p in pivots])
         if inc.mul(coords) != prod:
             raise DimensionMismatch(f"span not invariant under {name}")
         action[name] = coords
@@ -538,7 +549,7 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
     d = len(H)
     if d == 0:
         return False
-    if not (hom_dim(M, M) == hom_dim(N, N) == hom_dim(N, M) == d):
+    if not (len(end_basis(M)) == len(end_basis(N)) == hom_dim(N, M) == d):
         return False
     if any(f.is_invertible() for f in H):
         return True
@@ -563,19 +574,24 @@ def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
 
 
 def _fitting_power(f: Mat) -> Mat:
+    """f^(2^k) for the least 2^k >= dim: f squared k times, stopping at a
+    zero power (its further squares are zero too)."""
+    power = f
     pw = 1
-    while pw < f.nrows:
+    while pw < f.nrows and not power.is_zero():
+        power = power.mul(power)
         pw <<= 1
-    return f.power(pw)
+    return power
 
 
-def _shift(f: Mat, ident: Mat) -> tuple[Mat, int]:
+def _shift(f: Mat, scalars: list[Mat]) -> tuple[Mat, int]:
     """(p(f), deg p) for the first monic p over the field, in order of
     degree, with p(f) singular; degree 1 gives the scalar shifts f + c.
     That p is irreducible: a factor of lower degree would have made p(f)
-    singular first."""
+    singular first.  scalars holds c*1 for each field element c, in the
+    order of field.elements()."""
     elements = f.field.elements()
-    lower = [ident.scale(c) for c in elements]  # the values of degree < 1
+    lower = scalars  # the values of degree < 1
     power = f
     degree = 1
     while True:
@@ -613,6 +629,7 @@ def _split(M: ModuleRep, E: list[Mat]):
     SplitFailure is raised when the candidates run out with neither."""
     field = M.field
     ident = Mat.identity(field, M.dim)
+    scalars = [ident.scale(c) for c in field.elements()]
     V = RowBasis(field, M.dim * M.dim)
     nil = []  # the basis of V
     outside = []  # products that were left outside V
@@ -630,7 +647,7 @@ def _split(M: ModuleRep, E: list[Mat]):
         x = f.vector()
         if V.contains(x):
             continue
-        value, d = _shift(f, ident)
+        value, d = _shift(f, scalars)
         power = _fitting_power(value)
         if not power.is_zero():
             img, _ = image_module(power, M, label=f"{M.label}.im")
@@ -653,13 +670,18 @@ def _split(M: ModuleRep, E: list[Mat]):
 
 
 def decompose(M: ModuleRep) -> list[ModuleRep]:
-    """Indecomposable direct summands via Fitting splitting (see _split)."""
+    """Indecomposable direct summands via Fitting splitting (see _split).
+
+    The summands are cached in M.cache (None when M is indecomposable),
+    which a relabelled copy shares, labels included; each call returns a
+    new list, which the caller may change."""
     if M.dim == 0:
         return []
-    split = _split(M, hom_basis(M, M))
-    if split is None:
-        return [M]
-    return decompose(split[0]) + decompose(split[1])
+    if "summands" not in M.cache:
+        split = _split(M, end_basis(M))
+        M.cache["summands"] = None if split is None else decompose(split[0]) + decompose(split[1])
+    parts = M.cache["summands"]
+    return [M] if parts is None else list(parts)
 
 
 # -- extensions -----------------------------------------------------------------

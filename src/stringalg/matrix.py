@@ -328,16 +328,19 @@ class RowBasis:
     coefficient 1, and is keyed by its lowest nonzero column.
     """
 
-    __slots__ = ("field", "width", "full", "pivots", "units")
+    __slots__ = ("field", "width", "full", "pivots")
 
     def __init__(self, field: FiniteField, width: int):
         self.field = field
         self.width = width
         self.full = (1 << width) - 1
         self.pivots = {}
-        # units[e]: element e as a one-entry vector in column 0; shift it
-        # left by c to put e in column c
-        self.units = [sum(1 << (p * width) for p in _bits(e)) for e in field.elements()]
+
+    @property
+    def units(self) -> list:
+        """units[e]: element e as a one-entry vector in column 0; shift it
+        left by c to put e in column c.  Built on each read."""
+        return [sum(1 << (p * self.width) for p in _bits(e)) for e in self.field.elements()]
 
     @property
     def rank(self):

@@ -37,8 +37,8 @@ class ModuleRep:
         for coeff, word in expr:
             if coeff == 0:
                 continue
-            term = Mat.identity(self.field, self.dim)
-            for name in word:
+            term = self.action[word[0]] if word else Mat.identity(self.field, self.dim)
+            for name in word[1:]:
                 term = term.mul(self.action[name])
             if coeff != 1:
                 term = term.scale(coeff)

@@ -9,7 +9,7 @@ from stringalg.algebra import _verify_context, group_context, quiver_context
 from stringalg.errors import ProjectiveInput, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.groupside import standard_reps
-from stringalg.matrix import Mat
+from stringalg.matrix import Mat, block_diag
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import Band, enumerate_bands, enumerate_strings, parse_word
@@ -394,6 +394,33 @@ class TestStableHomRoutes:
                 assert C.hom_dim(M, P_i) == C.hom_dim(P_i, M), (M, P_i)
 
 
+_EXT_BANDS = enumerate_bands(8)
+_SUM_BANDS = enumerate_bands(4)
+_SUM_STRINGS = enumerate_strings(4)
+
+
+@st.composite
+def _band_or_sum(draw, degree):
+    """A band module (length <= 8, m <= 2), or a direct sum of a string
+    module and a string or band module, over GF(2^degree)."""
+    lams = st.sampled_from((1,) if degree == 1 else (1, OMEGA, OMEGA ^ 1))
+    if draw(st.booleans()):
+        return band_module(draw(st.sampled_from(_EXT_BANDS)), draw(lams), draw(st.sampled_from((1, 2))), degree)
+    parts = [string_module(draw(st.sampled_from(_SUM_STRINGS)), degree)]
+    if draw(st.booleans()):
+        parts.append(band_module(draw(st.sampled_from(_SUM_BANDS)), draw(lams), 1, degree))
+    else:
+        parts.append(string_module(draw(st.sampled_from(_SUM_STRINGS)), degree))
+    return direct_sum(parts)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(lambda degree: st.tuples(_band_or_sum(degree), _band_or_sum(degree))))
+def test_ext_equals_cocycle_count_on_bands_and_sums(pair):
+    M, N = pair
+    assert C.ext1_dim(M, N) == C.ext1_dim_cocycles(M, N), (M, N)
+
+
 class TestFactorsThroughProjective:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_identity_of_pim_factors(self, degree):
@@ -602,6 +629,84 @@ class TestSplitSearch:
         split = C._split(direct_sum([S0, S0, S0]), basis)
         assert split is not None
         assert sorted(p.dim for p in split) == [1, 2]
+
+
+def _fresh(M):
+    """M with an empty cache: no End basis and no summands yet."""
+    return ModuleRep(M.algebra, M.dim, M.action, M.label)
+
+
+class TestDecomposeCache:
+    def test_changing_the_returned_list_leaves_the_cache(self, lam):
+        M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
+        first = C.decompose(M)
+        parts = list(first)
+        first.pop(0)
+        first.pop()
+        assert C.decompose(M) == parts
+        U = parts[1]
+        whole = C.decompose(U)
+        whole.clear()
+        assert C.decompose(U) == [U]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_is_isomorphic_after_decompose_matches_a_fresh_copy(self, degree):
+        lam = quiver_context(degree)
+        S0, S1 = lam.simples
+        a = string_module(parse_word("gamma beta"), degree)
+        b = band_module(parse_word("alpha beta- gamma-"), 1, 1, degree)
+        pairs = [
+            (direct_sum([S0, a, b]), direct_sum([b, S0, a])),
+            (direct_sum([S0, S0, a]), direct_sum([a, S0, S0])),
+            (direct_sum([S0, S0, a]), direct_sum([S0, S1, a])),
+            (direct_sum([a, a]), direct_sum([a, string_module(parse_word("beta alpha"), degree)])),
+            (direct_sum([lam.pims[1], lam.pims[1]]), direct_sum([lam.pims[1], lam.pims[1]])),
+        ]
+        for M, N in pairs:
+            expected = C.is_isomorphic(_fresh(M), _fresh(N))
+            C.decompose(M)
+            C.decompose(N)
+            # twice: the first call pops from N's summands
+            assert C.is_isomorphic(M, N) == expected, (M, N)
+            assert C.is_isomorphic(M, N) == expected, (M, N)
+            assert len(C.decompose(N)) == len(C.decompose(_fresh(N)))
+        assert [C.is_isomorphic(M, N) for M, N in pairs] == [True, True, False, False, True]
+
+
+def _nilpotent(field, n, rng):
+    """A seeded strictly upper triangular n x n matrix."""
+    return Mat.from_entries(field, [[rng.randrange(field.order) if c > r else 0 for c in range(n)] for r in range(n)])
+
+
+def _invertible(field, n, rng):
+    while True:
+        f = Mat.from_entries(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
+        if f.is_invertible():
+            return f
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_fitting_power_is_the_power_two_to_the_k(degree):
+    # nilpotent, invertible, mixed (a nilpotent block and an invertible
+    # block) and zero, each in a seeded random basis
+    lam = quiver_context(degree)
+    field = lam.field
+    rng = random.Random(degree)
+    for n in range(1, 10):
+        k = (n - 1).bit_length()  # the least k with 2^k >= n
+        for _ in range(6):
+            cut = rng.randrange(1, n) if n > 1 else 1
+            blocks = [
+                _nilpotent(field, n, rng),
+                _invertible(field, n, rng),
+                block_diag([_nilpotent(field, cut, rng), _invertible(field, n - cut, rng)]) if n > 1 else Mat.zeros(field, 1, 1),
+                Mat.zeros(field, n, n),
+            ]
+            P = _invertible(field, n, rng)
+            Pinv = P.inverse()
+            for f in blocks:
+                f = P.mul(f).mul(Pinv)
+                assert C._fitting_power(f) == f.power(2**k), (n, f.to_entries())
 
 
 class TestExtensions:
