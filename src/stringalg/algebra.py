@@ -13,7 +13,7 @@ soc(P) = top(P) and D(P) projective are asserted rather than assumed.
 
 from __future__ import annotations
 
-from .errors import FieldTooSmall, SplitFailure
+from .errors import FieldTooSmall, ParseError, SplitFailure
 from .gf import GF, OMEGA
 from .matrix import Mat
 from .rep import ModuleRep
@@ -254,8 +254,10 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     key = (name, degree)
     if key in _CONTEXTS:
         return _CONTEXTS[key]
+    gens = _GROUP_GENS.get(name)
+    if gens is None:
+        raise ParseError(f"unknown group {name!r}; known groups: {', '.join(_GROUP_GENS)}")
     field = GF(degree)
-    gens = _GROUP_GENS[name]
     ctx = AlgebraContext("k" + name, field, sorted(gens))
     ctx.gen_perms = dict(gens)
     ctx.elements = group_elements(gens)

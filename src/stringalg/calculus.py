@@ -24,11 +24,15 @@ A shifted map that is not nilpotent splits the module (Fitting's lemma);
 the nilpotent ones span V, and End is certified local once V is closed
 under multiplication by End and End = k[g] + V for one shifted map g.
 SplitFailure is raised only when the search ends with neither; no such
-input is known.  Isomorphism is an invertible basis map, or else
-Krull-Schmidt on the two decompositions.  The End(M) basis (end_basis)
-and the summands of decompose are cached in M.cache, so each is solved
-once per module; is_isomorphic reads dim End from the cached bases and
-reuses the cached summands.
+input is known.  is_isomorphic solves one Hom(M, N) basis and tries two
+sound certificates before anything else: (1) an invertible basis map,
+(2) an invertible sum of the basis maps.  The sum is a candidate, not a
+complete test.  Only then does it (3) compare dim End(M), dim End(N)
+and dim Hom(N, M) with dim Hom(M, N), and (4) match the two
+decompositions by Krull-Schmidt.  The End(M) basis (end_basis) and the
+summands of decompose are cached in M.cache, so each is solved once per
+module; steps 3 and 4 read dim End from the cached bases and reuse the
+cached summands.
 
 Negative syzygies are D Omega D, with D the k-dual made a module
 through the context's anti-automorphism (ctx.opposite): D is an exact
@@ -538,8 +542,17 @@ def ext1_dim_cocycles(M: ModuleRep, N: ModuleRep) -> int:
 
 
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test: an invertible basis map of Hom(M, N), or
-    else Krull-Schmidt on the two decompositions."""
+    """Exact isomorphism test on a basis H of Hom(M, N), in four steps:
+
+    1. True if a map in H is invertible;
+    2. True if the sum of the maps in H is invertible;
+    3. False unless dim End(M) = dim End(N) = dim Hom(N, M) = |H|;
+    4. Krull-Schmidt on the two (cached) decompositions.
+
+    An invertible module map is an isomorphism, so steps 1 and 2 are sound
+    certificates.  They are candidates, not a complete test: an
+    isomorphism may be another combination of H, and step 4 decides every
+    pair they leave."""
     _check_context(M, N)
     if M.dim != N.dim:
         return False
@@ -549,10 +562,10 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
     d = len(H)
     if d == 0:
         return False
+    if any(f.is_invertible() for f in H) or reduce(Mat.add, H).is_invertible():
+        return True
     if not (len(end_basis(M)) == len(end_basis(N)) == hom_dim(N, M) == d):
         return False
-    if any(f.is_invertible() for f in H):
-        return True
     parts_n = decompose(N)
     for U in decompose(M):
         hit = next((k for k, V in enumerate(parts_n) if indec_isomorphic(U, V)), None)

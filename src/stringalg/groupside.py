@@ -13,7 +13,7 @@ from .algebra import (
     perm_is_even,
 )
 from . import calculus
-from .errors import FieldTooSmall, HypothesisFailed, NotInvolution
+from .errors import ContextMismatch, HypothesisFailed, LimitExceeded, NotInvolution
 from .matrix import Mat
 from .rep import ModuleRep
 
@@ -64,12 +64,20 @@ def standard_reps(degree: int = 1) -> dict[str, ModuleRep]:
     return reps
 
 
+def _group_elements(M: ModuleRep) -> dict:
+    """The words of the elements of M's group; ContextMismatch unless M is
+    a module over a group algebra."""
+    if M.algebra.elements is None:
+        raise ContextMismatch(f"{M.label} is a module over {M.algebra.name}, not over a group")
+    return M.algebra.elements
+
+
 def _element_matrices(M: ModuleRep) -> dict:
     """Matrix of every group element acting on M."""
     key = "element_mats"
     if key not in M.cache:
         M.cache[key] = {
-            x: M.evaluate(((1, w),)) for x, w in M.algebra.elements.items()
+            x: M.evaluate(((1, w),)) for x, w in _group_elements(M).items()
         }
     return M.cache[key]
 
@@ -78,6 +86,9 @@ def restrict(M: ModuleRep, subgroup: str) -> ModuleRep:
     """View a module over the group algebra of a smaller permutation
     group; subgroup generators act through their words in the parent."""
     sub = group_context(subgroup, M.field.degree)
+    elements = _group_elements(M)
+    if any(g not in elements for g in sub.gen_perms.values()):
+        raise ContextMismatch(f"{subgroup} is not a subgroup of the group of {M.algebra.name}")
     mats = _element_matrices(M)
     action = {name: mats[sub.gen_perms[name]] for name in sub.gen_names}
     return ModuleRep(sub, M.dim, action, label=f"Res_{subgroup}({M.label})")
@@ -86,7 +97,7 @@ def restrict(M: ModuleRep, subgroup: str) -> ModuleRep:
 def induce(M: ModuleRep) -> ModuleRep:
     """Induction from kA4 to kS4 with coset representatives (e, h)."""
     if M.algebra.name != "kA4":
-        raise FieldTooSmall("induction is implemented from A4 only")
+        raise ContextMismatch(f"induction is implemented from kA4 only, not {M.algebra.name}")
     s4 = group_context("S4", M.field.degree)
     mats = _element_matrices(M)
     d = M.dim
@@ -111,7 +122,7 @@ def induce(M: ModuleRep) -> ModuleRep:
 def involution_matrix(M: ModuleRep) -> Mat:
     """Action of the fixed transposition h on M (via its word in the
     generators of M's group)."""
-    word = M.algebra.elements.get(H_PERM)
+    word = _group_elements(M).get(H_PERM)
     if word is None:
         raise NotInvolution(f"{M.algebra.name} does not contain h")
     return M.evaluate(((1, word),))
@@ -140,6 +151,8 @@ def extension_tower(n_max: int, degree: int = 1) -> list[ModuleRep]:
     """V_0 = T0 and V_n the non-split extension of the permutation module
     by V_{n-1}; checks dim Hom(PermRep, V_{n-1}) = n and
     Ext^1(PermRep, V_{n-1}) = k before each step."""
+    if n_max < 0:
+        raise LimitExceeded(f"tower bound {n_max} < 0")
     if n_max > 6:
         raise HypothesisFailed("tower bound exceeded")
     ctx = group_context("S4", degree)

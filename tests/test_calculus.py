@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -671,6 +672,117 @@ class TestDecomposeCache:
             assert C.is_isomorphic(M, N) == expected, (M, N)
             assert len(C.decompose(N)) == len(C.decompose(_fresh(N)))
         assert [C.is_isomorphic(M, N) for M, N in pairs] == [True, True, False, False, True]
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of calculus.<name> from here on."""
+    calls = []
+    real = getattr(C, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(C, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestIsomorphismRoutes:
+    """Each step of is_isomorphic decides some pair: an invertible basis
+    map, an invertible sum of the basis maps, the dimension checks, or
+    Krull-Schmidt on the decompositions (the only step that decomposes)."""
+
+    def test_basis_map(self, degree, monkeypatch):
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        lam = 1 if degree == 1 else OMEGA
+        for m in (1, 2):
+            M = band_module(b, lam, m, degree)
+            for i in range(1, len(b)):
+                N = band_module(b.rotation(i), lam, m, degree)
+                assert any(h.is_invertible() for h in C.hom_basis(M, N))
+                calls = _spy(monkeypatch, "decompose")
+                assert C.is_isomorphic(M, N)
+                assert calls == []
+                monkeypatch.undo()
+
+    def test_basis_sum(self, degree, monkeypatch):
+        S0 = quiver_context(degree).simples[0]
+        a = string_module(parse_word("gamma beta"), degree)
+        b = band_module(parse_word("alpha beta- gamma-"), 1, 1, degree)
+        M, N = direct_sum([S0, a, b]), direct_sum([b, S0, a])
+        H = C.hom_basis(M, N)
+        assert not any(h.is_invertible() for h in H)
+        assert reduce(Mat.add, H).is_invertible()
+        calls = _spy(monkeypatch, "decompose")
+        assert C.is_isomorphic(M, N)
+        assert calls == []
+
+    def test_krull_schmidt(self, degree, monkeypatch):
+        # Hom(S0 + S0, S0 + S0) is spanned by the four elementary matrices,
+        # none invertible, and their sum has rank one
+        S0 = quiver_context(degree).simples[0]
+        M, N = direct_sum([S0, S0]), direct_sum([S0, S0])
+        H = C.hom_basis(M, N)
+        assert sorted(h.to_entries() for h in H) == sorted(_unit(S0.field, i, j, 2).to_entries() for i in (0, 1) for j in (0, 1))
+        assert not reduce(Mat.add, H).is_invertible()
+        calls = _spy(monkeypatch, "decompose")
+        assert C.is_isomorphic(M, N)
+        assert calls
+
+    def test_non_isomorphic_pairs_of_equal_dimension(self, degree, monkeypatch):
+        S0 = quiver_context(degree).simples[0]
+
+        def strings(*texts):
+            return [string_module(parse_word(t), degree) for t in texts]
+
+        # dim End(M) = dim End(N) = dim Hom(N, M) = dim Hom(M, N) = 4, so
+        # only Krull-Schmidt tells these apart
+        M = direct_sum([S0] + strings("beta alpha beta-"))
+        N = direct_sum(strings("beta", "alpha gamma"))
+        assert M.dim == N.dim
+        assert C.hom_dim(M, N) == C.hom_dim(N, M) == C.end_dim(M) == C.end_dim(N) == 4
+        calls = _spy(monkeypatch, "decompose")
+        assert not C.is_isomorphic(M, N)
+        assert calls
+        monkeypatch.undo()
+        # here the End dimensions differ, which step 3 sees
+        a, ba = strings("gamma beta", "beta alpha")
+        M, N = direct_sum([a, a]), direct_sum([a, ba])
+        calls = _spy(monkeypatch, "decompose")
+        assert not C.is_isomorphic(M, N)
+        assert calls == []
+
+    def test_band_against_its_rotation_solves_one_hom_system(self, degree, monkeypatch):
+        lam = 1 if degree == 1 else OMEGA
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        M, N = band_module(b, lam, 2, degree), band_module(b.rotation(1), lam, 2, degree)
+        calls = _spy(monkeypatch, "_hom_rows")
+        assert C.is_isomorphic(M, N)
+        assert [(X is M, Y is N) for X, Y in calls] == [(True, True)]
+
+
+def _base_changed(M, rng):
+    """M in a seeded random basis: each generator g acts by P g P^-1."""
+    P = _invertible(M.field, M.dim, rng)
+    Pinv = P.inverse()
+    return ModuleRep(M.algebra, M.dim, {g: P.mul(a).mul(Pinv) for g, a in M.action.items()}, label=f"P{M.label}P^-1")
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_is_isomorphic_to_a_random_base_change(degree):
+    # the certificates on bases that are not block-aligned: pool modules
+    # and sums of two or three of them against the same module in a seeded
+    # random basis
+    pool = _oracle_pool(degree)
+    rng = random.Random(100 + degree)
+    mods = list(pool)
+    for _ in range(20):
+        first = rng.choice(pool)
+        same = [X for X in pool if X.algebra is first.algebra]
+        mods.append(direct_sum([first] + rng.choices(same, k=rng.choice((1, 2)))))
+    wrong = [M for M in mods if not C.is_isomorphic(M, _base_changed(M, rng))]
+    assert wrong == []
 
 
 def _nilpotent(field, n, rng):

@@ -4,7 +4,13 @@ import pytest
 
 from stringalg import calculus as C
 from stringalg.algebra import group_context
-from stringalg.errors import FieldTooSmall, HypothesisFailed
+from stringalg.errors import (
+    ContextMismatch,
+    FieldTooSmall,
+    HypothesisFailed,
+    LimitExceeded,
+    ParseError,
+)
 from stringalg.groupside import (
     extension_tower,
     induce,
@@ -163,3 +169,44 @@ class TestMoritaPairs:
                 == C.ext1_dim_cocycles(M, tower[n - 1])
                 == 1
             )
+
+
+class TestTypedErrors:
+    """Calls outside the documented domain raise a StringAlgError, never a
+    bare KeyError or AttributeError."""
+
+    def test_unknown_group_is_a_parse_error_that_lists_the_known_groups(self):
+        with pytest.raises(ParseError, match="S4, A4, C2"):
+            group_context("S5")
+
+    def test_restriction_to_an_unknown_group(self, reps):
+        with pytest.raises(ParseError, match="S5"):
+            restrict(reps["T0"], "S5")
+
+    def test_restriction_to_a_group_that_is_no_subgroup(self, reps4):
+        # the generators of S4 are odd and A4 holds only even permutations
+        with pytest.raises(ContextMismatch, match="not a subgroup"):
+            restrict(reps4["E12"], "S4")
+        with pytest.raises(ContextMismatch, match="not a subgroup"):
+            restrict(reps4["E12"], "C2")
+
+    def test_restriction_of_a_quiver_module(self):
+        with pytest.raises(ContextMismatch, match="not over a group"):
+            restrict(string_module(parse_word("alpha")), "C2")
+
+    def test_involution_profile_of_a_quiver_module(self):
+        with pytest.raises(ContextMismatch, match="not over a group"):
+            involution_profile(string_module(parse_word("alpha")))
+
+    def test_free_rank_one_test_of_a_quiver_module(self):
+        with pytest.raises(ContextMismatch, match="not over a group"):
+            is_free_rank_one_over_c2(string_module(parse_word("alpha")))
+
+    def test_induction_from_a_group_other_than_a4(self, reps):
+        with pytest.raises(ContextMismatch, match="from kA4 only"):
+            induce(reps["T1"])
+
+    def test_negative_tower_bound(self):
+        with pytest.raises(LimitExceeded):
+            extension_tower(-1)
+        assert len(extension_tower(0)) == 1
