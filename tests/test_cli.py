@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -279,3 +280,31 @@ def test_component_json_has_kind(capsys):
     code, out = run_cli(capsys, "component", "--string", "beta alpha", "--radius", "1", "--format", "json")
     data = json.loads(out)
     assert data["kind"] == "tube(3)"
+
+
+CLI_REFERENCES = Path(__file__).parent.parent / "perfbench" / "ref" / "cli-queries.json"
+
+
+def _replay(capsys, argv) -> str:
+    """A query's answer as the benchmark records it: the sha256 of stdout
+    on success, else "!ErrorName" (or "!exitN") read off stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refusals
+        code = exc.code
+    captured = capsys.readouterr()
+    if code == 0:
+        return hashlib.sha256(captured.out.encode()).hexdigest()
+    for line in captured.err.splitlines():
+        if line.startswith("error: "):
+            return "!" + line[len("error: "):].split(":", 1)[0]
+        if line.startswith("config error: "):
+            return "!ConfigError"
+    return f"!exit{code}"
+
+
+def test_cli_queries_replay_their_reference_answers(capsys):
+    refs = json.loads(CLI_REFERENCES.read_text())
+    items = [item for stratum in refs["strata"] for item in stratum["items"]]
+    mismatches = [item["spec"] for item in items if [_replay(capsys, item["spec"])] != item["ref"]]
+    assert len(items) == 155 and mismatches == []

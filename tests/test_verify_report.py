@@ -1,4 +1,4 @@
-"""Byte-stable report: the default-config JSON of the fast verify sections
+"""Byte-stable report: the default-config JSON of the whole verify suite
 must match the committed golden file exactly (no timings in it)."""
 
 from pathlib import Path
@@ -12,23 +12,11 @@ from stringalg.modules import string_module
 from stringalg.verify import SuiteConfig, _express_in_sub, report_json, run_suite
 from stringalg.words import make_string
 
-GOLDEN = Path(__file__).parent / "data" / "verify_fast_sections.json"
-
-FAST_SECTIONS = (
-    "c01-algebra-structure",
-    "c02-ab-families-stable-endo",
-    "c04-s1-component",
-    "c05-three-tube-and-induction",
-    "c06-sheet-classification-scan",
-    "c07-band-scan",
-    "c08-extension-tower",
-    "c09-characters",
-    "obs-band-conventions",
-)
+GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
 
 
-def test_fast_sections_report_matches_golden_bytes():
-    report = report_json(run_suite(SuiteConfig(sections=FAST_SECTIONS)))
+def test_default_report_matches_golden_bytes():
+    report = report_json(run_suite(SuiteConfig()))
     assert report == GOLDEN.read_text()
 
 
