@@ -2,11 +2,12 @@
 syzygies, stable Hom, Ext^1, isomorphism testing, Fitting decomposition,
 radical/socle structure and non-split extensions.
 
-Everything reduces to exact linear algebra.  Hom spaces are intertwiner
-solution spaces; one function sets up the Hom system for hom_dim,
-hom_basis and factors_through_projective.  The algebra context names its
-vertex idempotents and the source and target vertex of every other
-generator.  When both modules are graded by the vertices (the
+Everything reduces to exact linear algebra.  A module map M -> N is a
+plain N.dim x M.dim matrix (is_module_map checks one).  Hom spaces are
+intertwiner solution spaces; one function sets up the Hom system for
+hom_dim and hom_basis.  The algebra context names its vertex
+idempotents and the source and target vertex of every other generator.
+When both modules are graded by the vertices (the
 idempotents act as complementary 0/1 diagonal matrices, each arrow
 matrix lives in the block from its source to its target vertex), a map
 preserves vertices: the only unknowns are the X[i,j] with i and j at one
@@ -14,9 +15,11 @@ vertex and the only equations are those of the arrows.  That is the full
 system with its forced-zero unknowns removed, so every answer, down to
 the order of a Hom basis, is the same; modules that are not graded get
 the full system.  hom_basis reads its maps off the kernel of the
-system's own reduced basis.  A map factors through a projective iff it
-lifts along the projective cover of its target, which is one
-consistency solve.
+system's own reduced basis.  A map f: M -> N factors through a
+projective iff it lifts along the projective cover pi: P(N) ->> N, that
+is iff f lies in the span of the pi*g over a basis of Hom(M, P(N)).  The
+cover of a module and its kernel, with the inclusion, are built once and
+cached (_cover_kernel); syzygy and the cocycle route of Ext^1 read them.
 decompose and is_isomorphic rest on one deterministic search (_split):
 basis endomorphisms, then their products with the nilpotents found so
 far, are shifted by the first monic polynomial that makes them singular.
@@ -62,12 +65,20 @@ from .errors import (
     SplitOnly,
 )
 from .matrix import Mat, RowBasis, hstack, repack, support, vstack
-from .rep import HomElement, ModuleRep, direct_sum
+from .rep import ModuleRep, direct_sum
 
 
 def _check_context(M: ModuleRep, N: ModuleRep):
     if M.algebra is not N.algebra:
         raise ContextMismatch(f"{M!r} vs {N!r}")
+
+
+def _check_map(f: Mat, M: ModuleRep, N: ModuleRep):
+    """A map M -> N is an N.dim x M.dim matrix between modules over one
+    context."""
+    _check_context(M, N)
+    if (f.nrows, f.ncols) != (N.dim, M.dim):
+        raise DimensionMismatch(f"a map {M!r} -> {N!r} is {N.dim}x{M.dim}, not {f.nrows}x{f.ncols}")
 
 
 # -- Hom spaces ---------------------------------------------------------------
@@ -134,10 +145,10 @@ class _HomParts(NamedTuple):
     """What a module brings to a Hom system, as source and as target."""
 
     verts: tuple  # the vertex of each basis vector
-    pos: list  # pos[j]: j's place among the basis vectors at its vertex
     members: list  # members[v]: the basis vectors at vertex v, in order
     # per equation s -> t: the columns j at s (in the order of members[s],
-    # with entry k moved to pos[k]) and the rows i at t as (i, row)
+    # with entry k moved to k's place in members of its vertex) and the
+    # rows i at t as (i, row)
     gens: list
 
 
@@ -174,7 +185,7 @@ def _hom_parts(M, graded: bool) -> _HomParts:
                     cols[pos[j]] |= 1 << (p * n + pos[k])
                     row ^= low
             gens.append((cols, [(i, rows[i]) for i in members[t]]))
-        M.cache[key] = _HomParts(verts, pos, members, gens)
+        M.cache[key] = _HomParts(verts, members, gens)
     return M.cache[key]
 
 
@@ -190,9 +201,8 @@ class _HomSystem(NamedTuple):
     target: _HomParts
 
 
-def _hom_rows(M, N, extra: int = 0) -> _HomSystem:
-    """The equations of X*a_M = a_N*X in one RowBasis, with `extra` more
-    columns after the unknowns.
+def _hom_rows(M, N) -> _HomSystem:
+    """The equations of X*a_M = a_N*X in one RowBasis.
 
     When M and N are both graded, a map preserves vertices: the only
     unknowns are the X[i,j] with i and j at one vertex, the idempotent
@@ -209,17 +219,16 @@ def _hom_rows(M, N, extra: int = 0) -> _HomSystem:
     for v in target.verts:
         base.append(unknowns)
         unknowns += len(source.members[v])
-    width = unknowns + extra
     degree = M.field.degree
-    basis = RowBasis(M.field, width)
+    basis = RowBasis(M.field, unknowns)
     insert = basis.insert
     for (cols, _), (_, rows) in zip(source.gens, target.gens):
         # row (i, j): column j of a_M at X's row i, plus row i of a_N
         # spread over X's column j
-        acols = repack(cols, M.dim, width, degree)
+        acols = repack(cols, M.dim, unknowns, degree)
         for i, row in rows:
             shift = base[i]
-            b = _spread(row, base, N.dim, width)
+            b = _spread(row, base, N.dim, unknowns)
             if b:
                 for pj, a in enumerate(acols):
                     v = (a << shift) ^ (b << pj)
@@ -257,12 +266,15 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
     return out
 
 
-def hom_space(M: ModuleRep, N: ModuleRep) -> list[HomElement]:
-    return [HomElement(M, N, f) for f in hom_basis(M, N)]
-
-
 def end_dim(M: ModuleRep) -> int:
     return hom_dim(M, M)
+
+
+def is_module_map(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
+    """Does the matrix f (N.dim x M.dim) commute with every generator,
+    f*a_M = a_N*f?"""
+    _check_map(f, M, N)
+    return all(f.mul(M.action[name]) == N.action[name].mul(f) for name in M.algebra.gen_names)
 
 
 def end_basis(M: ModuleRep) -> list[Mat]:
@@ -319,16 +331,6 @@ def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep
         action[name] = act.mul(section)
     Q = ModuleRep(M.algebra, len(free), action, label or f"quot({M.label})")
     return Q, proj
-
-
-def kernel_module(f: Mat, M: ModuleRep, label: str = "") -> tuple[ModuleRep, Mat]:
-    """Kernel of a module map out of M (f has M.dim columns)."""
-    return sub_module(M, f.nullspace(), label)
-
-
-def image_module(f: Mat, N: ModuleRep, label: str = "") -> tuple[ModuleRep, Mat]:
-    """Image of a module map into N (f has N.dim rows)."""
-    return sub_module(N, f.column_space(), label)
 
 
 # -- tops, socles, covers -------------------------------------------------------
@@ -431,16 +433,26 @@ def syzygy(M: ModuleRep, steps: int = 1, strict: bool = False) -> ModuleRep:
         raise ProjectiveInput(f"{M.label} is projective")
     cur = M
     while steps and cur.dim:
-        key = "syzygy" if steps > 0 else "cosyzygy"
-        if key not in cur.cache:
-            if steps > 0:
-                P, pi = projective_cover(cur)
-                cur.cache[key], _ = sub_module(P, pi.nullspace(), label=f"O({cur.label})")
-            else:
-                cur.cache[key] = dual(syzygy(dual(cur)), label=f"O-({cur.label})")
-        cur = cur.cache[key]
-        steps += -1 if steps > 0 else 1
+        if steps > 0:
+            cur = _cover_kernel(cur)[2]
+            steps -= 1
+        else:
+            if "cosyzygy" not in cur.cache:
+                cur.cache["cosyzygy"] = dual(syzygy(dual(cur)), label=f"O-({cur.label})")
+            cur = cur.cache["cosyzygy"]
+            steps += 1
     return cur
+
+
+def _cover_kernel(M: ModuleRep):
+    """(P, pi, Omega, inc): the projective cover pi: P ->> M and its
+    kernel Omega(M) with the inclusion inc: Omega -> P, built once and
+    cached in M.cache["syzygy"]; syzygy and _coboundaries both read it."""
+    if "syzygy" not in M.cache:
+        P, pi = projective_cover(M)
+        Omega, inc = sub_module(P, pi.nullspace(), label=f"O({M.label})")
+        M.cache["syzygy"] = (P, pi, Omega, inc)
+    return M.cache["syzygy"]
 
 
 # -- stable homs, Ext^1 ------------------------------------------------------------
@@ -489,27 +501,17 @@ def stable_end_dim(M: ModuleRep) -> int:
 
 
 def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
-    """Does the module map f: M -> N factor through a projective?
+    """Does the module map f: M -> N (an N.dim x M.dim matrix) factor
+    through a projective?
 
-    Solves for g in Hom(M, P(N)) with pi*g = f: the right-hand side is
-    the top column, and the system is consistent iff no pivot leads there."""
-    _check_context(M, N)
+    It does iff it lifts along the projective cover pi: P(N) ->> N, that
+    is iff f lies in the span of the pi*g for g in Hom(M, P(N))."""
+    _check_map(f, M, N)
     P, pi = projective_cover(N)
-    system = _hom_rows(M, P, extra=1)
-    basis = system.basis
-    rhs = system.unknowns
-    units = basis.units
-    # g[k,j] is an unknown only for k at j's vertex v: row (i, j) is row i
-    # of pi, cut to the k at v and spread over X's column j
-    degree = M.field.degree
-    keeps = [sum(1 << (p * P.dim + k) for p in range(degree) for k in ks) for ks in system.target.members]
-    for i, pi_row in enumerate(pi.rows):
-        spreads = [_spread(pi_row & keep, system.base, P.dim, basis.width) for keep in keeps]
-        for j, v in enumerate(system.source.verts):
-            row = (units[f.entry(i, j)] << rhs) ^ (spreads[v] << system.source.pos[j])
-            if row:
-                basis.insert(row)
-    return rhs not in basis.pivots
+    lifts = RowBasis(M.field, N.dim * M.dim)
+    for g in hom_basis(M, P):
+        lifts.insert(pi.mul(g).vector())
+    return lifts.contains(f.vector())
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -520,10 +522,9 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
 
 def _coboundaries(M: ModuleRep, N: ModuleRep):
     """(P, Omega, inc, cob): the projective cover P of M, Omega(M) with
-    its inclusion inc into P, and the span of the coboundaries g*inc for
-    g in Hom(P, N), as flattened vectors."""
-    P, pi = projective_cover(M)
-    Omega, inc = sub_module(P, pi.nullspace(), label=f"O({M.label})")
+    its inclusion inc into P (_cover_kernel), and the span of the
+    coboundaries g*inc for g in Hom(P, N), as flattened vectors."""
+    P, _, Omega, inc = _cover_kernel(M)
     cob = RowBasis(M.field, N.dim * Omega.dim)
     for g in hom_basis(P, N):
         cob.insert(g.mul(inc).vector())
@@ -663,8 +664,8 @@ def _split(M: ModuleRep, E: list[Mat]):
         value, d = _shift(f, scalars)
         power = _fitting_power(value)
         if not power.is_zero():
-            img, _ = image_module(power, M, label=f"{M.label}.im")
-            ker, _ = kernel_module(power, M, label=f"{M.label}.ker")
+            img, _ = sub_module(M, power.column_space(), label=f"{M.label}.im")
+            ker, _ = sub_module(M, power.nullspace(), label=f"{M.label}.ker")
             return img, ker
         if V.insert(value.vector()):
             nil.append(value)

@@ -58,18 +58,11 @@ def _module_from_args(args) -> ModuleRep:
     return band_module(Band.from_word(parse_word(args.band)), lam, args.mult, deg)
 
 
-def cmd_strings(args):
-    classes = enumerate_strings(args.max_len)
-    data = {"max_len": args.max_len, "count": len(classes), "classes": [s.text() for s in classes]}
-    if args.format == "json":
-        _emit(args, json.dumps(data, indent=2) + "\n")
-    else:
-        _emit(args, "\n".join(data["classes"]) + f"\n# {data['count']} classes\n")
-
-
-def cmd_bands(args):
-    classes = enumerate_bands(args.max_len)
-    data = {"max_len": args.max_len, "count": len(classes), "classes": [b.text() for b in classes]}
+def cmd_classes(args):
+    """`strings` and `bands`: the canonical classes up to a length."""
+    enumerate_classes = enumerate_strings if args.command == "strings" else enumerate_bands
+    classes = enumerate_classes(args.max_len)
+    data = {"max_len": args.max_len, "count": len(classes), "classes": [c.text() for c in classes]}
     if args.format == "json":
         _emit(args, json.dumps(data, indent=2) + "\n")
     else:
@@ -105,13 +98,7 @@ def cmd_hom(args):
         "combinatorial_dim": len(basis),
         "matrix_dim": matrix_dim,
         "maps": [
-            sorted(
-                [r, c]
-                for r in range(h.matrix.nrows)
-                for c in range(h.matrix.ncols)
-                if h.matrix.entry(r, c)
-            )
-            for h in basis
+            sorted([r, c] for r in range(h.nrows) for c in range(h.ncols) if h.entry(r, c)) for h in basis
         ],
     }
     if args.format == "json":
@@ -248,22 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
         if field:
             sp.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
 
-    sp = sub.add_parser("strings", help="enumerate string classes")
-    sp.add_argument("--max-len", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_strings)
+    def module_args(sp):
+        """The one string or band module of `module` and `stable-end`."""
+        sp.add_argument("--string")
+        sp.add_argument("--band")
+        sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
+        sp.add_argument("--mult", type=int, default=1)
+        common(sp, field=True)
 
-    sp = sub.add_parser("bands", help="enumerate band classes")
-    sp.add_argument("--max-len", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_bands)
+    for kind in ("strings", "bands"):
+        sp = sub.add_parser(kind, help=f"enumerate {kind[:-1]} classes")
+        sp.add_argument("--max-len", type=int, required=True)
+        common(sp)
+        sp.set_defaults(fn=cmd_classes)
 
     sp = sub.add_parser("module", help="build a string or band module")
-    sp.add_argument("--string")
-    sp.add_argument("--band")
-    sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
-    sp.add_argument("--mult", type=int, default=1)
-    common(sp, field=True)
+    module_args(sp)
     sp.set_defaults(fn=cmd_module)
 
     sp = sub.add_parser("hom", help="hom space between string modules")
@@ -273,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_hom)
 
     sp = sub.add_parser("stable-end", help="stable endomorphism dimension")
-    sp.add_argument("--string")
-    sp.add_argument("--band")
-    sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
-    sp.add_argument("--mult", type=int, default=1)
-    common(sp, field=True)
+    module_args(sp)
     sp.set_defaults(fn=cmd_stable_end)
 
     sp = sub.add_parser("ext1", help="first extension dimension")

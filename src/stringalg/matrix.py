@@ -337,12 +337,6 @@ class RowBasis:
         self.pivots = {}
 
     @property
-    def units(self) -> list:
-        """units[e]: element e as a one-entry vector in column 0; shift it
-        left by c to put e in column c.  Built on each read."""
-        return [sum(1 << (p * self.width) for p in _bits(e)) for e in self.field.elements()]
-
-    @property
     def rank(self):
         return len(self.pivots)
 

@@ -26,7 +26,8 @@ from functools import lru_cache
 from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ParseError, ZeroLambda
 from .matrix import Mat
-from .rep import HomElement, ModuleRep
+from .gf import GF
+from .rep import ModuleRep
 from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
 
 _VERTEX_GEN = ("e0", "e1")
@@ -179,18 +180,19 @@ def graph_map_supports(S, T):
                         yield mask
 
 
-def string_hom_basis(S, T, degree: int = 1) -> list[HomElement]:
-    """All graph maps M(S) -> M(T), in the order of
-    :func:`graph_map_supports`."""
-    MS = string_module(S, degree)
-    MT = string_module(T, degree)
-    width = MS.dim
+def string_hom_basis(S, T, degree: int = 1) -> list[Mat]:
+    """All graph maps M(S) -> M(T) over GF(2^degree), in the order of
+    :func:`graph_map_supports`, as dim M(T) x dim M(S) matrices.  Builds
+    no module."""
+    field = GF(degree)
+    width = len(_string_word(S).letters) + 1
+    height = len(_string_word(T).letters) + 1
     full = (1 << width) - 1
     out = []
     for mask in graph_map_supports(S, T):
         # the mask is the matrix row after row, in plane 0
-        rows = [(mask >> (dst * width)) & full for dst in range(MT.dim)]
-        out.append(HomElement(MS, MT, Mat(MS.field, MT.dim, width, rows)))
+        rows = [(mask >> (dst * width)) & full for dst in range(height)]
+        out.append(Mat(field, height, width, rows))
     return out
 
 

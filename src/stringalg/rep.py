@@ -82,31 +82,6 @@ class ModuleRep:
         return f"ModuleRep({self.algebra.name}, dim={self.dim}{tag})"
 
 
-class HomElement:
-    """A linear map source -> target commuting with every generator."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: ModuleRep, target: ModuleRep, matrix: Mat):
-        if source.algebra is not target.algebra:
-            raise ContextMismatch("hom between different algebra contexts")
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise DimensionMismatch("hom matrix has wrong shape")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def is_valid(self) -> bool:
-        f = self.matrix
-        for name in self.source.algebra.gen_names:
-            if f.mul(self.source.action[name]) != self.target.action[name].mul(f):
-                return False
-        return True
-
-    def __repr__(self):
-        return f"HomElement({self.source.dim}->{self.target.dim})"
-
-
 def direct_sum(mods: list[ModuleRep], label: str = "") -> ModuleRep:
     if not mods:
         raise DimensionMismatch("direct sum of nothing")

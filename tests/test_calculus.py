@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from stringalg import calculus as C
 from stringalg.algebra import _verify_context, group_context, quiver_context
-from stringalg.errors import ProjectiveInput, SplitFailure, SplitOnly
+from stringalg.errors import DimensionMismatch, ProjectiveInput, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.groupside import standard_reps
 from stringalg.matrix import Mat, block_diag
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
-from stringalg.words import Band, enumerate_bands, enumerate_strings, parse_word
+from stringalg.words import Band, enumerate_bands, enumerate_strings, make_string, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,23 @@ class TestHomSpaces:
 
     def test_hom_space_elements_are_valid(self, lam):
         M = string_module(parse_word("gamma beta"))
-        for h in C.hom_space(lam.pims[0], M):
-            assert h.is_valid()
+        basis = C.hom_basis(lam.pims[0], M)
+        assert basis and all(C.is_module_map(h, lam.pims[0], M) for h in basis)
+
+    def test_is_module_map(self):
+        # M(alpha): alpha sends z_1 to z_0, so z_1 -> z_0 commutes with it
+        # and z_0 -> z_1 does not
+        M = string_module(make_string("alpha"))
+        assert C.is_module_map(Mat.from_entries(M.field, [[0, 1], [0, 0]]), M, M)
+        assert not C.is_module_map(Mat.from_entries(M.field, [[0, 0], [1, 0]]), M, M)
+
+    def test_is_module_map_refuses_a_wrong_shape(self):
+        M = string_module(make_string("alpha beta- gamma-"))
+        N = string_module(make_string("alpha"))
+        assert C.is_module_map(Mat.zeros(M.field, N.dim, M.dim), M, N)
+        for shape in ((2, 2), (M.dim, N.dim)):
+            with pytest.raises(DimensionMismatch):
+                C.is_module_map(Mat.zeros(M.field, *shape), M, N)
 
 
 def _entrywise_hom_basis(M, N):
@@ -452,6 +467,15 @@ class TestFactorsThroughProjective:
             assert not f.is_zero()
             for h in composites + [f]:
                 assert C.factors_through_projective(h, M, N)
+
+    def test_wrong_shape_is_refused(self):
+        # a map M(alpha beta- gamma-) -> M(alpha) is 2 x 4
+        M = string_module(make_string("alpha beta- gamma-"))
+        N = string_module(make_string("alpha"))
+        assert C.factors_through_projective(Mat.zeros(M.field, N.dim, M.dim), M, N)
+        for shape in ((2, 2), (M.dim, N.dim)):
+            with pytest.raises(DimensionMismatch):
+                C.factors_through_projective(Mat.zeros(M.field, *shape), M, N)
 
 
 class TestIsoAndDecompose:

@@ -134,7 +134,7 @@ class TestStringHoms:
     def test_end_of_loop_string(self):
         basis = string_hom_basis(parse_word("alpha-"), parse_word("alpha-"))
         assert len(basis) == 2
-        mats = {tuple(map(tuple, h.matrix.to_entries())) for h in basis}
+        mats = {tuple(map(tuple, h.to_entries())) for h in basis}
         assert ((1, 0), (0, 1)) in mats          # identity
         assert ((0, 0), (1, 0)) in mats          # z0 -> z1 through the vertex simple
 
@@ -145,8 +145,9 @@ class TestStringHoms:
         words = ["alpha- gamma eta-", "gamma beta", "beta alpha- beta-"]
         for a in words:
             for b in words:
+                MA, MB = string_module(parse_word(a)), string_module(parse_word(b))
                 for h in string_hom_basis(parse_word(a), parse_word(b)):
-                    assert h.is_valid()
+                    assert C.is_module_map(h, MA, MB)
 
     def test_cross_engine_small(self):
         # the support count, the graph-map basis and the matrix engine
@@ -196,7 +197,7 @@ class TestStringHoms:
                 assert len(set(masks)) == len(masks)
                 width = len(a.letters) + 1
                 for mask, h in zip(masks, string_hom_basis(a, b)):
-                    ones = {(r, c) for r in range(h.matrix.nrows) for c in range(width) if h.matrix.entry(r, c)}
+                    ones = {(r, c) for r in range(h.nrows) for c in range(width) if h.entry(r, c)}
                     assert ones == {divmod(k, width) for k in range(mask.bit_length()) if mask >> k & 1}
 
 
@@ -261,10 +262,10 @@ def test_comb_hom_maps_are_linearly_independent():
             basis = string_hom_basis(a, b)
             if not basis:
                 continue
-            m = basis[0].matrix
+            m = basis[0]
             rb = RowBasis(m.field, m.nrows * m.ncols)
             for h in basis:
-                rb.insert(h.matrix.vector())
+                rb.insert(h.vector())
             assert rb.rank == len(basis), (a.text(), b.text())
 
 
