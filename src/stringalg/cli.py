@@ -98,7 +98,8 @@ def cmd_hom(args):
         "combinatorial_dim": len(basis),
         "matrix_dim": matrix_dim,
         "maps": [
-            sorted([r, c] for r in range(h.nrows) for c in range(h.ncols) if h.entry(r, c)) for h in basis
+            sorted([r, c] for r in range(h.nrows) for c in range(h.ncols) if h.entry(r, c))
+            for h in basis
         ],
     }
     if args.format == "json":

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ParseError, ZeroLambda
-from .matrix import Mat
 from .gf import GF
+from .matrix import Mat
 from .rep import ModuleRep
 from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
 

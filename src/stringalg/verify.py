@@ -2,8 +2,8 @@
 classification, run as named checks with machine-readable results.
 
 Each check compares computed values against stated expectations with exact
-arithmetic.  Reports are deterministic for a fixed config (check order is fixed and
-timings are excluded unless requested).
+arithmetic.  Reports are deterministic for a fixed config (check order is
+fixed and timings are excluded unless requested).
 """
 
 from __future__ import annotations
@@ -505,8 +505,8 @@ def check_cross_engine_morita(cfg, memo):
     ks4 = group_context("S4", 1)
     # the heart rad(P)/soc(P) is rad(P/soc P), as soc P lies in rad P
     PT0 = ks4.pims[0]
-    top, _ = C.quotient_module(PT0, C.socle_rows(PT0))
-    heart, _ = C.sub_module(top, C.rad_rows(top))
+    Q, _ = C.quotient_module(PT0, C.socle_rows(PT0))
+    heart, _ = C.sub_module(Q, C.rad_rows(Q))
     parts = C.decompose(heart)
     lam_b1 = string_module(parse_word("alpha- gamma beta"))
     lam_a1 = string_module(parse_word("alpha beta- gamma-"))
