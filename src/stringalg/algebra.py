@@ -1,21 +1,23 @@
 """Algebra contexts: the fixed two-vertex path algebra with relations and
 the group algebras over GF(2)/GF(4) it is compared against.
 
-A context carries the regular module, expressions for a spanning set of
-the radical and for the image of each generator under an
-anti-automorphism (as words in the generators, so they can be evaluated
-on any module), the simple modules and the projective indecomposables.
-Group-algebra radicals are computed as the joint annihilator of the
-simples; completeness of the simple list is checked against the
-Wedderburn dimension count, and the symmetric-algebra properties
-soc(P) = top(P) and D(P) projective are asserted rather than assumed.
+A context carries the regular module, the expression of the image of
+each generator under an anti-automorphism (as words in the generators,
+so they can be evaluated on any module), the simple modules and the
+projective indecomposables.  The module calculus reads the radical and
+the socle of a module off its Hom spaces with the simples, so the
+simples are checked at set-up to be absolutely simple (their matrices
+span End_k(S), Burnside) and pairwise non-isomorphic; the PIM dimension
+count checks that the list is complete, and the symmetric-algebra
+properties soc(P) = top(P) and D(P) projective are asserted rather than
+assumed.
 """
 
 from __future__ import annotations
 
 from .errors import FieldTooSmall, ParseError, SplitFailure
 from .gf import GF, OMEGA
-from .matrix import Mat
+from .matrix import Mat, RowBasis
 from .rep import ModuleRep
 from . import calculus
 from .words import ALPHA, BETA, GAMMA, ETA, e_of, s_of
@@ -32,7 +34,6 @@ class AlgebraContext:
         "arrows",
         "dim",
         "regular",
-        "rad_expr",
         "opposite",
         "simples",
         "pims",
@@ -50,7 +51,6 @@ class AlgebraContext:
         self.arrows = {name: (0, 0) for name in self.gen_names}
         self.dim = 0
         self.regular = None
-        self.rad_expr = []
         # generator -> expression of its image under an anti-automorphism
         self.opposite = {}
         self.simples = []
@@ -120,13 +120,6 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
         action[ARROW_GEN[a]] = m
     ctx.regular = ModuleRep(ctx, ctx.dim, action, label="Lambda")
 
-    def expr_of(i):
-        _, arrows, end, _ = _PATHS[i]
-        if arrows:
-            return ((1, tuple(ARROW_GEN[a] for a in arrows)),)
-        return ((1, (("e0", "e1")[end],)),)
-
-    ctx.rad_expr = [expr_of(i) for i in range(ctx.dim) if _PATHS[i][1]]
     # beta <-> gamma reverses every path and keeps both relations: the
     # letterwise symmetry of words.mirror_string
     swap = {"beta": "gamma", "gamma": "beta"}
@@ -264,8 +257,7 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     order = len(ctx.elements)
     ctx.dim = order
 
-    basis = sorted(ctx.elements)
-    pos = {x: i for i, x in enumerate(basis)}
+    pos = {x: i for i, x in enumerate(sorted(ctx.elements))}
     action = {}
     for gname in ctx.gen_names:
         g = gens[gname]
@@ -286,13 +278,6 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     for S in ctx.simples:
         _assert_is_representation(ctx, S)
 
-    ctx.rad_expr = _group_radical(ctx, basis)
-    wedderburn = ctx.dim - sum(S.dim * S.dim for S in ctx.simples)
-    if len(ctx.rad_expr) != wedderburn:
-        raise SplitFailure(
-            f"{ctx.name}: radical dim {len(ctx.rad_expr)} != {wedderburn}; simple list wrong"
-        )
-
     ctx.pims = _group_pims(ctx)
     _verify_context(ctx)
     _CONTEXTS[key] = ctx
@@ -306,28 +291,6 @@ def _assert_is_representation(ctx, M):
             g = ctx.gen_perms[gname]
             if mats[perm_compose(g, x)] != M.action[gname].mul(mx):
                 raise SplitFailure(f"{M.label} is not a {ctx.name}-representation")
-
-
-def _group_radical(ctx, basis):
-    """Joint annihilator of the simples, as expressions over the group
-    element basis."""
-    field = ctx.field
-    rows = []
-    for S in ctx.simples:
-        # one equation per entry of S: the flattened element matrices,
-        # one per column
-        flat = [S.evaluate(((1, ctx.elements[x]),)).vector() for x in basis]
-        rows.extend(Mat(field, len(flat), S.dim * S.dim, flat).transpose().rows)
-    kernel = Mat(field, len(rows), ctx.dim, rows).nullspace()
-    out = []
-    for r in range(kernel.nrows):
-        terms = tuple(
-            (kernel.entry(r, k), ctx.elements[x])
-            for k, x in enumerate(basis)
-            if kernel.entry(r, k)
-        )
-        out.append(terms)
-    return out
 
 
 def _group_pims(ctx):
@@ -358,19 +321,35 @@ def _group_pims(ctx):
     return ordered
 
 
+def _spans_its_endomorphisms(S) -> bool:
+    """Do the matrices of the algebra span End_k(S)?  By Burnside's
+    theorem that holds iff S is absolutely simple.  The span of the
+    identity is closed under left multiplication by the generators, one
+    new independent product at a time."""
+    ident = Mat.identity(S.field, S.dim)
+    span = RowBasis(S.field, S.dim * S.dim)
+    span.insert(ident.vector())
+    frontier = [ident]
+    while frontier:
+        products = [S.action[g].mul(m) for m in frontier for g in S.algebra.gen_names]
+        frontier = [x for x in products if span.insert(x.vector())]
+    return span.rank == S.dim * S.dim
+
+
 def _verify_context(ctx):
-    # dim check: regular = sum of PIMs with multiplicity dim(simple)
+    # the simples are absolutely simple and pairwise non-isomorphic: then
+    # the basis maps M -> S_i take M onto its top and the maps S_i -> M
+    # span its socle (calculus.rad_rows, socle_rows, projective_cover)
+    for i, S in enumerate(ctx.simples):
+        if not _spans_its_endomorphisms(S):
+            raise SplitFailure(f"{ctx.name}: {S.label} is not absolutely simple")
+        for T in ctx.simples[:i]:
+            if calculus.hom_dim(T, S):
+                raise SplitFailure(f"{ctx.name}: simples {T.label} and {S.label} are isomorphic")
+    # dim check: regular = sum of PIMs with multiplicity dim(simple), so
+    # the list of simples is complete
     if sum(P.dim * S.dim for P, S in zip(ctx.pims, ctx.simples)) != ctx.dim:
         raise SplitFailure(f"{ctx.name}: PIM/simple dimension count failed")
-    # split simples
-    for S in ctx.simples:
-        if calculus.hom_dim(S, S) != 1:
-            raise SplitFailure(f"{ctx.name}: End({S.label}) != k")
-    # radical annihilates the simples
-    for S in ctx.simples:
-        for e in ctx.rad_expr:
-            if not S.evaluate(e).is_zero():
-                raise SplitFailure(f"{ctx.name}: radical does not annihilate {S.label}")
     # socle of each PIM is simple and isomorphic to its top, so P_i is the
     # injective hull of S_i (stable Hom without a cover)
     for P, S in zip(ctx.pims, ctx.simples):

@@ -2,6 +2,14 @@
 syzygies, stable Hom, Ext^1, isomorphism testing, Fitting decomposition,
 radical/socle structure and non-split extensions.
 
+The top, the radical and the socle are read off Hom with the simples,
+which set-up checks to be absolutely simple and pairwise
+non-isomorphic: a basis of each Hom(M, S_i), stacked, is a map
+T: M ->> top(M), so rad M = ker T and t_i(M) is the number of basis
+maps to S_i; soc M is the sum of the images of the maps S_i -> M.  The
+projective cover keeps a map h: P_i -> M when T*h grows the image in
+top(M) of the maps kept so far; the zero module is its own cover.
+
 Everything reduces to exact linear algebra.  A module map M -> N is a
 plain N.dim x M.dim matrix (is_module_map checks one).  Hom spaces are
 intertwiner solution spaces; one function sets up the Hom system for
@@ -60,7 +68,6 @@ from typing import NamedTuple
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
-    ProjectiveInput,
     SplitFailure,
     SplitOnly,
 )
@@ -336,17 +343,28 @@ def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep
 # -- tops, socles, covers -------------------------------------------------------
 
 
-def _rad_span(M: ModuleRep) -> Mat:
-    """Rows spanning rad(A) * M, not reduced."""
-    mats = M.rad_matrices()
-    if not mats:
-        return Mat.zeros(M.field, 0, M.dim)
-    return vstack([m.transpose() for m in mats])
+def _top_bases(M: ModuleRep) -> list[list[Mat]]:
+    """A basis of Hom(M, S_i) for each simple S_i, cached in M.cache, a
+    list that callers only read."""
+    if "top_bases" not in M.cache:
+        M.cache["top_bases"] = [hom_basis(M, S) for S in M.algebra.simples]
+    return M.cache["top_bases"]
+
+
+def _stack(M: ModuleRep, blocks) -> Mat:
+    """The rows of the blocks, each M.dim wide, as one matrix."""
+    rows = [v for b in blocks for v in b.rows]
+    return Mat(M.field, len(rows), M.dim, rows)
+
+
+def _top_map(M: ModuleRep) -> Mat:
+    """T: M ->> top(M), the basis maps to the simples stacked."""
+    return _stack(M, [h for basis in _top_bases(M) for h in basis])
 
 
 def rad_rows(M: ModuleRep) -> Mat:
-    """Row space of rad(A) * M."""
-    return _rad_span(M).row_space()
+    """Basis of rad M, the common kernel of the maps M -> S_i."""
+    return _top_map(M).nullspace()
 
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
@@ -362,10 +380,9 @@ def socle_multiplicities(M: ModuleRep) -> list[int]:
 
 
 def socle_rows(M: ModuleRep) -> Mat:
-    mats = M.rad_matrices()
-    if not mats:
-        return Mat.identity(M.field, M.dim)
-    return vstack(mats).nullspace()
+    """Basis of soc M, the sum of the images of the maps S_i -> M."""
+    images = [h.transpose() for S in M.algebra.simples for h in hom_basis(S, M)]
+    return _stack(M, images).row_space()
 
 
 def _grows(span: RowBasis, mat: Mat) -> bool:
@@ -378,31 +395,32 @@ def _grows(span: RowBasis, mat: Mat) -> bool:
 
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     """(P, pi) with P a sum of projective indecomposables matching top
-    multiplicities and pi: P ->> M surjective (pi is M.dim x P.dim)."""
+    multiplicities and pi: P ->> M surjective (pi is M.dim x P.dim).  The
+    zero module is its own cover."""
     if "cover" in M.cache:
         return M.cache["cover"]
+    if M.dim == 0:
+        return M, Mat.zeros(M.field, 0, 0)
     ctx = M.algebra
-    tops = top_multiplicities(M)
-    # the chosen maps cover M iff their images span M modulo rad(M)
-    span = RowBasis(M.field, M.dim)
-    _grows(span, _rad_span(M))
+    top = _top_map(M)
+    # the chosen maps cover M iff their images span top(M) (ker T = rad M);
+    # a map is kept when its image grows the span of the images kept so far
+    span = RowBasis(M.field, top.nrows)
     blocks = []
     summands = []
-    for i, P_i in enumerate(ctx.pims):
-        need = tops[i]
+    for P_i, basis in zip(ctx.pims, _top_bases(M)):
+        need = len(basis)
         if need == 0:
             continue
         for h in hom_basis(P_i, M):
             if need == 0:
                 break
-            if _grows(span, h.transpose()):
+            if _grows(span, top.mul(h).transpose()):
                 blocks.append(h)
                 summands.append(P_i)
                 need -= 1
         if need:
             raise SplitFailure(f"cover of {M!r}: not enough maps from {P_i.label}")
-    if not blocks:
-        raise DimensionMismatch("cover of the zero module")
     pi = hstack(blocks)
     P = direct_sum(summands, label=f"P({M.label})")
     if pi.rank() != M.dim:
@@ -420,17 +438,14 @@ def dual(M: ModuleRep, label: str = "") -> ModuleRep:
     return ModuleRep(M.algebra, M.dim, action, label or f"D({M.label})")
 
 
-def syzygy(M: ModuleRep, steps: int = 1, strict: bool = False) -> ModuleRep:
+def syzygy(M: ModuleRep, steps: int = 1) -> ModuleRep:
     """Omega^steps: kernels of covers for steps > 0, and D Omega D for
     steps < 0 (D is an exact duality that takes projectives to
     projectives).
 
     Projective direct summands are absorbed (the kernel of a cover does
-    not see them), and Omega of the zero module is the zero module; with
-    strict=True a projective input raises ProjectiveInput instead of
-    returning the zero module."""
-    if strict and M.dim and syzygy(M).dim == 0:
-        raise ProjectiveInput(f"{M.label} is projective")
+    not see them), so Omega of a projective is the zero module, and Omega
+    of the zero module is the zero module."""
     cur = M
     while steps and cur.dim:
         if steps > 0:
@@ -730,8 +745,7 @@ def radical_series(M: ModuleRep) -> list[list[int]]:
     cur = M
     while cur.dim:
         rows = rad_rows(cur)
-        tops = top_multiplicities(cur)
-        layers.append(tops)
+        layers.append([len(basis) for basis in _top_bases(cur)])
         if rows.nrows == 0:
             break
         cur, _ = sub_module(cur, rows, label=f"rad^k({M.label})")

@@ -45,10 +45,6 @@ class SplitFailure(StringAlgError):
     pass
 
 
-class ProjectiveInput(StringAlgError):
-    pass
-
-
 class SplitOnly(StringAlgError):
     pass
 

@@ -10,7 +10,7 @@ class ModuleRep:
     """A module over an algebra context: one square matrix per generator.
 
     Instances are treated as immutable; ``cache`` holds derived data
-    (radical matrices, projective cover, ...) keyed by name.
+    (Hom bases to the simples, projective cover, ...) keyed by name.
     """
 
     __slots__ = ("algebra", "dim", "action", "label", "cache")
@@ -44,11 +44,6 @@ class ModuleRep:
                 term = term.scale(coeff)
             out = out.add(term)
         return out
-
-    def rad_matrices(self) -> list[Mat]:
-        if "rad_mats" not in self.cache:
-            self.cache["rad_mats"] = [self.evaluate(e) for e in self.algebra.rad_expr]
-        return self.cache["rad_mats"]
 
     def relabel(self, label: str) -> "ModuleRep":
         out = ModuleRep(self.algebra, self.dim, self.action, label)

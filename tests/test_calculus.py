@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from stringalg import calculus as C
 from stringalg.algebra import _verify_context, group_context, quiver_context
-from stringalg.errors import DimensionMismatch, ProjectiveInput, SplitFailure, SplitOnly
+from stringalg.errors import DimensionMismatch, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.groupside import standard_reps
-from stringalg.matrix import Mat, block_diag
+from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import Band, enumerate_bands, enumerate_strings, make_string, parse_word
@@ -43,6 +43,20 @@ class TestAlgebraSetup:
         kc2 = group_context("C2", 1)
         assert [P.dim for P in kc2.pims] == [2]
         assert C.is_isomorphic(kc2.pims[0], kc2.regular)
+
+    @pytest.mark.parametrize("name", ["Lambda", "S4"])
+    def test_set_up_refuses_a_reducible_or_repeated_simple(self, name, monkeypatch):
+        ctx = _context(name, 1)
+        first = ctx.simples[0]
+        # a non-split self-extension: two-dimensional, indecomposable and
+        # reducible
+        reducible = C.nonsplit_extension(first, first)
+        monkeypatch.setattr(ctx, "simples", [first, reducible])
+        with pytest.raises(SplitFailure, match="not absolutely simple"):
+            _verify_context(ctx)
+        monkeypatch.setattr(ctx, "simples", [first, first])
+        with pytest.raises(SplitFailure, match="isomorphic"):
+            _verify_context(ctx)
 
     def test_decompose_regular_quiver_algebra(self, lam):
         parts = C.decompose(lam.regular)
@@ -252,9 +266,6 @@ class TestCoversAndSyzygies:
         for P in ctx.pims:
             for k in (1, 2, 3, -1, -2, -3):
                 assert C.syzygy(P, k).dim == 0, (P, k)
-            for k in (1, -1):
-                with pytest.raises(ProjectiveInput):
-                    C.syzygy(P, k, strict=True)
         zero = C.syzygy(ctx.pims[0])
         assert C.syzygy(zero, 2).dim == C.syzygy(zero, -2).dim == 0
 
@@ -303,6 +314,108 @@ class TestDuality:
             pims = M.algebra.pims
             for U in C.decompose(N):
                 assert not any(C.indec_isomorphic(U, P) for P in pims), label
+
+
+def _annihilator_of_the_simples(ctx):
+    """rad kG from its definition: the joint annihilator of the simples,
+    as expressions over the group elements."""
+    field = ctx.field
+    elements = sorted(ctx.elements)
+    rows = []
+    for S in ctx.simples:
+        # one equation per entry of S, one unknown per group element
+        flat = [S.evaluate(((1, ctx.elements[x]),)).vector() for x in elements]
+        rows.extend(Mat(field, len(flat), S.dim * S.dim, flat).transpose().rows)
+    kernel = Mat(field, len(rows), len(elements), rows).nullspace()
+    return [
+        tuple((kernel.entry(r, k), ctx.elements[x]) for k, x in enumerate(elements))
+        for r in range(kernel.nrows)
+    ]
+
+
+def _radical_matrices(M):
+    """Matrices on M spanning the action of the radical of the algebra:
+    the four arrows for Lambda, the annihilator of the simples for kG."""
+    ctx = M.algebra
+    if ctx.elements is None:
+        return [M.action[name] for name in ctx.arrows]
+    return [M.evaluate(e) for e in _annihilator_of_the_simples(ctx)]
+
+
+def _cover_via_radical(M, mats):
+    """The cover map chosen by the span test against rad M = J*M: a map
+    P_i -> M is kept when its image grows rad M plus the images kept."""
+    span = RowBasis(M.field, M.dim)
+    for m in mats:
+        for v in m.transpose().rows:
+            span.insert(v)
+    blocks = []
+    for P_i, need in zip(M.algebra.pims, C.top_multiplicities(M)):
+        for h in C.hom_basis(P_i, M):
+            if need == 0:
+                break
+            rank = span.rank
+            for v in h.transpose().rows:
+                span.insert(v)
+            if span.rank > rank:
+                blocks.append(h)
+                need -= 1
+    return hstack(blocks)
+
+
+def _radical_oracle_modules(degree):
+    mods = _oracle_modules(degree)
+    for seed, text in enumerate(("gamma beta alpha-", "alpha beta- eta gamma-")):
+        mods.append(_conjugated(string_module(parse_word(text), degree), seed)[0])
+    reps = list(standard_reps(degree).values())
+    mods += reps + [C.syzygy(M) for M in reps] + [C.syzygy(M, -1) for M in reps]
+    for name in ("S4", "C2") + (("A4",) if degree == 2 else ()):  # A4 needs GF(4)
+        ctx = group_context(name, degree)
+        mods += list(ctx.simples) + list(ctx.pims) + [ctx.regular]
+    return [M for M in mods if M.dim]
+
+
+class TestRadicalAndSocle:
+    """rad M (the common kernel of the maps to the simples), soc M (the
+    images of the maps from them) and the projective cover, against the
+    radical of the algebra acting on M."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_against_the_radical_of_the_algebra(self, degree):
+        mods = _radical_oracle_modules(degree)
+        assert any(C.vertex_grading(M) is None for M in mods)
+        for M in mods:
+            mats = _radical_matrices(M)
+            rad = vstack([m.transpose() for m in mats]).row_space()
+            soc = vstack(mats).nullspace().row_space()
+            assert C.rad_rows(M).row_space() == rad, M
+            assert C.socle_rows(M).row_space() == soc, M
+            assert C.projective_cover(M)[1] == _cover_via_radical(M, mats), M
+
+    def test_group_radical_has_the_wedderburn_dimension(self):
+        for ctx in (group_context("S4", 1), group_context("S4", 2), group_context("A4", 2)):
+            J = _annihilator_of_the_simples(ctx)
+            assert len(J) == ctx.dim - sum(S.dim**2 for S in ctx.simples), ctx
+            for S in ctx.simples:
+                assert all(S.evaluate(e).is_zero() for e in J), (ctx, S)
+
+
+class TestZeroModule:
+    """The zero module is its own projective cover."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_cover_routes_with_the_zero_module_on_either_side(self, degree):
+        lam = quiver_context(degree)
+        field = lam.field
+        Z = ModuleRep(lam, 0, {g: Mat.zeros(field, 0, 0) for g in lam.gen_names}, label="0")
+        P, pi = C.projective_cover(Z)
+        assert P.dim == 0 and (pi.nrows, pi.ncols) == (0, 0)
+        for M in (string_module(parse_word("alpha"), degree), lam.simples[1], lam.pims[0], Z):
+            for A, B in ((Z, M), (M, Z)):
+                assert C.ext1_dim(A, B) == C.ext1_dim_cocycles(A, B) == 0, (A, B)
+                assert C.factors_through_projective(Mat.zeros(field, B.dim, A.dim), A, B), (A, B)
+                with pytest.raises(SplitOnly):
+                    C.nonsplit_extension(A, B)
 
 
 class TestStableAndExt:
@@ -891,12 +1004,6 @@ class TestStructure:
 
 
 class TestProjectiveHandling:
-    def test_strict_syzygy_rejects_projectives(self, lam):
-        from stringalg.errors import ProjectiveInput
-
-        with pytest.raises(ProjectiveInput):
-            C.syzygy(lam.pims[0], strict=True)
-
     def test_syzygy_absorbs_projective_summands(self, lam):
         # Omega(M + P) = Omega(M): covers do not see projective summands
         M = string_module(parse_word("gamma beta"))
