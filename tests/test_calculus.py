@@ -372,7 +372,7 @@ def _radical_oracle_modules(degree):
     for name in ("S4", "C2") + (("A4",) if degree == 2 else ()):  # A4 needs GF(4)
         ctx = group_context(name, degree)
         mods += list(ctx.simples) + list(ctx.pims) + [ctx.regular]
-    return [M for M in mods if M.dim]
+    return mods
 
 
 class TestRadicalAndSocle:
