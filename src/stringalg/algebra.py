@@ -1,21 +1,23 @@
 """Algebra contexts: the fixed two-vertex path algebra with relations and
 the group algebras over GF(2)/GF(4) it is compared against.
 
-A context carries the regular module, the expression of the image of
-each generator under an anti-automorphism (as words in the generators,
-so they can be evaluated on any module), the simple modules and the
-projective indecomposables.  The module calculus reads the radical and
-the socle of a module off its Hom spaces with the simples, so the
-simples are checked at set-up to be absolutely simple (their matrices
-span End_k(S), Burnside) and pairwise non-isomorphic; the PIM dimension
-count checks that the list is complete, and the symmetric-algebra
-properties soc(P) = top(P) and D(P) projective are asserted rather than
-assumed.
+A context carries the regular module, the image of each generator under
+an anti-automorphism as one word in the generators (evaluated on a
+module by ModuleRep.word_matrix), the simple modules and the projective
+indecomposables; a group context also carries the word of each group
+element.  The module calculus reads the radical and the socle of a
+module off its Hom spaces with the simples, so the simples are checked
+at set-up to be absolutely simple (their matrices span End_k(S),
+Burnside) and pairwise non-isomorphic; the PIM dimension count checks
+that the list is complete, and the symmetric-algebra properties
+soc(P) = top(P) and D(P) projective are asserted rather than assumed.
+The projective indecomposables of a group algebra are the summands of
+the regular module, each found by its top.
 """
 
 from __future__ import annotations
 
-from .errors import FieldTooSmall, ParseError, SplitFailure
+from .errors import ContextMismatch, FieldTooSmall, ParseError, SplitFailure
 from .gf import GF, OMEGA
 from .matrix import Mat, RowBasis
 from .rep import ModuleRep
@@ -51,7 +53,7 @@ class AlgebraContext:
         self.arrows = {name: (0, 0) for name in self.gen_names}
         self.dim = 0
         self.regular = None
-        # generator -> expression of its image under an anti-automorphism
+        # generator -> the word of its image under an anti-automorphism
         self.opposite = {}
         self.simples = []
         self.pims = []
@@ -123,7 +125,7 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
     # beta <-> gamma reverses every path and keeps both relations: the
     # letterwise symmetry of words.mirror_string
     swap = {"beta": "gamma", "gamma": "beta"}
-    ctx.opposite = {g: ((1, (swap.get(g, g),)),) for g in ctx.gen_names}
+    ctx.opposite = {g: (swap.get(g, g),) for g in ctx.gen_names}
 
     for v, name in ((0, "S0"), (1, "S1")):
         act = {g: Mat.zeros(field, 1, 1) for g in ctx.gen_names}
@@ -159,22 +161,6 @@ def perm_inverse(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def perm_is_even(p):
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        ln = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        parity ^= (ln - 1) & 1
-    return parity == 0
 
 
 def group_elements(gens: dict) -> dict:
@@ -257,17 +243,18 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     order = len(ctx.elements)
     ctx.dim = order
 
-    pos = {x: i for i, x in enumerate(sorted(ctx.elements))}
-    action = {}
-    for gname in ctx.gen_names:
-        g = gens[gname]
-        m = Mat.zeros(field, order, order)
-        for x, i in pos.items():
-            m.set_entry(pos[perm_compose(g, x)], i, 1)
-        action[gname] = m
+    # basis: the elements in sorted order; g sends x to gx, so the row of
+    # y holds the column of g^-1 y
+    basis = sorted(ctx.elements)
+    pos = {x: i for i, x in enumerate(basis)}
+    inverses = {g: perm_inverse(gens[g]) for g in ctx.gen_names}
+    action = {
+        g: Mat(field, order, order, [1 << pos[perm_compose(inv, y)] for y in basis])
+        for g, inv in inverses.items()
+    }
     ctx.regular = ModuleRep(ctx, order, action, label="k" + name)
     # g -> g^-1
-    ctx.opposite = {g: ((1, ctx.elements[perm_inverse(gens[g])]),) for g in ctx.gen_names}
+    ctx.opposite = {g: ctx.elements[inv] for g, inv in inverses.items()}
 
     if name == "S4":
         ctx.simples = _s4_simples(ctx)
@@ -284,8 +271,20 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     return ctx
 
 
+def element_matrices(M: ModuleRep) -> dict:
+    """The matrix of every group element acting on M, cached in M.cache, a
+    dict that callers only read; ContextMismatch unless M is a module over
+    a group algebra."""
+    elements = M.algebra.elements
+    if elements is None:
+        raise ContextMismatch(f"{M.label} is a module over {M.algebra.name}, not over a group")
+    if "element_mats" not in M.cache:
+        M.cache["element_mats"] = {x: M.word_matrix(w) for x, w in elements.items()}
+    return M.cache["element_mats"]
+
+
 def _assert_is_representation(ctx, M):
-    mats = {x: M.evaluate(((1, w),)) for x, w in ctx.elements.items()}
+    mats = element_matrices(M)
     for x, mx in mats.items():
         for gname in ctx.gen_names:
             g = ctx.gen_perms[gname]
@@ -294,31 +293,26 @@ def _assert_is_representation(ctx, M):
 
 
 def _group_pims(ctx):
+    """P_i is the first summand of the regular module whose top is S_i,
+    and there are dim S_i such summands.  Every summand must have a
+    simple top; _verify_context, which runs next, certifies that the
+    simples are absolutely simple and pairwise non-isomorphic, so that
+    the top names the summand up to isomorphism."""
     parts = calculus.decompose(ctx.regular)
-    reps = []
+    tops = []
     for part in parts:
-        for seen, count in reps:
-            if calculus.is_isomorphic(part, seen):
-                count[0] += 1
-                break
-        else:
-            reps.append((part, [1]))
-    ordered = []
+        top = calculus.top_multiplicities(part)
+        if sum(top) != 1:
+            raise SplitFailure(f"{ctx.name}: a summand of the regular module has top {top}")
+        tops.append(top.index(1))
+    pims = []
     for i, S in enumerate(ctx.simples):
-        hit = None
-        for part, count in reps:
-            if calculus.hom_dim(part, S) > 0:
-                hit = (part, count[0])
-                break
-        if hit is None:
-            raise SplitFailure(f"{ctx.name}: no projective cover summand for {S.label}")
-        P, mult = hit
-        if mult != S.dim:
+        if tops.count(i) != S.dim:
             raise SplitFailure(
-                f"{ctx.name}: {S.label} has cover multiplicity {mult}, expected {S.dim}"
+                f"{ctx.name}: {S.label} has cover multiplicity {tops.count(i)}, expected {S.dim}"
             )
-        ordered.append(P.relabel(f"P({S.label})"))
-    return ordered
+        pims.append(parts[tops.index(i)].relabel(f"P({S.label})"))
+    return pims
 
 
 def _spans_its_endomorphisms(S) -> bool:

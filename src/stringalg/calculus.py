@@ -375,13 +375,12 @@ def top_multiplicities(M: ModuleRep) -> list[int]:
     return M.cache["tops"]
 
 
-def socle_multiplicities(M: ModuleRep) -> list[int]:
-    return [hom_dim(S, M) for S in M.algebra.simples]
-
-
 def socle_rows(M: ModuleRep) -> Mat:
-    """Basis of soc M, the sum of the images of the maps S_i -> M."""
-    images = [h.transpose() for S in M.algebra.simples for h in hom_basis(S, M)]
+    """Basis of soc M, the sum of the images of the maps S_i -> M; the
+    basis of each Hom(S_i, M) is cached in M.cache["socle_bases"]."""
+    if "socle_bases" not in M.cache:
+        M.cache["socle_bases"] = [hom_basis(S, M) for S in M.algebra.simples]
+    images = [h.transpose() for basis in M.cache["socle_bases"] for h in basis]
     return _stack(M, images).row_space()
 
 
@@ -432,9 +431,9 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
 
 def dual(M: ModuleRep, label: str = "") -> ModuleRep:
     """The k-dual D(M) = Hom_k(M, k), a module through the context's
-    anti-automorphism: each generator acts by the transpose of its
-    opposite expression (ctx.opposite) on M."""
-    action = {name: M.evaluate(expr).transpose() for name, expr in M.algebra.opposite.items()}
+    anti-automorphism: each generator acts by the transpose of the
+    matrix of its opposite word (ctx.opposite) on M."""
+    action = {name: M.word_matrix(word).transpose() for name, word in M.algebra.opposite.items()}
     return ModuleRep(M.algebra, M.dim, action, label or f"D({M.label})")
 
 
@@ -757,9 +756,8 @@ def socle_series(M: ModuleRep) -> list[list[int]]:
     layers = []
     cur = M
     while cur.dim:
-        socs = socle_multiplicities(cur)
-        layers.append(socs)
         rows = socle_rows(cur)
+        layers.append([len(basis) for basis in cur.cache["socle_bases"]])
         if rows.nrows == cur.dim:
             break
         cur, _ = quotient_module(cur, rows, label=f"M/soc^k({M.label})")

@@ -208,7 +208,6 @@ def cmd_verify(args):
         cfg.radius = args.radius
     cfg.seed = args.seed
     cfg.include_timings = args.timings
-    cfg.validate()
     report = run_suite(cfg)
     if args.format == "text":
         lines = []

@@ -6,15 +6,10 @@ the tower of extensions of the permutation module over the trivial one.
 
 from __future__ import annotations
 
-from .algebra import (
-    group_context,
-    perm_compose,
-    perm_inverse,
-    perm_is_even,
-)
+from .algebra import element_matrices, group_context, perm_compose, perm_inverse
 from . import calculus
 from .errors import ContextMismatch, HypothesisFailed, LimitExceeded, NotInvolution
-from .matrix import Mat
+from .matrix import Mat, repack
 from .rep import ModuleRep
 
 # the transposition generating the order-2 subgroup; the loop generator of
@@ -28,13 +23,11 @@ def perm_module(degree: int = 1) -> ModuleRep:
     """The natural 4-point permutation module mod 2 (one matrix per
     generator, columns are images of basis points)."""
     ctx = group_context("S4", degree)
-    mats = {}
-    for name in ctx.gen_names:
-        g = ctx.gen_perms[name]
-        m = Mat.zeros(ctx.field, 4, 4)
-        for i in range(4):
-            m.set_entry(g[i], i, 1)
-        mats[name] = m
+    # point i goes to g[i], so the row of point j holds the column of g^-1 j
+    mats = {
+        name: Mat(ctx.field, 4, 4, [1 << i for i in perm_inverse(ctx.gen_perms[name])])
+        for name in ctx.gen_names
+    }
     return ModuleRep(ctx, 4, mats, label="PermRep")
 
 
@@ -64,68 +57,49 @@ def standard_reps(degree: int = 1) -> dict[str, ModuleRep]:
     return reps
 
 
-def _group_elements(M: ModuleRep) -> dict:
-    """The words of the elements of M's group; ContextMismatch unless M is
-    a module over a group algebra."""
-    if M.algebra.elements is None:
-        raise ContextMismatch(f"{M.label} is a module over {M.algebra.name}, not over a group")
-    return M.algebra.elements
-
-
-def _element_matrices(M: ModuleRep) -> dict:
-    """Matrix of every group element acting on M."""
-    key = "element_mats"
-    if key not in M.cache:
-        M.cache[key] = {
-            x: M.evaluate(((1, w),)) for x, w in _group_elements(M).items()
-        }
-    return M.cache[key]
-
-
 def restrict(M: ModuleRep, subgroup: str) -> ModuleRep:
     """View a module over the group algebra of a smaller permutation
     group; subgroup generators act through their words in the parent."""
     sub = group_context(subgroup, M.field.degree)
-    elements = _group_elements(M)
-    if any(g not in elements for g in sub.gen_perms.values()):
+    mats = element_matrices(M)
+    if any(g not in mats for g in sub.gen_perms.values()):
         raise ContextMismatch(f"{subgroup} is not a subgroup of the group of {M.algebra.name}")
-    mats = _element_matrices(M)
     action = {name: mats[sub.gen_perms[name]] for name in sub.gen_names}
     return ModuleRep(sub, M.dim, action, label=f"Res_{subgroup}({M.label})")
 
 
 def induce(M: ModuleRep) -> ModuleRep:
-    """Induction from kA4 to kS4 with coset representatives (e, h)."""
+    """Induction from kA4 to kS4 with coset representatives (e, h): g
+    sends the coset block r to the block of the coset of gr, through the
+    element r'^-1 g r of A4."""
     if M.algebra.name != "kA4":
         raise ContextMismatch(f"induction is implemented from kA4 only, not {M.algebra.name}")
     s4 = group_context("S4", M.field.degree)
-    mats = _element_matrices(M)
+    mats = element_matrices(M)
     d = M.dim
     action = {}
     for name in s4.gen_names:
         g = s4.gen_perms[name]
-        out = Mat.zeros(s4.field, 2 * d, 2 * d)
+        rows = [0] * (2 * d)
         for i, r in enumerate(_COSET_REPS):
             gr = perm_compose(g, r)
-            j = 0 if perm_is_even(gr) else 1
-            a = perm_compose(perm_inverse(_COSET_REPS[j]), gr)
-            block = mats[a]
-            for rr in range(d):
-                for cc in range(d):
-                    e = block.entry(rr, cc)
-                    if e:
-                        out.set_entry(j * d + rr, i * d + cc, e)
-        action[name] = out
+            j = 0 if gr in mats else 1
+            block = mats[perm_compose(perm_inverse(_COSET_REPS[j]), gr)]
+            for k, v in enumerate(repack(block.rows, d, 2 * d, M.field.degree)):
+                rows[j * d + k] |= v << (i * d)
+        action[name] = Mat(s4.field, 2 * d, 2 * d, rows)
     return ModuleRep(s4, 2 * d, action, label=f"Ind({M.label})")
 
 
 def involution_matrix(M: ModuleRep) -> Mat:
-    """Action of the fixed transposition h on M (via its word in the
-    generators of M's group)."""
-    word = _group_elements(M).get(H_PERM)
-    if word is None:
+    """Action of the fixed transposition h on M: the matrix of its word in
+    the generators of M's group, without the element table."""
+    elements = M.algebra.elements
+    if elements is None:
+        raise ContextMismatch(f"{M.label} is a module over {M.algebra.name}, not over a group")
+    if H_PERM not in elements:
         raise NotInvolution(f"{M.algebra.name} does not contain h")
-    return M.evaluate(((1, word),))
+    return M.word_matrix(elements[H_PERM])
 
 
 def involution_profile(M: ModuleRep) -> tuple[int, int]:

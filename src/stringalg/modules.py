@@ -26,7 +26,7 @@ from functools import lru_cache
 from .algebra import ARROW_GEN, quiver_context
 from .errors import InvalidMultiplicity, ParseError, ZeroLambda
 from .gf import GF
-from .matrix import Mat
+from .matrix import Mat, repack
 from .rep import ModuleRep
 from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
 
@@ -83,39 +83,27 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
         raise ZeroLambda(f"parameter {lam} not in {field}")
     n = len(word.letters)
     dim = n * mult
-    jordan = Mat.zeros(field, mult, mult)
-    for j in range(mult):
-        jordan.set_entry(j, j, lam)
-        if j + 1 < mult:
-            jordan.set_entry(j + 1, j, 1)
+    jordan = Mat.from_entries(
+        field, [[lam if c == r else int(c == r - 1) for c in range(mult)] for r in range(mult)]
+    )
     # The twist measures the holonomy along the cycle orientation, so it
     # enters inverted on a direct wrap letter; this is what makes
     # M(B,l,m) independent of the chosen rotation for the same l.
     wrap_twist = jordan if is_inverse(word.letters[-1]) else jordan.inverse()
+    twist = repack(wrap_twist.rows, mult, dim, field.degree)
+    ident = [1 << j for j in range(mult)]
+    rows = {name: [0] * dim for name in ctx.gen_names}
     # vertex of the cycle point z_i: e(b_{i+1}), as in the string case
-    verts = [e_of(word.letters[i]) for i in range(n)]
-    action = {}
-    for v, gname in enumerate(_VERTEX_GEN):
-        m = Mat.zeros(field, dim, dim)
-        for i in range(n):
-            if verts[i] == v:
-                for j in range(mult):
-                    m.set_entry(i * mult + j, i * mult + j, 1)
-        action[gname] = m
-    for a, gname in enumerate(ARROW_GEN):
-        m = Mat.zeros(field, dim, dim)
-        for k in range(1, n + 1):
-            letter = word.letters[k - 1]
-            src_pos, dst_pos = (k % n, k - 1) if not is_inverse(letter) else (k - 1, k % n)
-            if (letter & 3) != a:
-                continue
-            twist = wrap_twist if k == n else Mat.identity(field, mult)
-            for j in range(mult):
-                for jj in range(mult):
-                    e = twist.entry(jj, j)
-                    if e:
-                        m.set_entry(dst_pos * mult + jj, src_pos * mult + j, e)
-        action[gname] = m
+    for i, letter in enumerate(word.letters):
+        vertex = rows[_VERTEX_GEN[e_of(letter)]]
+        for j, v in enumerate(ident):
+            vertex[i * mult + j] = v << (i * mult)
+    for k, letter in enumerate(word.letters, start=1):
+        src, dst = (k - 1, k % n) if is_inverse(letter) else (k % n, k - 1)
+        arrow = rows[ARROW_GEN[letter & 3]]
+        for j, v in enumerate(twist if k == n else ident):
+            arrow[dst * mult + j] |= v << (src * mult)
+    action = {name: Mat(field, dim, dim, r) for name, r in rows.items()}
     return ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
 
 

@@ -30,19 +30,15 @@ class ModuleRep:
     def field(self):
         return self.algebra.field
 
-    def evaluate(self, expr) -> Mat:
-        """expr is a tuple of (coeff, generator-name word); the word
-        multiplies left to right, so the rightmost generator acts first."""
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for coeff, word in expr:
-            if coeff == 0:
-                continue
-            term = self.action[word[0]] if word else Mat.identity(self.field, self.dim)
-            for name in word[1:]:
-                term = term.mul(self.action[name])
-            if coeff != 1:
-                term = term.scale(coeff)
-            out = out.add(term)
+    def word_matrix(self, word) -> Mat:
+        """The matrix of a word in the generator names: the identity for
+        (), otherwise the product, with the rightmost generator acting
+        first."""
+        if not word:
+            return Mat.identity(self.field, self.dim)
+        out = self.action[word[0]]
+        for name in word[1:]:
+            out = out.mul(self.action[name])
         return out
 
     def relabel(self, label: str) -> "ModuleRep":

@@ -49,7 +49,8 @@ from .words import (
     top_socle_decomposition,
 )
 
-GUARDS = {"string_len": 16, "band_len": 14, "tower_n": 6, "radius": 8}
+# the largest value of each scan bound of SuiteConfig
+GUARDS = {"string_scan_len": 16, "pair_len": 10, "mirror_len": 16, "band_len": 14, "tower_n": 6, "radius": 8}
 
 C_PERIOD = "gamma eta- beta alpha- beta- eta gamma- alpha-"
 X_PERIOD = "gamma- alpha- gamma eta- beta alpha- beta- eta"
@@ -68,27 +69,16 @@ class SuiteConfig:
     include_timings: bool = False
 
     def validate(self):
-        for key in _BOUNDS:
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must not be negative")
-        if self.string_scan_len > GUARDS["string_len"] or self.pair_len > 10:
-            raise ConfigError("string length bound exceeds the guard")
-        if self.mirror_len > GUARDS["string_len"]:
-            raise ConfigError("mirror scan bound exceeds the guard")
-        if self.band_len > GUARDS["band_len"]:
-            raise ConfigError("band length bound exceeds the guard")
-        if self.tower_n > GUARDS["tower_n"]:
-            raise ConfigError("tower bound exceeds the guard")
-        if self.radius > GUARDS["radius"]:
-            raise ConfigError("radius bound exceeds the guard")
+        for key, guard in GUARDS.items():
+            if not 0 <= getattr(self, key) <= guard:
+                raise ConfigError(f"{key} must lie in 0..{guard}, not {getattr(self, key)}")
         known = set(ALL_CHECKS)
         for s in self.sections:
             if s not in known:
                 raise ConfigError(f"unknown section {s!r}")
 
 
-_BOUNDS = ("string_scan_len", "pair_len", "mirror_len", "band_len", "tower_n", "radius")
-_CONFIG_TYPES = {**dict.fromkeys(_BOUNDS + ("seed",), int), "include_timings": bool, "sections": list}
+_CONFIG_TYPES = {**dict.fromkeys((*GUARDS, "seed"), int), "include_timings": bool, "sections": list}
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
@@ -634,12 +624,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         "suite_version": __version__,
         "config": {
             "sections": list(sections),
-            "string_scan_len": cfg.string_scan_len,
-            "pair_len": cfg.pair_len,
-            "mirror_len": cfg.mirror_len,
-            "band_len": cfg.band_len,
-            "tower_n": cfg.tower_n,
-            "radius": cfg.radius,
+            **{key: getattr(cfg, key) for key in GUARDS},
             "seed": cfg.seed,
         },
         "checks": records,

@@ -288,7 +288,7 @@ class TestDuality:
 
     def test_set_up_refuses_an_opposite_that_is_no_anti_automorphism(self, lam, monkeypatch):
         # without the beta <-> gamma swap, D(P0) is no Lambda-module
-        monkeypatch.setattr(lam, "opposite", {g: ((1, (g,)),) for g in lam.gen_names})
+        monkeypatch.setattr(lam, "opposite", {g: (g,) for g in lam.gen_names})
         with pytest.raises(SplitFailure, match="dual of"):
             _verify_context(lam)
 
@@ -318,13 +318,13 @@ class TestDuality:
 
 def _annihilator_of_the_simples(ctx):
     """rad kG from its definition: the joint annihilator of the simples,
-    as expressions over the group elements."""
+    as (coefficient, word) terms over the group elements."""
     field = ctx.field
     elements = sorted(ctx.elements)
     rows = []
     for S in ctx.simples:
         # one equation per entry of S, one unknown per group element
-        flat = [S.evaluate(((1, ctx.elements[x]),)).vector() for x in elements]
+        flat = [S.word_matrix(ctx.elements[x]).vector() for x in elements]
         rows.extend(Mat(field, len(flat), S.dim * S.dim, flat).transpose().rows)
     kernel = Mat(field, len(rows), len(elements), rows).nullspace()
     return [
@@ -333,13 +333,21 @@ def _annihilator_of_the_simples(ctx):
     ]
 
 
+def _combination(M, terms):
+    """The matrix on M of a linear combination of group words."""
+    out = Mat.zeros(M.field, M.dim, M.dim)
+    for coeff, word in terms:
+        out = out.add(M.word_matrix(word).scale(coeff))
+    return out
+
+
 def _radical_matrices(M):
     """Matrices on M spanning the action of the radical of the algebra:
     the four arrows for Lambda, the annihilator of the simples for kG."""
     ctx = M.algebra
     if ctx.elements is None:
         return [M.action[name] for name in ctx.arrows]
-    return [M.evaluate(e) for e in _annihilator_of_the_simples(ctx)]
+    return [_combination(M, e) for e in _annihilator_of_the_simples(ctx)]
 
 
 def _cover_via_radical(M, mats):
@@ -397,7 +405,7 @@ class TestRadicalAndSocle:
             J = _annihilator_of_the_simples(ctx)
             assert len(J) == ctx.dim - sum(S.dim**2 for S in ctx.simples), ctx
             for S in ctx.simples:
-                assert all(S.evaluate(e).is_zero() for e in J), (ctx, S)
+                assert all(_combination(S, e).is_zero() for e in J), (ctx, S)
 
 
 class TestZeroModule:

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from stringalg import calculus as C
-from stringalg.algebra import group_context
+from stringalg.algebra import AlgebraContext, _assert_is_representation, _group_pims, group_context
 from stringalg.errors import (
     ContextMismatch,
     FieldTooSmall,
     HypothesisFailed,
     LimitExceeded,
     ParseError,
+    SplitFailure,
 )
+from stringalg.matrix import Mat
 from stringalg.groupside import (
     extension_tower,
     induce,
@@ -21,7 +23,7 @@ from stringalg.groupside import (
     standard_reps,
 )
 from stringalg.modules import string_module
-from stringalg.rep import direct_sum
+from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import parse_word
 
 
@@ -63,8 +65,24 @@ class TestStandardReps:
         E12 = reps4["E12"]
         assert E12.dim == 2
         # socle E2, top E1
-        assert C.socle_multiplicities(E12) == [0, 0, 1]
+        assert C.socle_series(E12)[0] == [0, 0, 1]
         assert C.top_multiplicities(E12) == [0, 1, 0]
+
+
+class TestGroupWords:
+    def test_word_matrix(self, reps):
+        M = reps["PermRep"]
+        assert M.word_matrix(()) == Mat.identity(M.field, M.dim)
+        assert M.word_matrix(("s", "t")) == M.action["s"].mul(M.action["t"])
+
+    def test_pims_are_refused_when_a_simple_is_missing(self):
+        # a fresh context over the regular module of S4 that knows only T0
+        full = group_context("S4", 1)
+        ctx = AlgebraContext(full.name, full.field, full.gen_names)
+        ctx.regular = ModuleRep(ctx, full.dim, full.regular.action, label=full.regular.label)
+        ctx.simples = [ModuleRep(ctx, 1, full.simples[0].action, label="T0")]
+        with pytest.raises(SplitFailure, match=r"a summand of the regular module has top \[0\]"):
+            _group_pims(ctx)
 
 
 class TestRestriction:
@@ -93,6 +111,11 @@ class TestInduction:
 
     def test_induce_uniserial(self, reps4):
         assert C.is_isomorphic(induce(reps4["E12"]), reps4["T11"])
+
+    def test_induced_modules_are_representations(self, reps4):
+        s4 = group_context("S4", 2)
+        for M in [reps4[name] for name in ("E0", "E1", "E2", "E12")] + [group_context("A4", 2).regular]:
+            _assert_is_representation(s4, induce(M))
 
     def test_frobenius_reciprocity(self, reps4):
         rng = random.Random(9)
