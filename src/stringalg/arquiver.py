@@ -9,11 +9,7 @@ an isomorphism test) is kept as the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from . import calculus
 from .errors import LimitExceeded, Undecided
-from .modules import string_module
 from .words import (
     String,
     add_hook,
@@ -24,6 +20,9 @@ from .words import (
 )
 
 _RADIUS_LIMIT = 8
+# Largest |power| of syzygy_string: Omega^n of a short string has about 3n
+# letters, so n steps cost about n^2 (0.1 s at 256, 2 s at 1024).
+_POWER_LIMIT = 256
 
 
 def _skey(s: String):
@@ -45,13 +44,13 @@ def ar_neighbors(s: String) -> dict[str, list[String]]:
     return {"successors": sorted(succ, key=_skey), "predecessors": sorted(pred, key=_skey)}
 
 
-@dataclass
 class ARComponent:
-    seed: String
-    radius: int
-    nodes: dict = field(default_factory=dict)  # String -> BFS distance
-    edges: list = field(default_factory=list)  # (source String, target String)
-    kind: str | None = None
+    def __init__(self, seed: String, radius: int, nodes=None, edges=None, kind: str | None = None):
+        self.seed = seed
+        self.radius = radius
+        self.nodes = {} if nodes is None else nodes  # String -> BFS distance
+        self.edges = [] if edges is None else edges  # (source String, target String)
+        self.kind = kind
 
     def node_list(self) -> list[String]:
         return sorted(self.nodes, key=lambda t: (self.nodes[t],) + _skey(t))
@@ -92,6 +91,8 @@ def syzygy_string(s: String, power: int = 1) -> String:
     Omega is read off the word; Omega^-1 is its conjugate by the mirror,
     the duality onto the opposite algebra (isomorphic to the algebra by
     swapping beta and gamma).  No field enters: strings have 0/1 modules."""
+    if abs(power) > _POWER_LIMIT:
+        raise LimitExceeded(f"power {power} not in -{_POWER_LIMIT}..{_POWER_LIMIT}")
     if power < 0:
         s = _mirror(s)
     for _ in range(abs(power)):
@@ -126,11 +127,14 @@ def three_tube_boundary() -> list[String]:
     """The three boundary strings of the rank-3 tube: the uniserial with
     socle and top non-isomorphic and its two syzygies (derived, not
     transcribed)."""
+    from .calculus import radical_series
+    from .modules import string_module
+
     x1 = next(
         s
         for s in enumerate_strings(2)
         if len(s.letters) == 2
-        and calculus.radical_series(string_module(s)) == [[1, 0], [1, 0], [0, 1]]
+        and radical_series(string_module(s)) == [[1, 0], [1, 0], [0, 1]]
     )
     o1 = syzygy_string(x1)
     return [x1, o1, syzygy_string(o1)]
@@ -191,6 +195,9 @@ def export_dot(comp: ARComponent) -> str:
 
 
 def component_json(comp: ARComponent, stable_end_dims: bool = False) -> dict:
+    if stable_end_dims:
+        from .calculus import stable_end_dim
+        from .modules import string_module
     nodes = []
     for s in comp.node_list():
         entry = {
@@ -199,7 +206,7 @@ def component_json(comp: ARComponent, stable_end_dims: bool = False) -> dict:
             "distance": comp.nodes[s],
         }
         if stable_end_dims:
-            entry["stable_end_dim"] = calculus.stable_end_dim(string_module(s))
+            entry["stable_end_dim"] = stable_end_dim(string_module(s))
         nodes.append(entry)
     return {
         "seed": comp.seed.text(),

@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config errors.
+
+Each command imports the modules it runs inside its handler, so a query
+compiles and loads only those (the module calculus, the verify suite and
+the character tables are not loaded by `omega`, say).
 """
 
 from __future__ import annotations
@@ -9,21 +13,8 @@ import argparse
 import json
 import sys
 
-from . import calculus as C
-from .arquiver import (
-    classify,
-    component_json,
-    component_kind,
-    component_window,
-    export_dot,
-    syzygy_string,
-)
-from .chars import lift_characters, table_json
 from .errors import ConfigError, LimitExceeded, StringAlgError
 from .gf import GF4, OMEGA
-from .modules import band_module, string_hom_basis, string_module
-from .rep import ModuleRep
-from .verify import SuiteConfig, config_from_dict, report_json, run_suite
 from .words import (
     Band,
     String,
@@ -48,7 +39,10 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _module_from_args(args) -> ModuleRep:
+def _module_from_args(args):
+    """The ModuleRep of the --string or --band arguments."""
+    from .modules import band_module, string_module
+
     if bool(args.string) == bool(args.band):
         raise ConfigError("give exactly one of --string or --band")
     if args.string:
@@ -70,6 +64,8 @@ def cmd_classes(args):
 
 
 def cmd_module(args):
+    from . import calculus as C
+
     M = _module_from_args(args)
     info = C.structure(M)
     if args.format == "json":
@@ -87,6 +83,9 @@ def cmd_module(args):
 
 
 def cmd_hom(args):
+    from . import calculus as C
+    from .modules import string_hom_basis, string_module
+
     degree = _degree(args)
     S = parse_word(args.source)
     T = parse_word(args.target)
@@ -115,6 +114,8 @@ def cmd_hom(args):
 
 
 def cmd_stable_end(args):
+    from . import calculus as C
+
     M = _module_from_args(args)
     d = C.stable_end_dim(M)
     if args.format == "json":
@@ -124,6 +125,9 @@ def cmd_stable_end(args):
 
 
 def cmd_ext1(args):
+    from . import calculus as C
+    from .modules import string_module
+
     degree = _degree(args)
     M = string_module(parse_word(args.source), degree)
     N = string_module(parse_word(args.target), degree)
@@ -135,6 +139,8 @@ def cmd_ext1(args):
 
 
 def cmd_omega(args):
+    from .arquiver import syzygy_string
+
     s = String.from_word(parse_word(args.string))
     t = syzygy_string(s, args.power)
     if args.format == "json":
@@ -144,6 +150,8 @@ def cmd_omega(args):
 
 
 def cmd_component(args):
+    from .arquiver import component_json, component_kind, component_window, export_dot
+
     s = String.from_word(parse_word(args.string))
     comp = component_window(s, args.radius)
     if args.format == "dot":
@@ -159,6 +167,8 @@ def cmd_component(args):
 
 
 def cmd_taxonomy(args):
+    from .arquiver import classify
+
     s = String.from_word(parse_word(args.string))
     family = classify(s, radius=args.radius)
     if args.format == "json":
@@ -168,6 +178,8 @@ def cmd_taxonomy(args):
 
 
 def cmd_chars(args):
+    from .chars import lift_characters, table_json
+
     if args.n_max < 0:
         raise LimitExceeded(f"n_max {args.n_max} < 0")
     data = table_json()
@@ -187,16 +199,20 @@ def cmd_chars(args):
 
 
 def cmd_verify(args):
-    if args.config:
-        with open(args.config) as fh:
-            try:
+    from .verify import SuiteConfig, config_from_dict, report_json, run_suite
+
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}")
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = config_from_dict(raw)
     else:
         cfg = SuiteConfig()
-    if args.sections:
+    if args.sections is not None:
         cfg.sections = tuple(args.sections.split(","))
     if args.max_len is not None:
         cfg.string_scan_len = args.max_len

@@ -24,13 +24,16 @@ from collections import Counter
 from functools import lru_cache
 
 from .algebra import ARROW_GEN, quiver_context
-from .errors import InvalidMultiplicity, ParseError, ZeroLambda
+from .errors import InvalidMultiplicity, LimitExceeded, ParseError, ZeroLambda
 from .gf import GF
 from .matrix import Mat, repack
 from .rep import ModuleRep
 from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
 
 _VERTEX_GEN = ("e0", "e1")
+# Largest band multiplicity: the stable End of M(B, 1, 16) takes under 0.5 s
+# for every band of length <= 14, and its cost grows faster than dim^3.
+_MULT_LIMIT = 16
 
 
 def _string_word(obj) -> Word:
@@ -71,6 +74,8 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
         raise ZeroLambda("band parameter must be nonzero")
     if mult < 1:
         raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
+    if mult > _MULT_LIMIT:
+        raise LimitExceeded(f"band multiplicity {mult} > {_MULT_LIMIT}")
     if isinstance(B, Band):
         word = B.word
     elif isinstance(B, Word):

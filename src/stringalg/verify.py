@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from . import __version__, calculus as C
 from .algebra import group_context, quiver_context
@@ -56,8 +55,10 @@ C_PERIOD = "gamma eta- beta alpha- beta- eta gamma- alpha-"
 X_PERIOD = "gamma- alpha- gamma eta- beta alpha- beta- eta"
 
 
-@dataclass
 class SuiteConfig:
+    """The suite's settings: each field defaults to its class attribute
+    and may be given by keyword."""
+
     sections: tuple = ()  # empty = all
     string_scan_len: int = 12
     pair_len: int = 8
@@ -67,6 +68,12 @@ class SuiteConfig:
     radius: int = 6
     seed: int = 0
     include_timings: bool = False
+
+    def __init__(self, **fields):
+        for key, value in fields.items():
+            if key not in _CONFIG_TYPES:
+                raise TypeError(f"SuiteConfig has no field {key!r}")
+            setattr(self, key, value)
 
     def validate(self):
         for key, guard in GUARDS.items():

@@ -23,8 +23,7 @@ end of the inverse word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     EmptyString,
@@ -87,16 +86,47 @@ def letter_text(letter: int) -> str:
     return ARROW_NAMES[letter & 3] + ("-" if letter & INV else "")
 
 
-@dataclass(frozen=True)
-class Word:
+_set = object.__setattr__
+
+
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class _Walk:
+    """Value semantics of Word and String, those of a frozen dataclass:
+    fields set once, equal only to an object of the same class with the
+    same letters and vertex, hashed on the two."""
+
+    __slots__ = ("letters", "vertex")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, letters: tuple[int, ...], vertex: int | None = None):
+        _set(self, "letters", letters)
+        _set(self, "vertex", vertex)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.vertex == other.vertex
+
+    def __hash__(self):
+        return hash((self.letters, self.vertex))
+
+    def __reduce__(self):
+        return self.__class__, (self.letters, self.vertex)
+
+
+class Word(_Walk):
     """A composable walk; empty walks carry the vertex they sit at."""
 
-    letters: tuple[int, ...]
-    vertex: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters and self.vertex is None:
+    def __init__(self, letters: tuple[int, ...], vertex: int | None = None):
+        if not letters and vertex is None:
             raise ParseError("empty word needs a vertex tag")
+        _set(self, "letters", letters)
+        _set(self, "vertex", vertex)
 
     def __len__(self):
         return len(self.letters)
@@ -189,12 +219,10 @@ def validate_string_word(word: Word) -> Word:
     return word
 
 
-@dataclass(frozen=True)
-class String:
+class String(_Walk):
     """Canonical representative of a string class (word vs its inverse)."""
 
-    letters: tuple[int, ...]
-    vertex: int | None = None
+    __slots__ = ("_word",)  # the cached `word`
 
     @classmethod
     def from_word(cls, word: Word) -> "String":
@@ -209,9 +237,13 @@ class String:
             return cls((), word.vertex)
         return cls(min(word.letters, word.inverse().letters))
 
-    @cached_property
+    @property
     def word(self) -> Word:
-        return Word(self.letters, self.vertex)
+        try:
+            return self._word
+        except AttributeError:
+            _set(self, "_word", Word(self.letters, self.vertex))
+            return self._word
 
     def __len__(self):
         return len(self.letters)
@@ -223,12 +255,26 @@ class String:
         return f"String({self.text()!r})"
 
 
-@dataclass(frozen=True)
 class Band:
     """Canonical representative of a band class (rotations of both
-    orientations)."""
+    orientations); a value like Word and String."""
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, letters: tuple[int, ...]):
+        _set(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __reduce__(self):
+        return Band, (self.letters,)
 
     @classmethod
     def from_word(cls, word: Word) -> "Band":

@@ -179,6 +179,16 @@ def test_config_of_wrong_type_or_negative_exits_2(capsys, tmp_path, config):
     assert captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("argv", [["--config", "missing.json"], ["--sections", ""]])
+def test_missing_config_or_empty_sections_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("flag", ["--max-len", "--band-len", "--n-max", "--radius"])
 def test_negative_bound_flag_exits_2(capsys, flag):
     code = main(["verify", "--sections", "c09-characters", flag, "-3"])
@@ -220,6 +230,10 @@ def test_field_only_where_it_is_read(capsys, command):
         ("module", "--string", "alpha alpha"),
         ("hom", "--source", "alpha alpha", "--target", "alpha"),
         ("stable-end", "--string", "alpha alpha"),
+        ("module", "--band", "alpha beta- gamma-", "--mult", "17"),
+        ("stable-end", "--band", "alpha beta- gamma-", "--mult", "17"),
+        ("omega", "--string", "alpha", "--power", "257"),
+        ("omega", "--string", "alpha", "--power", "-257"),
     ],
 )
 def test_out_of_domain_arguments_exit_2(capsys, argv):
@@ -267,6 +281,17 @@ def test_report_json_stable():
     a = report_json(run_suite(cfg))
     b = report_json(run_suite(SuiteConfig(sections=("c09-characters",))))
     assert a == b
+
+
+def test_suite_config_defaults_and_keywords():
+    cfg = SuiteConfig()
+    fields = ("sections", *verify.GUARDS, "seed", "include_timings")
+    assert [getattr(cfg, key) for key in fields] == [(), 12, 8, 10, 12, 5, 6, 0, False]
+    cfg = SuiteConfig(sections=("c09-characters",), band_len=6, include_timings=True)
+    assert [getattr(cfg, key) for key in fields] == [("c09-characters",), 12, 8, 10, 6, 5, 6, 0, True]
+    assert SuiteConfig().band_len == 12  # a keyword sets the instance, not the default
+    with pytest.raises(TypeError):
+        SuiteConfig(band_length=6)
 
 
 def test_verify_text_format(capsys):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -304,3 +306,56 @@ def test_cohook_of_deep_string_raises():
     # beta- gamma- starts in a deep (its trailing inverse run is maximal),
     # so no cohook can be added on the right
     assert add_hook(parse_word("beta- gamma-"), cohook=True) == []
+
+
+class TestValueSemantics:
+    """Word, String and Band behave as frozen dataclasses did: equal only
+    to the same class with the same fields, hashed alike, immutable."""
+
+    VALUES = [
+        Word((0, 1)),
+        Word((), 1),
+        String((0, 1)),
+        String((), 1),
+        Band.from_word(parse_word("eta- beta alpha- gamma")),
+    ]
+
+    @staticmethod
+    def fields(v):
+        return (type(v), v.letters, getattr(v, "vertex", None))
+
+    def test_equal_means_same_class_and_fields(self):
+        for a, b in itertools.product(self.VALUES, repeat=2):
+            same = self.fields(a) == self.fields(b)
+            assert (a == b) == same and (a != b) == (not same)
+        assert String((0, 1)) != Word((0, 1)) and Band((0, 1)) != Word((0, 1))
+        assert Word((), 0) != Word((), 1) and String((0, 1)) != (0, 1)
+
+    def test_equal_values_hash_equal(self):
+        for v in self.VALUES:
+            twin = copy.copy(v)
+            assert twin is not v and twin == v and hash(twin) == hash(v) and len({twin, v}) == 1
+        s = make_string("alpha- gamma")
+        assert s.word is s.word  # cached
+        assert String(s.letters) == s and hash(String(s.letters)) == hash(s)
+
+    def test_immutable(self):
+        cached = make_string("beta")
+        cached.word
+        for v in self.VALUES + [cached]:
+            with pytest.raises(AttributeError):
+                v.letters = (2,)
+            with pytest.raises(AttributeError):
+                v.other = 1
+            with pytest.raises(AttributeError):
+                del v.letters
+            assert copy.deepcopy(v) == pickle.loads(pickle.dumps(v)) == v
+
+    def test_repr(self):
+        assert [repr(v) for v in self.VALUES] == [
+            "Word('alpha beta')",
+            "Word('1_1')",
+            "String('alpha beta')",
+            "String('1_1')",
+            "Band('alpha beta- eta gamma-')",
+        ]
