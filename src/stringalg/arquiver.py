@@ -2,9 +2,10 @@
 cohooks, syzygies of strings, classifying components (plain sheets vs
 tubes), and locating strings in the classification families.
 
-Syzygies and tube ranks are read off the word (`words.syzygy_word`); no
-module is built for them.  The module route (`calculus.syzygy` followed by
-an isomorphism test) is kept as the test oracle.
+Syzygies, tube ranks and the mouth of the rank-3 tube are read off the
+word (`words.syzygy_word`); no module is built for them.  The module
+route (`calculus.syzygy` followed by an isomorphism test, radical series
+of string modules) is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .words import (
     String,
     add_hook,
     enumerate_strings,
+    is_inverse,
     mirror_string,
     remove_hook,
     syzygy_word,
@@ -45,12 +47,11 @@ def ar_neighbors(s: String) -> dict[str, list[String]]:
 
 
 class ARComponent:
-    def __init__(self, seed: String, radius: int, nodes=None, edges=None, kind: str | None = None):
+    def __init__(self, seed: String, radius: int, nodes: dict, edges: list):
         self.seed = seed
         self.radius = radius
-        self.nodes = {} if nodes is None else nodes  # String -> BFS distance
-        self.edges = [] if edges is None else edges  # (source String, target String)
-        self.kind = kind
+        self.nodes = nodes  # String -> BFS distance
+        self.edges = edges  # (source String, target String)
 
     def node_list(self) -> list[String]:
         return sorted(self.nodes, key=lambda t: (self.nodes[t],) + _skey(t))
@@ -78,12 +79,11 @@ def component_window(seed: String, radius: int, guard: bool = True) -> ARCompone
                     nodes[t] = dist
                     nxt.append(t)
         frontier = nxt
-    comp = ARComponent(seed=seed, radius=radius, nodes=nodes)
-    comp.edges = sorted(
+    edges = sorted(
         ((a, b) for (a, b) in edges if a in nodes and b in nodes),
         key=lambda ab: (_skey(ab[0]), _skey(ab[1])),
     )
-    return comp
+    return ARComponent(seed, radius, nodes, edges)
 
 
 def syzygy_string(s: String, power: int = 1) -> String:
@@ -94,22 +94,18 @@ def syzygy_string(s: String, power: int = 1) -> String:
     if abs(power) > _POWER_LIMIT:
         raise LimitExceeded(f"power {power} not in -{_POWER_LIMIT}..{_POWER_LIMIT}")
     if power < 0:
-        s = _mirror(s)
+        s = mirror_string(s)
     for _ in range(abs(power)):
         s = syzygy_word(s)
-    return _mirror(s) if power < 0 else s
+    return mirror_string(s) if power < 0 else s
 
 
-def _mirror(s: String) -> String:
-    return mirror_string(s) if s.letters else s  # 1_v is self-dual
-
-
-def tube_rank(s: String, max_rank: int = 3) -> int | None:
+def tube_rank(s: String) -> int | None:
     """r if M(S) is fixed by the r-th power of the translate (= double
-    syzygy, the algebra being symmetric), None if no period up to
-    max_rank (a plain sheet here)."""
+    syzygy, the algebra being symmetric), None if no period up to 3 (a
+    plain sheet here)."""
     cur = s
-    for r in range(1, max_rank + 1):
+    for r in (1, 2, 3):
         cur = syzygy_word(syzygy_word(cur))
         if cur == s:
             return r
@@ -125,16 +121,14 @@ def component_kind(s: String) -> str:
 
 def three_tube_boundary() -> list[String]:
     """The three boundary strings of the rank-3 tube: the uniserial with
-    socle and top non-isomorphic and its two syzygies (derived, not
-    transcribed)."""
-    from .calculus import radical_series
-    from .modules import string_module
-
+    radical layers S0, S0, S1 and its two syzygies (derived, not
+    transcribed).  A string of direct letters is uniserial, its radical
+    layers being its vertices read from the right end."""
     x1 = next(
         s
         for s in enumerate_strings(2)
-        if len(s.letters) == 2
-        and radical_series(string_module(s)) == [[1, 0], [1, 0], [0, 1]]
+        if not any(is_inverse(letter) for letter in s.letters)
+        and s.word.vertices()[::-1] == (0, 0, 1)
     )
     o1 = syzygy_string(x1)
     return [x1, o1, syzygy_string(o1)]
@@ -194,24 +188,17 @@ def export_dot(comp: ARComponent) -> str:
     return "\n".join(lines) + "\n"
 
 
-def component_json(comp: ARComponent, stable_end_dims: bool = False) -> dict:
-    if stable_end_dims:
-        from .calculus import stable_end_dim
-        from .modules import string_module
-    nodes = []
-    for s in comp.node_list():
-        entry = {
-            "string": s.text(),
-            "dim": len(s.letters) + 1,
-            "distance": comp.nodes[s],
-        }
-        if stable_end_dims:
-            entry["stable_end_dim"] = stable_end_dim(string_module(s))
-        nodes.append(entry)
+def component_json(comp: ARComponent) -> dict:
+    """The window as a JSON-ready dict, its nodes in `node_list` order and
+    its kind that of the seed's component."""
+    nodes = [
+        {"string": s.text(), "dim": len(s.letters) + 1, "distance": comp.nodes[s]}
+        for s in comp.node_list()
+    ]
     return {
         "seed": comp.seed.text(),
         "radius": comp.radius,
-        "kind": comp.kind,
+        "kind": component_kind(comp.seed),
         "nodes": nodes,
         "edges": [[a.text(), b.text()] for a, b in comp.edges],
     }

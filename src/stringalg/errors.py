@@ -25,10 +25,6 @@ class LimitExceeded(StringAlgError):
     pass
 
 
-class EmptyString(StringAlgError):
-    pass
-
-
 class ZeroLambda(StringAlgError):
     pass
 

@@ -11,11 +11,12 @@ Homomorphisms between string modules are spanned by graph maps: one for
 each common interval C that is a quotient interval of the source (flanked
 by a direct letter before and an inverse letter after) and a submodule
 interval of the target (flanked the other way around), with the letters
-of C read in either orientation (Crawley-Boevey 1989, Krause 1991).  A
-nonempty string is never its own inverse, so only a single point can
-match both ways, and the Hom dimension is a dot product of two
-per-string tables of interval counts: no map is listed or deduplicated.
-The basis lists the maps by the int masks of their 0/1 supports.
+of C read in either orientation (Crawley-Boevey 1989, Krause 1991).
+Turning both strings round gives the same map, and only a single point
+reads the same both ways, so the source read both ways (a point once)
+against the target as it is gives each map once.  The Hom dimension is
+a dot product of two per-string tables of interval counts.  The basis
+lists the maps by the int masks of their 0/1 supports.
 """
 
 from __future__ import annotations
@@ -112,13 +113,11 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     return ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
 
 
-def _intervals(word: Word, quotient: bool, flip: bool):
+def _intervals(word: Word, quotient: bool):
     """The quotient (or submodule) intervals of a word as (position,
-    length, key), by start and then by length.  The key is the interval's
-    letters packed 3 bits each behind a leading 1, or -1 - v for a single
-    point at vertex v.  The position is that of its first point, counted
-    from the far end when `flip` says that the word is the inverse of the
-    one the module is built on.
+    length, key), by start and then by length.  The position is that of
+    its first point; the key is the interval's letters packed 3 bits each
+    behind a leading 1, or -1 - v for a single point at vertex v.
 
     A quotient interval is flanked by a direct letter before and an
     inverse letter after, where those exist; a submodule interval the
@@ -134,43 +133,45 @@ def _intervals(word: Word, quotient: bool, flip: bool):
         key = 1
         for e in range(i, n + 1):
             if e == n or (letters[e] & INV) != before:
-                out.append((n - i if flip else i, e - i, key if e > i else -1 - verts[i]))
+                out.append((i, e - i, key if e > i else -1 - verts[i]))
             if e < n:
                 key = key << 3 | letters[e]
     return out
 
 
-def graph_map_supports(S, T):
-    """The distinct graph maps M(S) -> M(T), each as the int mask of its
-    support: bit dst*(len(S)+1) + src for each z_src of M(S) sent to z_dst
-    of M(T), so the mask is the map's 0/1 matrix row after row.
+def _quotient_intervals(word: Word):
+    """The quotient intervals of the word, then those of its inverse but
+    for single points, as (flipped, position, length, key); a flipped
+    position counts from the far end.  Graph maps and their count read
+    the source through this."""
+    n = len(word.letters)
+    return [(False, *iv) for iv in _intervals(word, True)] + [
+        (True, n - i, ln, key) for i, ln, key in _intervals(word.inverse(), True) if ln
+    ]
 
-    One map per common interval that is a quotient interval of S and a
-    submodule interval of T, scanning both orientations of T and, inside
-    each, both orientations of S; a map met twice is given once, at its
-    first occurrence."""
+
+def graph_map_supports(S, T):
+    """The graph maps M(S) -> M(T), each as the int mask of its support:
+    bit dst*(len(S)+1) + src for each z_src of M(S) sent to z_dst of M(T),
+    so the mask is the map's 0/1 matrix row after row.
+
+    One map per quotient interval of S (:func:`_quotient_intervals`) and
+    equal submodule interval of T."""
     sw = _string_word(S)
-    tw = _string_word(T)
     width = len(sw.letters) + 1
-    sources = [(flip, _intervals(w, True, flip)) for flip, w in ((False, sw), (True, sw.inverse()))]
-    seen = set()
-    for t_flip, t_or in ((False, tw), (True, tw.inverse())):
-        subs = {}
-        for dst, _, key in _intervals(t_or, False, t_flip):
-            subs.setdefault(key, []).append(dst)
-        for s_flip, quots in sources:
-            # along the interval src and dst each move by one, backwards
-            # in a flipped word
-            step = (-1 if s_flip else 1) + (-width if t_flip else width)
-            for src, ln, key in quots:
-                for dst in subs.get(key, ()):
-                    first = dst * width + src
-                    mask = 0
-                    for t in range(ln + 1):
-                        mask |= 1 << (first + t * step)
-                    if mask not in seen:
-                        seen.add(mask)
-                        yield mask
+    subs = {}
+    for dst, _, key in _intervals(_string_word(T), False):
+        subs.setdefault(key, []).append(dst)
+    for flipped, src, ln, key in _quotient_intervals(sw):
+        # along the interval src and dst each move by one, src backwards
+        # in a flipped word
+        step = width + (-1 if flipped else 1)
+        for dst in subs.get(key, ()):
+            first = dst * width + src
+            mask = 0
+            for t in range(ln + 1):
+                mask |= 1 << (first + t * step)
+            yield mask
 
 
 def string_hom_basis(S, T, degree: int = 1) -> list[Mat]:
@@ -191,14 +192,12 @@ def string_hom_basis(S, T, degree: int = 1) -> list[Mat]:
 
 @lru_cache(maxsize=None)
 def _interval_counts(word: Word, quotient: bool) -> Counter:
-    """How often each interval key occurs among the submodule intervals of
-    the word, or among the quotient intervals of both of its orientations
-    (a single point once).  Memoised on the word's value; callers only
+    """How often each interval key occurs among the quotient intervals of
+    the word in both orientations (:func:`_quotient_intervals`), or among
+    its submodule intervals.  Memoised on the word's value; callers only
     read the shared table."""
-    counts = Counter(key for _, _, key in _intervals(word, quotient, False))
-    if quotient:
-        counts.update(key for _, ln, key in _intervals(word.inverse(), True, False) if ln)
-    return counts
+    intervals = _quotient_intervals(word) if quotient else _intervals(word, False)
+    return Counter(iv[-1] for iv in intervals)
 
 
 def string_hom_dim(S, T) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (
-    EmptyString,
     ForbiddenSubword,
     LimitExceeded,
     NotComposable,
@@ -538,9 +537,10 @@ _MIRROR_ARROW = (ALPHA, GAMMA, BETA, ETA)
 
 def mirror_string(s: String) -> String:
     """Letterwise symmetry: swap beta/gamma, keep alpha/eta, invert each
-    letter in place.  A length-preserving involution on nonempty strings."""
+    letter in place.  A length-preserving involution on strings; 1_v is
+    its own mirror."""
     if not s.letters:
-        raise EmptyString("mirror of an empty string")
+        return s
     letters = tuple([_MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters])
     return String.from_word(Word(letters))
 

@@ -5,6 +5,7 @@ from stringalg.arquiver import (
     ar_neighbors,
     classify,
     component_json,
+    component_kind,
     component_window,
     export_dot,
     syzygy_string,
@@ -13,7 +14,7 @@ from stringalg.arquiver import (
 )
 from stringalg.errors import LimitExceeded, Undecided
 from stringalg.modules import string_module
-from stringalg.words import String, enumerate_strings, make_string, parse_word, word_flaw
+from stringalg.words import String, enumerate_strings, is_inverse, make_string, parse_word, word_flaw
 
 
 class TestNeighbors:
@@ -123,6 +124,22 @@ class TestTubes:
         boundary = three_tube_boundary()
         assert syzygy_string(boundary[2]) == boundary[0]
 
+    def test_boundary_matches_radical_series(self):
+        # the word rule against the module calculus: a string of direct
+        # letters has its vertices, read from the right end, as radical
+        # layers, and the length-2 strings with layers S0, S0, S1 are
+        # exactly the first boundary string
+        for s in enumerate_strings(6):
+            if s.letters and not any(is_inverse(letter) for letter in s.letters):
+                layers = [[int(v == 0), int(v == 1)] for v in s.word.vertices()[::-1]]
+                assert C.radical_series(string_module(s)) == layers, s.text()
+        mouth = [
+            s
+            for s in enumerate_strings(2)
+            if len(s.letters) == 2 and C.radical_series(string_module(s)) == [[1, 0], [1, 0], [0, 1]]
+        ]
+        assert mouth == three_tube_boundary()[:1]
+
     def test_tube_ranks(self):
         assert tube_rank(three_tube_boundary()[0]) == 3
         assert tube_rank(make_string("beta- gamma-")) == 1
@@ -154,10 +171,14 @@ class TestWindows:
         assert a.startswith("digraph")
 
     def test_component_json(self):
-        comp = component_window(make_string("eta"), 1)
-        data = component_json(comp, stable_end_dims=True)
-        assert data["seed"] == "eta"
-        assert all("stable_end_dim" in n for n in data["nodes"])
+        # the kind is the seed's, with no set-up by the caller
+        for text in ("1_0", "1_1", "eta", "beta alpha", "beta- gamma-", "alpha beta- gamma-"):
+            seed = make_string(text)
+            comp = component_window(seed, 1)
+            data = component_json(comp)
+            assert data["seed"] == seed.text()
+            assert data["kind"] == component_kind(seed)
+            assert [n["string"] for n in data["nodes"]] == [t.text() for t in comp.node_list()]
 
 
 class TestClassification:

@@ -141,6 +141,19 @@ def test_verify_config_file(capsys, tmp_path):
     assert data["checks"][0]["computed"]["bands_checked"] == 2
 
 
+def test_verify_config_file_keeps_seed_and_timings(capsys, tmp_path):
+    # flags that are not given leave the file's keys alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sections": ["c09-characters"], "seed": 5, "include_timings": True}))
+    code, out = run_cli(capsys, "verify", "--config", str(cfg))
+    data = json.loads(out)
+    assert code == 0
+    assert data["config"]["seed"] == 5
+    assert data["checks"] and all("seconds" in rec for rec in data["checks"])
+    code, out = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "7")
+    assert json.loads(out)["config"]["seed"] == 7
+
+
 def test_malformed_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -227,6 +240,7 @@ def test_field_only_where_it_is_read(capsys, command):
         ("component", "--string", "1_0", "--radius", "-1"),
         ("taxonomy", "--string", "1_0", "--radius", "-1"),
         ("chars", "--n-max", "-1"),
+        ("chars", "--n-max", "4097"),
         ("module", "--string", "alpha alpha"),
         ("hom", "--source", "alpha alpha", "--target", "alpha"),
         ("stable-end", "--string", "alpha alpha"),
@@ -305,6 +319,21 @@ def test_component_json_has_kind(capsys):
     code, out = run_cli(capsys, "component", "--string", "beta alpha", "--radius", "1", "--format", "json")
     data = json.loads(out)
     assert data["kind"] == "tube(3)"
+
+
+def test_component_stable_end_is_the_last_node_key(capsys):
+    from stringalg.calculus import stable_end_dim
+    from stringalg.modules import string_module
+    from stringalg.words import parse_word
+
+    argv = ["component", "--string", "eta", "--radius", "1", "--format", "json"]
+    _, plain = run_cli(capsys, *argv)
+    _, out = run_cli(capsys, *argv, "--stable-end")
+    nodes = json.loads(out)["nodes"]
+    assert [list(n)[:-1] for n in nodes] == [list(n) for n in json.loads(plain)["nodes"]]
+    for n in nodes:
+        assert list(n)[-1] == "stable_end_dim"
+        assert n["stable_end_dim"] == stable_end_dim(string_module(parse_word(n["string"])))
 
 
 CLI_REFERENCES = Path(__file__).parent.parent / "perfbench" / "ref" / "cli-queries.json"

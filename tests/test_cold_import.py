@@ -14,6 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+MODULE_CALCULUS = {f"stringalg.{name}" for name in ("calculus", "modules", "algebra", "matrix", "rep")}
 HEAVY = {f"stringalg.{name}" for name in ("calculus", "verify", "chars", "groupside", "arquiver")}
 
 COMMANDS = [
@@ -69,6 +70,14 @@ def test_omega_and_component_load_no_module_calculus():
     [new] = loaded_by(code)
     assert "stringalg.arquiver" in new
     assert "stringalg.calculus" not in new and "stringalg.matrix" not in new
+
+
+def test_arquiver_and_taxonomy_load_no_module_calculus():
+    # the mouth of the rank-3 tube is read off the word
+    code = "import stringalg.arquiver\nmark()\nrun(['taxonomy', '--string', 'beta alpha'])\nmark()"
+    for new in loaded_by(code):
+        assert "stringalg.arquiver" in new
+        assert MODULE_CALCULUS.isdisjoint(new), sorted(MODULE_CALCULUS.intersection(new))
 
 
 def test_only_verify_loads_the_suite():

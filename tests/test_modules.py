@@ -11,6 +11,7 @@ from stringalg.errors import (
 )
 from stringalg.gf import OMEGA
 from stringalg.modules import (
+    _intervals,
     band_module,
     graph_map_supports,
     string_hom_basis,
@@ -130,6 +131,34 @@ class TestBandModules:
         assert injective
 
 
+def _graph_maps_both_ways(S, T):
+    """The graph-map masks M(S) -> M(T) by the two-pass rule: both
+    orientations of T and, inside each, both orientations of S, each mask
+    kept at its first occurrence."""
+    sw, tw = S.word, T.word
+    width = len(sw.letters) + 1
+
+    def read(word, quotient, flip):
+        n = len(word.letters)
+        w = word.inverse() if flip else word
+        return [(n - i if flip else i, ln, key) for i, ln, key in _intervals(w, quotient)]
+
+    seen, out = set(), []
+    for t_flip in (False, True):
+        subs = {}
+        for dst, _, key in read(tw, False, t_flip):
+            subs.setdefault(key, []).append(dst)
+        for s_flip in (False, True):
+            step = (-1 if s_flip else 1) + (-width if t_flip else width)
+            for src, ln, key in read(sw, True, s_flip):
+                for dst in subs.get(key, ()):
+                    mask = sum(1 << (dst * width + src + t * step) for t in range(ln + 1))
+                    if mask not in seen:
+                        seen.add(mask)
+                        out.append(mask)
+    return out
+
+
 class TestStringHoms:
     def test_end_of_loop_string(self):
         basis = string_hom_basis(parse_word("alpha-"), parse_word("alpha-"))
@@ -169,6 +198,14 @@ class TestStringHoms:
         for a in strings:
             for b in strings:
                 assert string_hom_dim(a, b) == len(list(graph_map_supports(a, b))), (a.text(), b.text())
+
+    def test_one_pass_matches_both_ways_enumeration(self):
+        # the same masks in the same order as the two-pass rule with its
+        # repeats dropped, on every ordered pair of strings of length <= 6
+        strings = enumerate_strings(6)
+        for a in strings:
+            for b in strings:
+                assert list(graph_map_supports(a, b)) == _graph_maps_both_ways(a, b), (a.text(), b.text())
 
     def test_count_ignores_representative(self):
         # a String, its Word and the inverse Word: the memo keys and both

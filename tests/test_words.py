@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from stringalg.errors import (
-    EmptyString,
     ForbiddenSubword,
     LimitExceeded,
     NotComposable,
@@ -271,9 +270,9 @@ class TestMirror:
     def test_fixes_eta(self):
         assert mirror_string(make_string("eta")) == make_string("eta")
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyString):
-            mirror_string(String((), 0))
+    def test_vertex_strings_are_their_own_mirror(self):
+        for v in (0, 1):
+            assert mirror_string(String((), v)) == String((), v)
 
 
 class TestTopSocle:
