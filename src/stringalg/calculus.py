@@ -27,7 +27,7 @@ system's own reduced basis.  A map f: M -> N factors through a
 projective iff it lifts along the projective cover pi: P(N) ->> N, that
 is iff f lies in the span of the pi*g over a basis of Hom(M, P(N)).  The
 cover of a module and its kernel, with the inclusion, are built once and
-cached (_cover_kernel); syzygy and the cocycle route of Ext^1 read them.
+cached (_cover_kernel); syzygy and nonsplit_extension read them.
 decompose and is_isomorphic rest on one deterministic search (_split):
 basis endomorphisms, then their products with the nilpotents found so
 far, are shifted by the first monic polynomial that makes them singular.
@@ -35,7 +35,9 @@ A shifted map that is not nilpotent splits the module (Fitting's lemma);
 the nilpotent ones span V, and End is certified local once V is closed
 under multiplication by End and End = k[g] + V for one shifted map g.
 SplitFailure is raised only when the search ends with neither; no such
-input is known.  is_isomorphic solves one Hom(M, N) basis and tries two
+input is known.  Two string or band modules are isomorphic iff their
+words, kept in M.cache, name one class (_same_tag; Butler-Ringel 1987).
+For any other pair is_isomorphic solves one Hom(M, N) basis and tries two
 sound certificates before anything else: (1) an invertible basis map,
 (2) an invertible sum of the basis maps.  The sum is a candidate, not a
 complete test.  Only then does it (3) compare dim End(M), dim End(N)
@@ -55,8 +57,8 @@ top; that makes P_i the injective hull of S_i, so that
 dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
 stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
 with t the top and c the composition multiplicities.  Omega of a string
-module is read off its word; the kernel of the cover (syzygy) stays the
-route for every other module and the oracle for strings.
+or band module is read off its word (Butler-Ringel 1987); the kernel of
+the cover (syzygy) stays the route for every other module and the oracle.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .errors import (
 )
 from .matrix import Mat, RowBasis, hstack, repack, support, vstack
 from .rep import ModuleRep, direct_sum
+from .words import syzygy_word
 
 
 def _check_context(M: ModuleRep, N: ModuleRep):
@@ -473,17 +476,20 @@ def _cover_kernel(M: ModuleRep):
 
 
 def _omega(M: ModuleRep) -> ModuleRep:
-    """Omega(M) up to isomorphism: read off the word for a string module
-    (words.syzygy_word), cached in M.cache; the kernel of the projective
-    cover (syzygy) for any other module."""
+    """Omega(M) up to isomorphism: read off the word for a string or band
+    module (words.syzygy_word), cached in M.cache; the kernel of the
+    projective cover (syzygy) for any other module."""
     s = M.cache.get("string")
-    if s is None:
+    band = M.cache.get("band")
+    if s is None and band is None:
         return syzygy(M)
     if "omega" not in M.cache:
-        from .modules import string_module  # modules -> algebra -> calculus
-        from .words import syzygy_word
+        from .modules import band_module, string_module  # modules -> algebra -> calculus
 
-        M.cache["omega"] = string_module(syzygy_word(s), M.field.degree)
+        if s is not None:
+            M.cache["omega"] = string_module(syzygy_word(s), M.field.degree)
+        else:
+            M.cache["omega"] = band_module(syzygy_word(band[0]), *band[1:], M.field.degree)
     return M.cache["omega"]
 
 
@@ -545,19 +551,34 @@ def _coboundaries(M: ModuleRep, N: ModuleRep):
     return P, Omega, inc, cob
 
 
-def ext1_dim_cocycles(M: ModuleRep, N: ModuleRep) -> int:
-    """Independent route: classes of cocycles Omega(M) -> N modulo
-    restrictions of maps P(M) -> N."""
-    _check_context(M, N)
-    _, OmegaM, _, cob = _coboundaries(M, N)
-    return hom_dim(OmegaM, N) - cob.rank
-
-
 # -- isomorphism and decomposition ------------------------------------------------
 
 
+def _same_tag(M: ModuleRep, N: ModuleRep) -> bool | None:
+    """Whether two string or band modules of one dimension are isomorphic,
+    read off their tags (Butler-Ringel 1987); None unless both are tagged.
+    Strings must be equal.  M(B, lambda, m) = M(B', lambda', m') iff B' is
+    a rotation of B with lambda' = lambda, or of B^-1 with lambda' =
+    lambda^-1 (then m = m', the dimension being len(B) m)."""
+    a = M.cache.get("string", M.cache.get("band"))
+    b = N.cache.get("string", N.cache.get("band"))
+    if a is None or b is None:
+        return None
+    if type(a) is not tuple or type(b) is not tuple:
+        return a == b
+    (word, lam, _), (other, mu, _) = a, b
+    if len(word) != len(other):
+        return False
+    cycle = bytes(word.letters) * 2  # the rotations of B are the words in BB
+    if mu == lam and bytes(other.letters) in cycle:
+        return True
+    return mu == M.field.inv(lam) and bytes(other.inverse().letters) in cycle
+
+
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test on a basis H of Hom(M, N), in four steps:
+    """Exact isomorphism test.  Two string or band modules are decided on
+    their tags (_same_tag).  Any other pair is decided on a basis H of
+    Hom(M, N), in four steps:
 
     1. True if a map in H is invertible;
     2. True if the sum of the maps in H is invertible;
@@ -573,6 +594,8 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
         return False
     if M.dim == 0:
         return True
+    if (same := _same_tag(M, N)) is not None:
+        return same
     H = hom_basis(M, N)
     d = len(H)
     if d == 0:
@@ -591,13 +614,16 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
-    """Isomorphism test for U KNOWN to be indecomposable: some basis map
+    """Isomorphism test for U KNOWN to be indecomposable: the tags when
+    both are string or band modules (_same_tag), otherwise some basis map
     U -> V is invertible.  End(U) is local, so when U = V the maps U -> V
     that are not isomorphisms form a proper subspace, which holds no
     basis."""
     _check_context(U, V)
     if U.dim != V.dim:
         return False
+    if (same := _same_tag(U, V)) is not None:
+        return same
     return U.dim == 0 or any(f.is_invertible() for f in hom_basis(U, V))
 
 

@@ -155,6 +155,8 @@ def cmd_omega(args):
 def cmd_component(args):
     from .arquiver import component_json, component_window, export_dot
 
+    if args.stable_end and args.format != "json":
+        raise ConfigError(f"--stable-end needs --format json, not {args.format}")
     s = String.from_word(parse_word(args.string))
     comp = component_window(s, args.radius)
     if args.format == "dot":
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("component", help="stable component window")
     sp.add_argument("--string", required=True)
     sp.add_argument("--radius", type=int, default=2)
-    sp.add_argument("--stable-end", action="store_true")
+    sp.add_argument("--stable-end", action="store_true", help="add each node's stable End (--format json only)")
     common(sp, ("text", "json", "dot"))
     sp.set_defaults(fn=cmd_component)
 

@@ -70,7 +70,9 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     """M(B, lambda, m): the wrap-around letter acts through the Jordan
     block J_m(lambda); basis index = cycle position * m + Jordan slot.
     B is a Band, or a Word that passes as a band word (ForbiddenSubword),
-    whose own rotation is kept for the basis."""
+    whose own rotation is kept for the basis.  That word, lambda and m are
+    kept in M.cache["band"], so that Omega and isomorphism can be read off
+    the word."""
     if lam == 0:
         raise ZeroLambda("band parameter must be nonzero")
     if mult < 1:
@@ -110,7 +112,9 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
         for j, v in enumerate(twist if k == n else ident):
             arrow[dst * mult + j] |= v << (src * mult)
     action = {name: Mat(field, dim, dim, r) for name, r in rows.items()}
-    return ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
+    M = ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
+    M.cache["band"] = (word, lam, mult)
+    return M
 
 
 def _intervals(word: Word, quotient: bool):

@@ -36,7 +36,7 @@ from .groupside import (
 )
 from .matrix import Mat
 from .modules import band_module, string_hom_dim, string_module
-from .rep import direct_sum
+from .rep import ModuleRep, direct_sum
 from .words import (
     Band,
     String,
@@ -539,23 +539,23 @@ def check_cross_engine_morita(cfg, memo):
 def observe_band_conventions(cfg, memo):
     """Open-question observations, recorded rather than asserted: how the
     scalar transforms under band inversion, and double-syzygy invariance
-    of band modules."""
+    of band modules.  The band tags encode the conventions observed here,
+    so the isomorphism tests run on untagged copies, on Hom."""
+
+    def untagged(word, lam):
+        M = band_module(word, lam, 1, degree=2)
+        return ModuleRep(M.algebra, M.dim, M.action, M.label)
+
     b = Band.from_word(parse_word("eta- beta alpha- gamma"))
     lam = OMEGA
-    m_inv = band_module(b.word.inverse(), lam, 1, degree=2)
-    same = C.is_isomorphic(m_inv, band_module(b, lam, 1, degree=2))
-    inverted = C.is_isomorphic(m_inv, band_module(b, GF4.inv(lam), 1, degree=2))
+    m_inv = untagged(b.word.inverse(), lam)
+    same = C.is_isomorphic(m_inv, untagged(b, lam))
+    inverted = C.is_isomorphic(m_inv, untagged(b, GF4.inv(lam)))
     tau_fixed = {}
     for band in enumerate_bands(6):
         M = band_module(band, 1, 1)
         tau_fixed[band.text()] = C.indec_isomorphic(C.syzygy(M, 2), M)
-    rotation_ok = all(
-        C.is_isomorphic(
-            band_module(b, lam, 1, degree=2),
-            band_module(b.rotation(i), lam, 1, degree=2),
-        )
-        for i in range(len(b.letters))
-    )
+    rotation_ok = all(C.is_isomorphic(untagged(b, lam), untagged(b.rotation(i), lam)) for i in range(len(b.letters)))
     return (
         "observations: rotation invariance of band modules at fixed scalar; "
         "the scalar inverts under band inversion (recorded, not asserted); "

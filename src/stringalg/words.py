@@ -494,37 +494,43 @@ _ARMS = {
 }
 
 
-def syzygy_word(s: String) -> String:
-    """The string of the syzygy Omega(M(S)), read off the word
-    (Butler-Ringel 1987; Erdmann, LNM 1428).
+def syzygy_word(s: String | Word) -> String | Word:
+    """The word of the syzygy, read off the word (Butler-Ringel 1987;
+    Erdmann, LNM 1428): for a String S, the String of Omega(M(S)); for a
+    band word B (a Word read cyclically), the band word OmegaB with
+    Omega(M(B, lambda, m)) = M(OmegaB, lambda, m), in the orientation of B.
 
-    A peak z_p of S at vertex v, with a direct run of l letters on its
-    left and an inverse run of r letters on its right, is the image of the
-    top of P(v), whose two arms cover the two runs.  Its part of the
+    A peak z_p of the word at vertex v, with a direct run of l letters on
+    its left and an inverse run of r letters on its right, is the image of
+    the top of P(v), whose two arms cover the two runs.  Its part of the
     kernel is a V: down the left arm from position l to the socle
     (inverse letters), then up the right arm to position r (direct
     letters).  Neighbouring Vs share the point above the deep between
-    their peaks; at either end of S the V starts one position further
-    along the arm."""
+    their peaks; at either end of a string the V starts one position
+    further along the arm.  A band has no ends: its runs are read
+    cyclically and every V shares both its ends."""
+    cyclic = not isinstance(s, String)
     w = s.letters
     n = len(w)
-    verts = s.word.vertices()
+    verts = s.vertices() if cyclic else s.word.vertices()
     out = []
-    for p in range(n + 1):
-        if (p and is_inverse(w[p - 1])) or (p < n and not is_inverse(w[p])):
+    for p in range(n if cyclic else n + 1):
+        if ((p or cyclic) and is_inverse(w[p - 1])) or (p < n and not is_inverse(w[p])):
             continue  # z_p is not a peak
         l = 0
-        while l < p and not is_inverse(w[p - l - 1]):
+        while l < (n if cyclic else p) and not is_inverse(w[p - l - 1]):
             l += 1
         r = 0
-        while p + r < n and is_inverse(w[p + r]):
+        while r < (n if cyclic else n - p) and is_inverse(w[(p + r) % n]):
             r += 1
         v = verts[p]
         left, right = _ARMS[v]
         if (l and left[0] != w[p - 1] & 3) or (not l and r and right[0] != w[p] & 3):
             left, right = right, left
-        out += [a | INV for a in left[l + (l == p) :]]
-        out += reversed(right[r + (p + r == n) :])
+        out += [a | INV for a in left[l + (not cyclic and l == p) :]]
+        out += reversed(right[r + (not cyclic and p + r == n) :])
+    if cyclic:
+        return Word(tuple(out))
     if not out:
         return String((), v)  # a lone V on the socle of P(v)
     return String.from_valid_word(Word(tuple(out)))

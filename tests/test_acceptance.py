@@ -86,3 +86,13 @@ def test_observations_recorded():
     # the recorded open-question observation: inversion flips the scalar
     assert computed["inversion_inverts_scalar"] is True
     assert computed["inversion_keeps_scalar"] is False
+
+
+def test_observations_are_computed_on_hom(monkeypatch):
+    # the band tags encode the conventions observed: with tags that never
+    # match, an observation that the tags decided would turn False
+    from stringalg import calculus
+
+    computed = ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3]
+    monkeypatch.setattr(calculus, "_same_tag", lambda M, N: False if "band" in M.cache and "band" in N.cache else None)
+    assert ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3] == computed

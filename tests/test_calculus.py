@@ -13,7 +13,9 @@ from stringalg.groupside import standard_reps
 from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
-from stringalg.words import Band, enumerate_bands, enumerate_strings, make_string, parse_word
+from stringalg.words import Band, Word, enumerate_bands, enumerate_strings, make_string, parse_word
+
+from oracles import ext1_dim_cocycles
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +422,7 @@ class TestZeroModule:
         assert P.dim == 0 and (pi.nrows, pi.ncols) == (0, 0)
         for M in (string_module(parse_word("alpha"), degree), lam.simples[1], lam.pims[0], Z):
             for A, B in ((Z, M), (M, Z)):
-                assert C.ext1_dim(A, B) == C.ext1_dim_cocycles(A, B) == 0, (A, B)
+                assert C.ext1_dim(A, B) == ext1_dim_cocycles(A, B) == 0, (A, B)
                 assert C.factors_through_projective(Mat.zeros(field, B.dim, A.dim), A, B), (A, B)
                 with pytest.raises(SplitOnly):
                     C.nonsplit_extension(A, B)
@@ -443,7 +445,7 @@ class TestStableAndExt:
         for ctx in (lam, ks4):
             for a in ctx.simples:
                 for b in ctx.simples:
-                    assert C.ext1_dim(a, b) == C.ext1_dim_cocycles(a, b)
+                    assert C.ext1_dim(a, b) == ext1_dim_cocycles(a, b)
 
     def test_ext_self_of_families(self, lam):
         for n in (1, 2, 3):
@@ -464,8 +466,9 @@ class TestStableAndExt:
 
 
 def _untagged(M):
-    """M with a fresh cache, so without its string tag: stable Hom and Ext^1
-    take the cover and kernel route on it."""
+    """M with a fresh cache, so without its string or band tag: stable Hom
+    and Ext^1 take the cover and kernel route on it, and is_isomorphic the
+    Hom route."""
     return ModuleRep(M.algebra, M.dim, M.action)
 
 
@@ -517,7 +520,7 @@ class TestStableHomRoutes:
         mods = [string_module(s) for s in enumerate_strings(3)]
         for M in mods:
             for N in mods:
-                assert C.ext1_dim(M, N) == C.ext1_dim_cocycles(M, N), (M, N)
+                assert C.ext1_dim(M, N) == ext1_dim_cocycles(M, N), (M, N)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_maps_into_a_projective_count_composition_factors(self, degree):
@@ -555,7 +558,85 @@ def _band_or_sum(draw, degree):
 @given(st.sampled_from((1, 2)).flatmap(lambda degree: st.tuples(_band_or_sum(degree), _band_or_sum(degree))))
 def test_ext_equals_cocycle_count_on_bands_and_sums(pair):
     M, N = pair
-    assert C.ext1_dim(M, N) == C.ext1_dim_cocycles(M, N), (M, N)
+    assert C.ext1_dim(M, N) == ext1_dim_cocycles(M, N), (M, N)
+
+
+def _band_params(degree):
+    """(lambda, m) for band modules over GF(2^degree)."""
+    lams = (1,) if degree == 1 else (1, OMEGA, OMEGA ^ 1)
+    return [(lam, m) for lam in lams for m in (1, 2)]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestBandRoutes:
+    """Band modules carry their word, lambda and m (M.cache["band"]):
+    Omega is read off the word and isomorphism off the tags; the cover and
+    Hom routes on untagged copies are the oracle."""
+
+    def test_band_tag(self, degree):
+        b = enumerate_bands(6)[-1]
+        w = b.rotation(1).inverse()
+        assert band_module(w, 1, 2, degree).cache["band"] == (w, 1, 2)
+        assert band_module(b, 1, 1, degree).relabel("x").cache["band"] == (b.word, 1, 1)
+        assert "band" not in _untagged(band_module(b, 1, 1, degree)).cache
+
+    def test_omega_on_the_word_against_the_cover(self, degree):
+        for b in enumerate_bands(12):
+            for lam, m in _band_params(degree):
+                for w in (b.word, b.rotation(1).inverse()):
+                    M = band_module(w, lam, m, degree)
+                    omega = C._omega(M)
+                    assert omega.cache["band"][1:] == (lam, m)
+                    assert C.is_isomorphic(_untagged(omega), C.syzygy(_untagged(M))), (w.text(), lam, m)
+
+    def test_stable_end_and_self_ext(self, degree):
+        for b in enumerate_bands(10):
+            for lam, m in _band_params(degree):
+                M = band_module(b, lam, m, degree)
+                U = _untagged(M)
+                assert C.stable_end_dim(M) == C.stable_end_dim(U), (b.text(), lam, m)
+                assert C.ext1_dim(M, M) == C.ext1_dim(U, U), (b.text(), lam, m)
+
+    def test_tags_against_hom_on_random_pairs(self, degree):
+        rng = random.Random(40 + degree)
+        bands = enumerate_bands(10)
+        strings = [s for s in enumerate_strings(9) if len(s) in (3, 5, 7, 9)]  # dim 4, 6, 8, 10, as bands
+
+        def draw():
+            if rng.random() < 0.2:
+                s = rng.choice(strings)
+                return string_module(rng.choice((s.word, s.word.inverse())), degree)
+            b = rng.choice(bands)
+            w = b.rotation(rng.randrange(len(b)))
+            lam, m = rng.choice(_band_params(degree))
+            return band_module(rng.choice((w, w.inverse())), lam, m, degree)
+
+        seen = 0
+        for _ in range(300):
+            M = draw()
+            # half of the time a random module of M's dimension, half of
+            # the time M's tag read another way
+            N = draw() if rng.random() < 0.5 else _rebuilt(M, rng, degree)
+            while N.dim != M.dim:
+                N = draw()
+            iso = C.is_isomorphic(_untagged(M), _untagged(N))
+            seen += iso
+            assert C.is_isomorphic(M, N) == C.indec_isomorphic(M, N) == iso, (M, N)
+        assert 50 < seen < 250
+
+
+def _rebuilt(M, rng, degree):
+    """The module of M's tag read another way: a string word inverted, a
+    band word rotated and perhaps inverted with lambda inverted or kept."""
+    if "string" in M.cache:
+        return string_module(M.cache["string"].word.inverse(), degree)
+    word, lam, m = M.cache["band"]
+    i = rng.randrange(len(word))
+    w = Word(word.letters[i:] + word.letters[:i])
+    if rng.random() < 0.5:
+        return band_module(w, lam, m, degree)
+    inv = M.field.inv(lam) if rng.random() < 0.8 else lam
+    return band_module(w.inverse(), inv, m, degree)
 
 
 class TestFactorsThroughProjective:
@@ -839,12 +920,13 @@ class TestIsomorphismRoutes:
     Krull-Schmidt on the decompositions (the only step that decomposes)."""
 
     def test_basis_map(self, degree, monkeypatch):
+        # untagged, so that the Hom basis decides and not the band tags
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
         lam = 1 if degree == 1 else OMEGA
         for m in (1, 2):
-            M = band_module(b, lam, m, degree)
+            M = _untagged(band_module(b, lam, m, degree))
             for i in range(1, len(b)):
-                N = band_module(b.rotation(i), lam, m, degree)
+                N = _untagged(band_module(b.rotation(i), lam, m, degree))
                 assert any(h.is_invertible() for h in C.hom_basis(M, N))
                 calls = _spy(monkeypatch, "decompose")
                 assert C.is_isomorphic(M, N)
@@ -901,10 +983,20 @@ class TestIsomorphismRoutes:
     def test_band_against_its_rotation_solves_one_hom_system(self, degree, monkeypatch):
         lam = 1 if degree == 1 else OMEGA
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
-        M, N = band_module(b, lam, 2, degree), band_module(b.rotation(1), lam, 2, degree)
+        M, N = _untagged(band_module(b, lam, 2, degree)), _untagged(band_module(b.rotation(1), lam, 2, degree))
         calls = _spy(monkeypatch, "_hom_rows")
         assert C.is_isomorphic(M, N)
         assert [(X is M, Y is N) for X, Y in calls] == [(True, True)]
+
+    def test_tagged_band_against_its_rotation_solves_no_hom_system(self, degree, monkeypatch):
+        lam = 1 if degree == 1 else OMEGA
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        M, N = band_module(b, lam, 2, degree), band_module(b.rotation(1), lam, 2, degree)
+        calls = _spy(monkeypatch, "_hom_rows")
+        assert C.is_isomorphic(M, N) and C.indec_isomorphic(M, N)
+        S = string_module(enumerate_strings(7)[-1], degree)  # dim 8, as M
+        assert not C.is_isomorphic(M, S) and not C.indec_isomorphic(S, M)
+        assert calls == []
 
 
 def _base_changed(M, rng):

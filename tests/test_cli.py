@@ -336,6 +336,15 @@ def test_component_stable_end_is_the_last_node_key(capsys):
         assert n["stable_end_dim"] == stable_end_dim(string_module(parse_word(n["string"])))
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "text"], ["--format", "dot"]])
+def test_component_stable_end_needs_json(capsys, fmt):
+    code = main(["component", "--string", "eta", "--radius", "1", "--stable-end", *fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and "--format json" in captured.err
+
+
 CLI_REFERENCES = Path(__file__).parent.parent / "perfbench" / "ref" / "cli-queries.json"
 
 

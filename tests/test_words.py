@@ -33,6 +33,7 @@ from stringalg.words import (
     parse_word,
     remove_hook,
     s_of,
+    syzygy_word,
     top_socle_decomposition,
     word_flaw,
 )
@@ -81,6 +82,39 @@ class TestBands:
 
     def test_noncyclic_word_rejected(self):
         assert not is_band(parse_word("alpha- gamma"))
+
+
+def least_rotation(letters):
+    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+
+
+class TestBandSyzygyWords:
+    """Omega of a band module read off the cyclic word; the module route
+    is checked in test_calculus."""
+
+    BANDS = enumerate_bands(14)
+
+    def test_syzygy_of_every_band_is_a_band(self):
+        # band_module would raise ForbiddenSubword on a bad word, and so
+        # would Omega; none is raised up to the bound
+        for b in self.BANDS:
+            for i in range(len(b)):
+                for w in (b.rotation(i), b.rotation(i).inverse()):
+                    assert band_flaw(syzygy_word(w)) is None, w.text()
+
+    def test_rotation_and_inversion_commute_with_syzygy(self):
+        for b in self.BANDS:
+            omega = least_rotation(syzygy_word(b.word).letters)
+            flipped = least_rotation(syzygy_word(b.word).inverse().letters)
+            for i in range(len(b)):
+                assert least_rotation(syzygy_word(b.rotation(i)).letters) == omega, b.text()
+                assert least_rotation(syzygy_word(b.rotation(i).inverse()).letters) == flipped, b.text()
+
+    def test_double_syzygy_is_a_rotation(self):
+        # band modules lie in homogeneous tubes: tau = Omega^2 fixes
+        # M(B, lambda, m), so it keeps B up to rotation, orientation included
+        for b in self.BANDS:
+            assert least_rotation(syzygy_word(syzygy_word(b.word)).letters) == least_rotation(b.letters), b.text()
 
 
 class TestEnumeration:
