@@ -11,20 +11,20 @@ at set-up to be absolutely simple (their matrices span End_k(S),
 Burnside) and pairwise non-isomorphic; the PIM dimension count checks
 that the list is complete, and the symmetric-algebra properties
 soc(P) = top(P) and D(P) projective are asserted rather than assumed.
-The projective indecomposables of a group algebra are the summands of
-the regular module, each found by its top.
+The projective indecomposables of the path algebra are closed walks,
+down one arm of words.ARMS and back up the other, built by the code that
+builds band modules; those of a group algebra are the summands of the
+regular module, each found by its top.
 """
 
 from __future__ import annotations
 
 from .errors import ContextMismatch, FieldTooSmall, ParseError, SplitFailure
 from .gf import GF, OMEGA
-from .matrix import Mat, RowBasis
-from .rep import ModuleRep
+from .matrix import Mat, RowBasis, repack
+from .rep import ModuleRep, direct_sum
 from . import calculus
-from .words import ALPHA, BETA, GAMMA, ETA, e_of, s_of
-
-ARROW_GEN = ("alpha", "beta", "gamma", "eta")
+from .words import ARMS, ARROW_NAMES, INV, e_of, is_inverse, s_of
 
 
 class AlgebraContext:
@@ -69,58 +69,48 @@ _CONTEXTS: dict[tuple, AlgebraContext] = {}
 
 # -- the path algebra --------------------------------------------------------
 
-# Path basis of the quotient algebra: index, name, arrow word (leftmost
-# composes last), end vertex e(p), source vertex s(p).  The two relations
-# identify alpha.gamma.beta with gamma.beta.alpha and eta.eta with
-# beta.alpha.gamma; the latter normal forms are the chosen basis vectors.
-_PATHS = [
-    ("p_e0", (), 0, 0),
-    ("p_e1", (), 1, 1),
-    ("p_a", (ALPHA,), 0, 0),
-    ("p_b", (BETA,), 1, 0),
-    ("p_g", (GAMMA,), 0, 1),
-    ("p_h", (ETA,), 1, 1),
-    ("p_ba", (BETA, ALPHA), 1, 0),
-    ("p_gb", (GAMMA, BETA), 0, 0),
-    ("p_ag", (ALPHA, GAMMA), 0, 1),
-    ("p_gba", (GAMMA, BETA, ALPHA), 0, 0),
-    ("p_bag", (BETA, ALPHA, GAMMA), 1, 1),
-]
 
-# Left multiplication by each arrow on the path basis (everything not
-# listed is zero; checked against the relations in the test suite).
-_LEFT_MULT = {
-    ALPHA: {0: 2, 4: 8, 7: 9},
-    BETA: {0: 3, 2: 6, 8: 10},
-    GAMMA: {1: 4, 3: 7, 6: 9},
-    ETA: {1: 5, 5: 10},
-}
+def closed_walk_module(ctx, letters, label: str, twist: Mat | None = None) -> ModuleRep:
+    """The module of a closed walk w_1...w_n on the cyclic basis
+    z_0..z_{n-1} tensored with k^m: a direct letter w_i sends z_i to
+    z_{i-1}, an inverse letter z_{i-1} to z_i (indices mod n), each as the
+    identity on k^m but the wrap-around letter w_n, which acts through the
+    m x m matrix `twist` (the identity on k, m = 1, when omitted).  z_i
+    lies at the vertex e(w_{i+1}).  A band module is the walk of its band
+    word; P(v) is the walk down one arm from its top and back up the
+    other, with m = 1."""
+    field = ctx.field
+    if twist is None:
+        twist = Mat.identity(field, 1)
+    n = len(letters)
+    mult = twist.nrows
+    dim = n * mult
+    ident = [1 << j for j in range(mult)]
+    wrap = repack(twist.rows, mult, dim, field.degree)
+    rows = {name: [0] * dim for name in ctx.gen_names}
+    for i, letter in enumerate(letters):
+        vertex = rows[ctx.idempotents[e_of(letter)]]
+        for j, v in enumerate(ident):
+            vertex[i * mult + j] = v << (i * mult)
+    for k, letter in enumerate(letters, start=1):
+        src, dst = (k - 1, k % n) if is_inverse(letter) else (k % n, k - 1)
+        arrow = rows[ARROW_NAMES[letter & 3]]
+        for j, v in enumerate(wrap if k == n else ident):
+            arrow[dst * mult + j] |= v << (src * mult)
+    return ModuleRep(ctx, dim, {name: Mat(field, dim, dim, r) for name, r in rows.items()}, label)
 
 
 def quiver_context(degree: int = 1) -> AlgebraContext:
-    """The 11-dimensional special biserial algebra over GF(2^degree)."""
+    """The 11-dimensional special biserial algebra over GF(2^degree), whose
+    regular module is the sum of the projectives P(v), each the closed walk
+    on its two arms in words.ARMS."""
     key = ("Lambda", degree)
     if key in _CONTEXTS:
         return _CONTEXTS[key]
     field = GF(degree)
-    ctx = AlgebraContext("Lambda", field, ("e0", "e1") + ARROW_GEN)
+    ctx = AlgebraContext("Lambda", field, ("e0", "e1") + ARROW_NAMES)
     ctx.idempotents = ("e0", "e1")
-    ctx.arrows = {name: (s_of(a), e_of(a)) for a, name in enumerate(ARROW_GEN)}
-    ctx.dim = len(_PATHS)
-
-    action = {}
-    for v, name in ((0, "e0"), (1, "e1")):
-        m = Mat.zeros(field, ctx.dim, ctx.dim)
-        for i, (_, _, end, _) in enumerate(_PATHS):
-            if end == v:
-                m.set_entry(i, i, 1)
-        action[name] = m
-    for a in range(4):
-        m = Mat.zeros(field, ctx.dim, ctx.dim)
-        for src, dst in _LEFT_MULT[a].items():
-            m.set_entry(dst, src, 1)
-        action[ARROW_GEN[a]] = m
-    ctx.regular = ModuleRep(ctx, ctx.dim, action, label="Lambda")
+    ctx.arrows = {name: (s_of(a), e_of(a)) for a, name in enumerate(ARROW_NAMES)}
 
     # beta <-> gamma reverses every path and keeps both relations: the
     # letterwise symmetry of words.mirror_string
@@ -129,13 +119,16 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
 
     for v, name in ((0, "S0"), (1, "S1")):
         act = {g: Mat.zeros(field, 1, 1) for g in ctx.gen_names}
-        act[("e0", "e1")[v]] = Mat.identity(field, 1)
+        act[ctx.idempotents[v]] = Mat.identity(field, 1)
         ctx.simples.append(ModuleRep(ctx, 1, act, label=name))
 
-    for v, name in ((0, "P0"), (1, "P1")):
-        idx = [i for i, (_, _, _, src) in enumerate(_PATHS) if src == v]
-        act = {g: ctx.regular.action[g].submatrix(idx, idx) for g in ctx.gen_names}
-        ctx.pims.append(ModuleRep(ctx, len(idx), act, label=name))
+    # the top of P(v) is z_l, l the length of the first arm; both arms
+    # meet in the socle z_0
+    for v, (first, second) in ARMS.items():
+        walk = tuple(reversed(first)) + tuple(a | INV for a in second)
+        ctx.pims.append(closed_walk_module(ctx, walk, f"P{v}"))
+    ctx.regular = direct_sum(ctx.pims, "Lambda")
+    ctx.dim = ctx.regular.dim
 
     _verify_context(ctx)
     _CONTEXTS[key] = ctx

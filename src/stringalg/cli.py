@@ -36,8 +36,11 @@ def _degree(args) -> int:
 def _emit(args, text: str):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -49,10 +52,13 @@ def _module_from_args(args):
     if bool(args.string) == bool(args.band):
         raise ConfigError("give exactly one of --string or --band")
     if args.string:
+        if args.lam is not None or args.mult is not None:
+            raise ConfigError("--lam and --mult need --band, not --string")
         return string_module(parse_word(args.string), _degree(args))
-    lam, deg = _SCALARS[args.lam]
+    lam, deg = _SCALARS[args.lam or "1"]
     deg = max(deg, _degree(args))
-    return band_module(Band.from_word(parse_word(args.band)), lam, args.mult, deg)
+    mult = 1 if args.mult is None else args.mult
+    return band_module(Band.from_word(parse_word(args.band)), lam, mult, deg)
 
 
 def cmd_classes(args):
@@ -268,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         """The one string or band module of `module` and `stable-end`."""
         sp.add_argument("--string")
         sp.add_argument("--band")
-        sp.add_argument("--lam", choices=tuple(_SCALARS), default="1")
-        sp.add_argument("--mult", type=int, default=1)
+        sp.add_argument("--lam", choices=tuple(_SCALARS), help="band parameter (default 1)")
+        sp.add_argument("--mult", type=int, help="band multiplicity (default 1)")
         common(sp, field=True)
 
     for kind in ("strings", "bands"):

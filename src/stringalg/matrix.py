@@ -201,20 +201,6 @@ class Mat:
                 rows[c] |= 1 << (p * m + r)
         return Mat(self.field, n, m, rows)
 
-    def submatrix(self, row_idx, col_idx):
-        n, w = self.ncols, len(col_idx)
-        rows = []
-        for r in row_idx:
-            v = self.rows[r]
-            out = 0
-            for p in range(self.field.degree):
-                plane = v >> (p * n)
-                for cc, c in enumerate(col_idx):
-                    if (plane >> c) & 1:
-                        out |= 1 << (p * w + cc)
-            rows.append(out)
-        return Mat(self.field, len(rows), w, rows)
-
     # -- elimination -----------------------------------------------------------
     def vector(self) -> int:
         """The matrix flattened row after row, entry (i, j) in column

@@ -5,7 +5,8 @@ A word w_1...w_n yields a module on the basis z_0..z_n: a direct letter
 w_i = xi sends z_i to z_{i-1}, an inverse letter w_i = xi^{-1} sends
 z_{i-1} to z_i.  Band modules use the same rule on a cyclic basis
 z_0..z_{n-1} tensored with k^m, with the wrap-around letter twisted by a
-Jordan block J_m(lambda).
+Jordan block J_m(lambda): they are the closed walks of
+algebra.closed_walk_module, which builds the projectives too.
 
 Homomorphisms between string modules are spanned by graph maps: one for
 each common interval C that is a quotient interval of the source (flanked
@@ -24,14 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .algebra import ARROW_GEN, quiver_context
+from .algebra import closed_walk_module, quiver_context
 from .errors import InvalidMultiplicity, LimitExceeded, ParseError, ZeroLambda
 from .gf import GF
-from .matrix import Mat, repack
+from .matrix import Mat
 from .rep import ModuleRep
-from .words import INV, Band, String, Word, e_of, is_inverse, validate_band_word, validate_string_word
+from .words import ARROW_NAMES, INV, Band, String, Word, is_inverse, validate_band_word, validate_string_word
 
-_VERTEX_GEN = ("e0", "e1")
 # Largest band multiplicity: the stable End of M(B, 1, 16) takes under 0.5 s
 # for every band of length <= 14, and its cost grows faster than dim^3.
 _MULT_LIMIT = 16
@@ -56,10 +56,10 @@ def string_module(S, degree: int = 1) -> ModuleRep:
     dim = len(word.letters) + 1
     rows = {name: [0] * dim for name in ctx.gen_names}
     for i, v in enumerate(word.vertices()):
-        rows[_VERTEX_GEN[v]][i] = 1 << i
+        rows[ctx.idempotents[v]][i] = 1 << i
     for i, letter in enumerate(word.letters, start=1):
         dst, src = (i, i - 1) if is_inverse(letter) else (i - 1, i)
-        rows[ARROW_GEN[letter & 3]][dst] |= 1 << src
+        rows[ARROW_NAMES[letter & 3]][dst] |= 1 << src
     action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
     M = ModuleRep(ctx, dim, action, label=f"M({word.text()})")
     M.cache["string"] = S if isinstance(S, String) else String.from_valid_word(word)
@@ -89,30 +89,14 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     field = ctx.field
     if lam >= field.order:
         raise ZeroLambda(f"parameter {lam} not in {field}")
-    n = len(word.letters)
-    dim = n * mult
     jordan = Mat.from_entries(
         field, [[lam if c == r else int(c == r - 1) for c in range(mult)] for r in range(mult)]
     )
     # The twist measures the holonomy along the cycle orientation, so it
     # enters inverted on a direct wrap letter; this is what makes
     # M(B,l,m) independent of the chosen rotation for the same l.
-    wrap_twist = jordan if is_inverse(word.letters[-1]) else jordan.inverse()
-    twist = repack(wrap_twist.rows, mult, dim, field.degree)
-    ident = [1 << j for j in range(mult)]
-    rows = {name: [0] * dim for name in ctx.gen_names}
-    # vertex of the cycle point z_i: e(b_{i+1}), as in the string case
-    for i, letter in enumerate(word.letters):
-        vertex = rows[_VERTEX_GEN[e_of(letter)]]
-        for j, v in enumerate(ident):
-            vertex[i * mult + j] = v << (i * mult)
-    for k, letter in enumerate(word.letters, start=1):
-        src, dst = (k - 1, k % n) if is_inverse(letter) else (k % n, k - 1)
-        arrow = rows[ARROW_GEN[letter & 3]]
-        for j, v in enumerate(twist if k == n else ident):
-            arrow[dst * mult + j] |= v << (src * mult)
-    action = {name: Mat(field, dim, dim, r) for name, r in rows.items()}
-    M = ModuleRep(ctx, dim, action, label=f"M({word.text()}; {lam}, {mult})")
+    twist = jordan if is_inverse(word.letters[-1]) else jordan.inverse()
+    M = closed_walk_module(ctx, word.letters, f"M({word.text()}; {lam}, {mult})", twist)
     M.cache["band"] = (word, lam, mult)
     return M
 

@@ -487,8 +487,11 @@ def remove_hook(word: Word, cohook: bool = False) -> Word | None:
 # -- syzygies on words -------------------------------------------------------
 
 # The two arms of each indecomposable projective P(v): arrows in the order
-# they act from the top, the last one reaching the socle.
-_ARMS = {
+# they act from the top, the last one reaching the socle.  This is the one
+# declaration of the algebra for the word and module layers: syzygy_word
+# reads it, and algebra.quiver_context builds each P(v), and from them the
+# regular module, as the closed walk down one arm and back up the other.
+ARMS = {
     0: ((ALPHA, BETA, GAMMA), (BETA, GAMMA, ALPHA)),
     1: ((GAMMA, ALPHA, BETA), (ETA, ETA)),
 }
@@ -524,7 +527,7 @@ def syzygy_word(s: String | Word) -> String | Word:
         while r < (n if cyclic else n - p) and is_inverse(w[(p + r) % n]):
             r += 1
         v = verts[p]
-        left, right = _ARMS[v]
+        left, right = ARMS[v]
         if (l and left[0] != w[p - 1] & 3) or (not l and r and right[0] != w[p] & 3):
             left, right = right, left
         out += [a | INV for a in left[l + (not cyclic and l == p) :]]

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,71 @@ class TestAlgebraSetup:
         by_dim = {p.dim: p for p in parts}
         assert C.is_isomorphic(by_dim[6], lam.pims[0])
         assert C.is_isomorphic(by_dim[5], lam.pims[1])
+
+
+# The defining relations of Lambda as README states them, each a sum of
+# paths (generator words, the leftmost acting last) that acts as zero;
+# over characteristic 2 a difference is a sum.
+_RELATIONS = (
+    (("alpha", "alpha"),),
+    (("eta", "beta"),),
+    (("beta", "gamma"),),
+    (("gamma", "eta"),),
+    (("gamma", "beta", "alpha"), ("alpha", "gamma", "beta")),
+    (("eta", "eta"), ("beta", "alpha", "gamma")),
+)
+
+
+def _assert_relations(M):
+    """M is a module over the path algebra with the relations: the vertex
+    idempotents are orthogonal and sum to 1, each arrow runs from its
+    source vertex to its target, and every relation acts as zero."""
+    ctx = M.algebra
+    zero = Mat.zeros(M.field, M.dim, M.dim)
+    e = [M.action[name] for name in ctx.idempotents]
+    assert e[0].add(e[1]) == Mat.identity(M.field, M.dim), M
+    assert e[0].mul(e[1]) == e[1].mul(e[0]) == zero, M
+    assert all(x.mul(x) == x for x in e), M
+    for name, (source, target) in ctx.arrows.items():
+        assert e[target].mul(M.action[name]).mul(e[source]) == M.action[name], (M, name)
+    for paths in _RELATIONS:
+        assert reduce(Mat.add, [M.word_matrix(p) for p in paths]) == zero, (M, paths)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestRelations:
+    """The projectives are closed walks on words.ARMS and the regular
+    module their sum; README's relations are the oracle for them and for
+    every string and band module."""
+
+    def test_projectives_and_regular_module(self, degree):
+        ctx = quiver_context(degree)
+        for M in [*ctx.pims, ctx.regular]:
+            _assert_relations(M)
+
+    def test_string_modules(self, degree):
+        for s in enumerate_strings(8):
+            _assert_relations(string_module(s, degree))
+
+    def test_band_modules(self, degree):
+        for b in enumerate_bands(10):
+            for lam, m in _band_params(degree):
+                _assert_relations(band_module(b, lam, m, degree))
+
+    def test_regular_module_is_faithful(self, degree):
+        # the generator words of length <= 3 span the 11 paths of Lambda
+        ctx = quiver_context(degree)
+        R = ctx.regular
+        span = RowBasis(R.field, R.dim * R.dim)
+        for n in range(4):
+            for w in product(ctx.gen_names, repeat=n):
+                span.insert(R.word_matrix(w).vector())
+        assert span.rank == ctx.dim == 11
+
+    def test_projectives_are_untagged_with_zero_omega(self, degree):
+        for P in quiver_context(degree).pims:
+            assert "string" not in P.cache and "band" not in P.cache
+            assert C._omega(P).dim == 0
 
 
 class TestHomSpaces:

@@ -267,6 +267,24 @@ def test_string_and_band_together_exit_2(capsys, command):
     assert captured.err == "config error: give exactly one of --string or --band\n"
 
 
+@pytest.mark.parametrize("command", ["module", "stable-end"])
+@pytest.mark.parametrize("flag", [["--lam", "1"], ["--lam", "w"], ["--mult", "1"], ["--mult", "3"]])
+def test_band_flags_with_a_string_exit_2(capsys, command, flag):
+    code = main([command, "--string", "alpha", *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "config error: --lam and --mult need --band, not --string\n"
+
+
+def test_band_flags_default_to_one(capsys):
+    band = ["--band", "eta- beta alpha- gamma"]
+    _, plain = run_cli(capsys, "module", *band, "--format", "json")
+    _, explicit = run_cli(capsys, "module", *band, "--lam", "1", "--mult", "1", "--format", "json")
+    assert plain == explicit
+    assert json.loads(plain)["dim"] == 4
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["strings"])  # missing required --max-len
@@ -288,6 +306,16 @@ def test_out_file(tmp_path, capsys):
     code, _ = run_cli(capsys, "strings", "--max-len", "1", "--format", "json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["count"] == 6
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "list.txt"
+    code = main(["strings", "--max-len", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write --out: ")
+    assert not target.exists()
 
 
 def test_report_json_stable():

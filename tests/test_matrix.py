@@ -308,9 +308,6 @@ def test_plane_moving_against_entrywise(field):
         A = rand_mat(field, n, m, rng)
         a = A.to_entries()
         assert A.transpose().to_entries() == [list(col) for col in zip(*a)]
-        rows = rng.sample(range(n), rng.randint(0, n))
-        cols = rng.sample(range(m), rng.randint(0, m))
-        assert A.submatrix(rows, cols).to_entries() == [[a[r][c] for c in cols] for r in rows]
         flat = Mat(field, 1, n * m, [A.vector()])
         assert flat.to_entries() == [sum(a, [])]
         s = rng.randrange(field.order)
