@@ -24,7 +24,7 @@ from .gf import GF, OMEGA
 from .matrix import Mat, RowBasis, repack
 from .rep import ModuleRep, direct_sum
 from . import calculus
-from .words import ARMS, ARROW_NAMES, INV, e_of, is_inverse, s_of
+from .words import ARMS, ARROW_NAMES, INV, MIRROR_ARROW, e_of, is_inverse, s_of
 
 
 class AlgebraContext:
@@ -34,7 +34,6 @@ class AlgebraContext:
         "gen_names",
         "idempotents",
         "arrows",
-        "dim",
         "regular",
         "opposite",
         "simples",
@@ -51,7 +50,6 @@ class AlgebraContext:
         # the (source, target) vertex of every other generator
         self.idempotents = ()
         self.arrows = {name: (0, 0) for name in self.gen_names}
-        self.dim = 0
         self.regular = None
         # generator -> the word of its image under an anti-automorphism
         self.opposite = {}
@@ -112,10 +110,9 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
     ctx.idempotents = ("e0", "e1")
     ctx.arrows = {name: (s_of(a), e_of(a)) for a, name in enumerate(ARROW_NAMES)}
 
-    # beta <-> gamma reverses every path and keeps both relations: the
-    # letterwise symmetry of words.mirror_string
-    swap = {"beta": "gamma", "gamma": "beta"}
-    ctx.opposite = {g: (swap.get(g, g),) for g in ctx.gen_names}
+    # the mirror table of words.mirror_string is an anti-automorphism
+    ctx.opposite = {e: (e,) for e in ctx.idempotents}
+    ctx.opposite |= {name: (ARROW_NAMES[MIRROR_ARROW[a]],) for a, name in enumerate(ARROW_NAMES)}
 
     for v, name in ((0, "S0"), (1, "S1")):
         act = {g: Mat.zeros(field, 1, 1) for g in ctx.gen_names}
@@ -128,7 +125,6 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
         walk = tuple(reversed(first)) + tuple(a | INV for a in second)
         ctx.pims.append(closed_walk_module(ctx, walk, f"P{v}"))
     ctx.regular = direct_sum(ctx.pims, "Lambda")
-    ctx.dim = ctx.regular.dim
 
     _verify_context(ctx)
     _CONTEXTS[key] = ctx
@@ -234,7 +230,6 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     ctx.gen_perms = dict(gens)
     ctx.elements = group_elements(gens)
     order = len(ctx.elements)
-    ctx.dim = order
 
     # basis: the elements in sorted order; g sends x to gx, so the row of
     # y holds the column of g^-1 y
@@ -335,7 +330,7 @@ def _verify_context(ctx):
                 raise SplitFailure(f"{ctx.name}: simples {T.label} and {S.label} are isomorphic")
     # dim check: regular = sum of PIMs with multiplicity dim(simple), so
     # the list of simples is complete
-    if sum(P.dim * S.dim for P, S in zip(ctx.pims, ctx.simples)) != ctx.dim:
+    if sum(P.dim * S.dim for P, S in zip(ctx.pims, ctx.simples)) != ctx.regular.dim:
         raise SplitFailure(f"{ctx.name}: PIM/simple dimension count failed")
     # socle of each PIM is simple and isomorphic to its top, so P_i is the
     # injective hull of S_i (stable Hom without a cover)

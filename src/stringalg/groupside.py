@@ -18,6 +18,8 @@ H_PERM = (1, 0, 2, 3)
 
 _COSET_REPS = ((0, 1, 2, 3), H_PERM)  # S4 = A4 + h.A4
 
+_TOWER_LIMIT = 6
+
 
 def perm_module(degree: int = 1) -> ModuleRep:
     """The natural 4-point permutation module mod 2 (one matrix per
@@ -125,10 +127,8 @@ def extension_tower(n_max: int, degree: int = 1) -> list[ModuleRep]:
     """V_0 = T0 and V_n the non-split extension of the permutation module
     by V_{n-1}; checks dim Hom(PermRep, V_{n-1}) = n and
     Ext^1(PermRep, V_{n-1}) = k before each step."""
-    if n_max < 0:
-        raise LimitExceeded(f"tower bound {n_max} < 0")
-    if n_max > 6:
-        raise HypothesisFailed("tower bound exceeded")
+    if not 0 <= n_max <= _TOWER_LIMIT:
+        raise LimitExceeded(f"tower bound {n_max} not in 0..{_TOWER_LIMIT}")
     ctx = group_context("S4", degree)
     M = perm_module(degree)
     tower = [ctx.simples[0].relabel("V0")]

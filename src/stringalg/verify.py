@@ -141,7 +141,7 @@ def check_algebra_structure(cfg, memo):
     lam = quiver_context(1)
     ks4 = group_context("S4", 1)
     computed = {
-        "quiver_algebra_dim": lam.dim,
+        "quiver_algebra_dim": lam.regular.dim,
         "quiver_pim_dims": [P.dim for P in lam.pims],
         "quiver_p0_layers": C.radical_series(lam.pims[0]),
         "quiver_p1_layers": C.radical_series(lam.pims[1]),

@@ -3,9 +3,11 @@
 The quiver has vertices 0, 1 and arrows alpha: 0->0, beta: 0->1,
 gamma: 1->0, eta: 1->1.  Letters of a word are arrows or formal inverses;
 consecutive letters must compose (s(w_i) = e(w_{i+1})), so the rightmost
-letter of a word acts first.  Strings avoid the forbidden path set J both
-in the word and in its formal inverse; bands are primitive cyclic words
-all of whose powers are strings.
+letter of a word acts first.  ARMS, the two arms of each projective, is
+the one statement of the relations: each one-direction run of a string
+must be a proper subpath of an arm, read in the order it acts (a whole
+arm is the socle), and no relation table is kept beside it.  Bands are
+primitive cyclic words all of whose powers are strings.
 
 Letters are small ints: arrow index 0..3, with bit 2 set for an inverse.
 The canonical representative of a string class is the lexicographically
@@ -39,29 +41,6 @@ ARROW_NAMES = ("alpha", "beta", "gamma", "eta")
 _ARROW_S = (0, 0, 1, 1)
 _ARROW_E = (0, 1, 0, 1)
 
-# Forbidden paths (as textual arrow tuples: leftmost composes last).
-J_SET = {
-    (ALPHA, ALPHA),
-    (ETA, BETA),
-    (BETA, GAMMA),
-    (GAMMA, ETA),
-    (ETA, ETA),
-    (GAMMA, BETA, ALPHA),
-    (ALPHA, GAMMA, BETA),
-    (BETA, ALPHA, GAMMA),
-}
-
-# Legal top-socle pieces of a band (inverse-letter words).
-TOP_SOCLE_PIECES = {
-    (ALPHA | INV,),
-    (BETA | INV,),
-    (GAMMA | INV,),
-    (ETA | INV,),
-    (ALPHA | INV, BETA | INV),
-    (BETA | INV, GAMMA | INV),
-    (GAMMA | INV, ALPHA | INV),
-}
-
 
 def inv_letter(letter: int) -> int:
     return letter ^ INV
@@ -85,6 +64,36 @@ def letter_text(letter: int) -> str:
     return ARROW_NAMES[letter & 3] + ("-" if letter & INV else "")
 
 
+# The two arms of each indecomposable projective P(v): arrows in the order
+# they act from the top, the last one reaching the socle.  This is the one
+# declaration of the algebra for the word and module layers: the legal
+# runs of strings and bands below, syzygy_word and algebra.quiver_context,
+# which builds each P(v), and from them the regular module, as the closed
+# walk down one arm and back up the other, all read it.
+ARMS = {
+    0: ((ALPHA, BETA, GAMMA), (BETA, GAMMA, ALPHA)),
+    1: ((GAMMA, ALPHA, BETA), (ETA, ETA)),
+}
+
+
+def _legal_runs() -> frozenset:
+    """The one-direction runs a string may contain, as letter tuples: those
+    that read, in the order they act, a proper subpath of an arm (a whole
+    arm is the socle, zero in Lambda modulo its socle).  A direct run acts
+    from its right end, an inverse run from its left."""
+    runs = set()
+    for arm in (arm for pair in ARMS.values() for arm in pair):
+        for i in range(len(arm)):
+            for j in range(i + 1, len(arm) + 1):
+                if j - i < len(arm):
+                    runs.add(tuple(reversed(arm[i:j])))
+                    runs.add(tuple([a | INV for a in arm[i:j]]))
+    return frozenset(runs)
+
+
+_LEGAL_RUNS = _legal_runs()
+
+
 _set = object.__setattr__
 
 
@@ -93,9 +102,10 @@ def _immutable(self, name, *value):
 
 
 class _Walk:
-    """Value semantics of Word and String, those of a frozen dataclass:
-    fields set once, equal only to an object of the same class with the
-    same letters and vertex, hashed on the two."""
+    """Value semantics of Word, String and Band, those of a frozen
+    dataclass: fields set once, equal only to an object of the same class
+    with the same letters and vertex, hashed on the two.  Only an empty
+    walk needs its vertex; a band has none."""
 
     __slots__ = ("letters", "vertex")
     __setattr__ = __delattr__ = _immutable
@@ -115,6 +125,17 @@ class _Walk:
     def __reduce__(self):
         return self.__class__, (self.letters, self.vertex)
 
+    def __len__(self):
+        return len(self.letters)
+
+    def text(self) -> str:
+        if not self.letters:
+            return f"1_{self.vertex}"
+        return " ".join(letter_text(l) for l in self.letters)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text()!r})"
+
 
 class Word(_Walk):
     """A composable walk; empty walks carry the vertex they sit at."""
@@ -126,17 +147,6 @@ class Word(_Walk):
             raise ParseError("empty word needs a vertex tag")
         _set(self, "letters", letters)
         _set(self, "vertex", vertex)
-
-    def __len__(self):
-        return len(self.letters)
-
-    @property
-    def source(self) -> int:
-        return s_of(self.letters[-1]) if self.letters else self.vertex
-
-    @property
-    def end(self) -> int:
-        return e_of(self.letters[0]) if self.letters else self.vertex
 
     def inverse(self) -> "Word":
         if not self.letters:
@@ -150,14 +160,6 @@ class Word(_Walk):
         vs = [e_of(l) for l in self.letters]
         vs.append(s_of(self.letters[-1]))
         return tuple(vs)
-
-    def text(self) -> str:
-        if not self.letters:
-            return f"1_{self.vertex}"
-        return " ".join(letter_text(l) for l in self.letters)
-
-    def __repr__(self):
-        return f"Word({self.text()!r})"
 
 
 def empty_word(vertex: int) -> Word:
@@ -179,18 +181,12 @@ def _runs(letters):
     return out
 
 
-def _run_forbidden(letters, start, length, invflag) -> bool:
-    """Does the run contain a subpath (after orienting) lying in J?"""
-    # tuple([...]) rather than tuple(<generator>): a list gives the tuple
-    # its length, and resized tuples fragment the allocator on hot paths
-    arrows = tuple([l & 3 for l in letters[start : start + length]])
-    if invflag:
-        arrows = arrows[::-1]
-    for ln in (2, 3):
-        for k in range(len(arrows) - ln + 1):
-            if arrows[k : k + ln] in J_SET:
-                return True
-    return False
+def _last_run(letters):
+    """The maximal one-direction run that ends the letters."""
+    k = len(letters) - 1
+    while k and is_inverse(letters[k - 1]) == is_inverse(letters[-1]):
+        k -= 1
+    return letters[k:]
 
 
 def word_flaw(letters) -> str | None:
@@ -244,36 +240,12 @@ class String(_Walk):
             _set(self, "_word", Word(self.letters, self.vertex))
             return self._word
 
-    def __len__(self):
-        return len(self.letters)
 
-    def text(self) -> str:
-        return self.word.text()
-
-    def __repr__(self):
-        return f"String({self.text()!r})"
-
-
-class Band:
+class Band(_Walk):
     """Canonical representative of a band class (rotations of both
-    orientations); a value like Word and String."""
+    orientations)."""
 
-    __slots__ = ("letters",)
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(self, letters: tuple[int, ...]):
-        _set(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.letters,))
-
-    def __reduce__(self):
-        return Band, (self.letters,)
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, word: Word) -> "Band":
@@ -283,19 +255,10 @@ class Band:
     def word(self) -> Word:
         return Word(self.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
-    def text(self) -> str:
-        return self.word.text()
-
     def rotation(self, i: int) -> Word:
         n = len(self.letters)
         i %= n
         return Word(self.letters[i:] + self.letters[:i])
-
-    def __repr__(self):
-        return f"Band({self.text()!r})"
 
 
 def _band_canonical(letters):
@@ -312,9 +275,10 @@ def _band_canonical(letters):
 def band_flaw(word: Word) -> str | None:
     """None if the word satisfies every band condition, else a reason.
 
-    The "every power is a string" condition is finite: J has no member of
-    length > 3, so it holds once each letter, read cyclically, may follow
-    its two predecessors (_follow): letters 1..n+1 of w^3 are checked.
+    The "every power is a string" condition is finite: legal runs, the
+    proper subpaths of the arms of ARMS, are at most two letters long, so
+    it holds once each letter, read cyclically, may follow its two
+    predecessors (_follow): letters 1..n+1 of w^3 are checked.
     """
     letters = word.letters
     n = len(letters)
@@ -385,9 +349,12 @@ def _extensions(letters, vertex=None):
 
 @lru_cache(maxsize=None)
 def _follow(tail, vertex):
-    """The follow rule of :func:`_extensions`.  J has no path longer than
-    3, so on a valid word only the last two letters (the vertex, for an
-    empty word) decide which letters may follow."""
+    """The follow rule of :func:`_extensions`: a letter that composes, is
+    not the inverse of the last one, and ends a legal run, a proper
+    subpath of an arm of ARMS.  Every earlier run of a valid word is
+    legal, and no arm is longer than three arrows, so no legal run is
+    longer than two letters: only the last two letters (the vertex, for
+    an empty word) decide which letters may follow."""
     if not tail:
         return tuple(l for l in range(8) if e_of(l) == vertex)
     last = tail[-1]
@@ -397,7 +364,7 @@ def _follow(tail, vertex):
         for cand in (a, a | INV)
         if e_of(cand) == s_of(last)
         and cand != inv_letter(last)
-        and not any(_run_forbidden(tail + (cand,), *run) for run in _runs(tail + (cand,)))
+        and _last_run(tail + (cand,)) in _LEGAL_RUNS
     )
 
 
@@ -486,16 +453,6 @@ def remove_hook(word: Word, cohook: bool = False) -> Word | None:
 
 # -- syzygies on words -------------------------------------------------------
 
-# The two arms of each indecomposable projective P(v): arrows in the order
-# they act from the top, the last one reaching the socle.  This is the one
-# declaration of the algebra for the word and module layers: syzygy_word
-# reads it, and algebra.quiver_context builds each P(v), and from them the
-# regular module, as the closed walk down one arm and back up the other.
-ARMS = {
-    0: ((ALPHA, BETA, GAMMA), (BETA, GAMMA, ALPHA)),
-    1: ((GAMMA, ALPHA, BETA), (ETA, ETA)),
-}
-
 
 def syzygy_word(s: String | Word) -> String | Word:
     """The word of the syzygy, read off the word (Butler-Ringel 1987;
@@ -541,7 +498,10 @@ def syzygy_word(s: String | Word) -> String | Word:
 
 # -- the arrow-swap mirror symmetry -----------------------------------------
 
-_MIRROR_ARROW = (ALPHA, GAMMA, BETA, ETA)
+# beta <-> gamma, read against the order of action, takes each arm of ARMS
+# to an arm at the same vertex: an anti-automorphism of Lambda, which
+# algebra.quiver_context reads as ctx.opposite
+MIRROR_ARROW = (ALPHA, GAMMA, BETA, ETA)
 
 
 def mirror_string(s: String) -> String:
@@ -550,7 +510,7 @@ def mirror_string(s: String) -> String:
     its own mirror."""
     if not s.letters:
         return s
-    letters = tuple([_MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters])
+    letters = tuple([MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters])
     return String.from_word(Word(letters))
 
 
@@ -560,25 +520,16 @@ def mirror_string(s: String) -> String:
 def top_socle_decomposition(band: Band) -> list[Word]:
     """Pieces C_0, ..., C_s (s odd): rotate the band to start on an
     inverse run; inverse runs are pieces as-is, direct runs contribute
-    their formal inverses."""
+    their formal inverses.  A band alternates direct and inverse runs, so
+    it has an even number of them, each legal."""
     letters = band.letters
     n = len(letters)
-    starts = [
-        i
-        for i in range(n)
-        if is_inverse(letters[i]) and not is_inverse(letters[i - 1])
-    ]
+    starts = [i for i in range(n) if is_inverse(letters[i]) and not is_inverse(letters[i - 1])]
     if not starts:
         raise ForbiddenSubword(f"{band.text()}: no inverse run")
-    rotations = [letters[i:] + letters[:i] for i in starts]
-    rot = min(rotations)
+    rot = min(letters[i:] + letters[:i] for i in starts)
     pieces = []
     for start, length, invflag in _runs(rot):
         chunk = Word(rot[start : start + length])
-        piece = chunk if invflag else chunk.inverse()
-        if piece.letters not in TOP_SOCLE_PIECES:
-            raise ForbiddenSubword(f"{band.text()}: run {piece.text()} is not a legal piece")
-        pieces.append(piece)
-    if len(pieces) % 2 != 0:
-        raise ForbiddenSubword(f"{band.text()}: odd run count")
+        pieces.append(chunk if invflag else chunk.inverse())
     return pieces

@@ -31,13 +31,13 @@ def ks4():
 
 class TestAlgebraSetup:
     def test_quiver_algebra(self, lam):
-        assert lam.dim == 11
+        assert lam.regular.dim == 11
         assert [P.dim for P in lam.pims] == [6, 5]
         assert C.radical_series(lam.pims[0]) == [[1, 0], [1, 1], [1, 1], [1, 0]]
         assert C.radical_series(lam.pims[1]) == [[0, 1], [1, 1], [1, 0], [0, 1]]
 
     def test_group_algebra(self, ks4):
-        assert ks4.dim == 24
+        assert ks4.regular.dim == 24
         assert [S.dim for S in ks4.simples] == [1, 2]
         assert [P.dim for P in ks4.pims] == [8, 8]
         assert sorted(p.dim for p in C.decompose(ks4.regular)) == [8, 8, 8]
@@ -127,7 +127,7 @@ class TestRelations:
         for n in range(4):
             for w in product(ctx.gen_names, repeat=n):
                 span.insert(R.word_matrix(w).vector())
-        assert span.rank == ctx.dim == 11
+        assert span.rank == ctx.regular.dim == 11
 
     def test_projectives_are_untagged_with_zero_omega(self, degree):
         for P in quiver_context(degree).pims:
@@ -471,7 +471,7 @@ class TestRadicalAndSocle:
     def test_group_radical_has_the_wedderburn_dimension(self):
         for ctx in (group_context("S4", 1), group_context("S4", 2), group_context("A4", 2)):
             J = _annihilator_of_the_simples(ctx)
-            assert len(J) == ctx.dim - sum(S.dim**2 for S in ctx.simples), ctx
+            assert len(J) == ctx.regular.dim - sum(S.dim**2 for S in ctx.simples), ctx
             for S in ctx.simples:
                 assert all(_combination(S, e).is_zero() for e in J), (ctx, S)
 

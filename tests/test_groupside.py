@@ -7,7 +7,6 @@ from stringalg.algebra import AlgebraContext, _assert_is_representation, _group_
 from stringalg.errors import (
     ContextMismatch,
     FieldTooSmall,
-    HypothesisFailed,
     LimitExceeded,
     ParseError,
     SplitFailure,
@@ -81,7 +80,7 @@ class TestGroupWords:
         # a fresh context over the regular module of S4 that knows only T0
         full = group_context("S4", 1)
         ctx = AlgebraContext(full.name, full.field, full.gen_names)
-        ctx.regular = ModuleRep(ctx, full.dim, full.regular.action, label=full.regular.label)
+        ctx.regular = ModuleRep(ctx, full.regular.dim, full.regular.action, label=full.regular.label)
         ctx.simples = [ModuleRep(ctx, 1, full.simples[0].action, label="T0")]
         with pytest.raises(SplitFailure, match=r"a summand of the regular module has top \[0\]"):
             _group_pims(ctx)
@@ -169,7 +168,7 @@ class TestTower:
             assert C.composition_multiplicities(v) == [2 * n + 1, n]
 
     def test_bound(self):
-        with pytest.raises(HypothesisFailed):
+        with pytest.raises(LimitExceeded):
             extension_tower(7)
 
 

@@ -275,7 +275,7 @@ class TestStringArguments:
         for i in range(len(b)):
             rot = b.rotation(i)
             M = band_module(rot, 1)
-            assert C.vertex_grading(M)[0] == rot.end
+            assert C.vertex_grading(M)[0] == rot.vertices()[0]
             assert C.is_isomorphic(M, band_module(b, 1))
         with pytest.raises(ParseError):
             band_module("eta- beta alpha- gamma", 1)

@@ -11,14 +11,19 @@ from stringalg.errors import (
     ParseError,
 )
 from stringalg.words import (
+    ALPHA,
+    ARMS,
+    BETA,
+    ETA,
+    GAMMA,
     INV,
-    J_SET,
+    MIRROR_ARROW,
     Band,
     String,
     Word,
+    _LEGAL_RUNS,
     _all_words_upto,
     _extensions,
-    _run_forbidden,
     _runs,
     add_hook,
     band_flaw,
@@ -37,6 +42,71 @@ from stringalg.words import (
     top_socle_decomposition,
     word_flaw,
 )
+
+# README's relations, transcribed as oracles for what words derives from
+# ARMS: the minimal forbidden paths J (arrow tuples as written, the leftmost
+# acting last) and the legal top-socle pieces of a band (inverse letters)
+J_SET = {
+    (ALPHA, ALPHA),
+    (ETA, BETA),
+    (BETA, GAMMA),
+    (GAMMA, ETA),
+    (ETA, ETA),
+    (GAMMA, BETA, ALPHA),
+    (ALPHA, GAMMA, BETA),
+    (BETA, ALPHA, GAMMA),
+}
+
+TOP_SOCLE_PIECES = {
+    (ALPHA | INV,),
+    (BETA | INV,),
+    (GAMMA | INV,),
+    (ETA | INV,),
+    (ALPHA | INV, BETA | INV),
+    (BETA | INV, GAMMA | INV),
+    (GAMMA | INV, ALPHA | INV),
+}
+
+
+def run_forbidden(letters, start, length, invflag):
+    """Does the run contain a path of J (after orienting)?"""
+    arrows = tuple(l & 3 for l in letters[start : start + length])
+    if invflag:
+        arrows = arrows[::-1]
+    return any(arrows[k : k + ln] in J_SET for ln in (2, 3) for k in range(len(arrows) - ln + 1))
+
+
+class TestArms:
+    """ARMS is the one statement of Lambda's relations in words: it must be
+    a consistent one, and say what J says."""
+
+    ARM_LIST = [(v, arm) for v, pair in ARMS.items() for arm in pair]
+
+    def test_each_arm_is_a_walk_from_and_to_its_vertex(self):
+        for v, arm in self.ARM_LIST:
+            # in the order of action: each arrow starts where the last ended
+            assert s_of(arm[0]) == v and e_of(arm[-1]) == v, arm
+            assert all(e_of(a) == s_of(b) for a, b in zip(arm, arm[1:])), arm
+
+    def test_every_arrow_starts_exactly_one_arm(self):
+        assert sorted(arm[0] for _, arm in self.ARM_LIST) == [ALPHA, BETA, GAMMA, ETA]
+
+    def test_minimal_illegal_paths_are_j(self):
+        # a path as written is a direct run: legal when it is in _LEGAL_RUNS;
+        # minimal when every proper subpath is legal
+        minimal = set()
+        for n in (2, 3):
+            for path in itertools.product(range(4), repeat=n):
+                if path in _LEGAL_RUNS or any(s_of(a) != e_of(b) for a, b in zip(path, path[1:])):
+                    continue
+                subpaths = [path[i:j] for i in range(n) for j in range(i + 1, n + 1) if j - i < n]
+                if all(sub in _LEGAL_RUNS for sub in subpaths):
+                    minimal.add(path)
+        assert minimal == J_SET
+
+    def test_mirror_takes_each_arm_to_an_arm_at_its_vertex(self):
+        for v, arm in self.ARM_LIST:
+            assert tuple(MIRROR_ARROW[a] for a in reversed(arm)) in ARMS[v], arm
 
 
 class TestParsing:
@@ -185,7 +255,7 @@ class TestEnumeration:
                     if e_of(cand) != s_of(last) or cand == inv_letter(last):
                         continue
                     tail = letters[-3:] + (cand,)
-                    if not any(_run_forbidden(tail, *run) for run in _runs(tail)):
+                    if not any(run_forbidden(tail, *run) for run in _runs(tail)):
                         out.append(cand)
             return out
 
@@ -329,6 +399,14 @@ class TestTopSocle:
             doubled_inv = inv * 2
             rotations |= {doubled_inv[i : i + n] for i in range(n)}
             assert tuple(concat) in rotations
+
+    def test_pieces_are_even_in_number_and_legal(self):
+        # top_socle_decomposition returns the runs unchecked: every band
+        # alternates direction and keeps each run legal
+        for b in enumerate_bands(14):
+            pieces = top_socle_decomposition(b)
+            assert len(pieces) % 2 == 0, b.text()
+            assert all(p.letters in TOP_SOCLE_PIECES for p in pieces), b.text()
 
     def test_piece_count_equals_run_count(self):
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
