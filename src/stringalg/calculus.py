@@ -56,9 +56,16 @@ projective indecomposable is checked to be simple and isomorphic to its
 top; that makes P_i the injective hull of S_i, so that
 dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
 stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
-with t the top and c the composition multiplicities.  Omega of a string
-or band module is read off its word (Butler-Ringel 1987); the kernel of
-the cover (syzygy) stays the route for every other module and the oracle.
+with t the top and c the composition multiplicities.  Ext^1 needs the
+cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
+-> 0 gives ext1_dim(M, N) = hom(Omega M, N) - sum_i t_i(M) c_i(N) +
+hom(M, N), on any algebra with split simples.  With vertex idempotents the
+multiplicities are ranks, c_i(M) = rank e_i and t_i(M) = c_i(M) minus the
+rank of the arrows ending at i (rad M = JM = sum_a aM), premises that
+set-up certifies; over a group they are Hom with P_i and S_i, the last c_i
+read off dim M.  Omega of a string or band module is read off its word
+(Butler-Ringel 1987); the kernel of the cover (syzygy) stays the route for
+every other module and the oracle.
 """
 
 from __future__ import annotations
@@ -371,10 +378,22 @@ def rad_rows(M: ModuleRep) -> Mat:
 
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
-    """How often each P_i is a summand of P(M); cached in M.cache, a list
-    that callers only read."""
+    """How often each P_i is a summand of P(M), t_i(M) = [top M : S_i];
+    cached in M.cache, a list that callers only read.
+
+    With vertex idempotents, rad M = JM is the sum of the images aM of the
+    arrows, and aM lies in e_t(a) M, so t_i(M) = rank e_i - rank of the
+    arrows ending at i, in any basis.  Over a group, hom(M, S_i)."""
     if "tops" not in M.cache:
-        M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
+        ctx = M.algebra
+        if ctx.idempotents:
+            tops = []
+            for i, c in enumerate(composition_multiplicities(M)):
+                into = [M.action[a] for a, (_, t) in ctx.arrows.items() if t == i]
+                tops.append(c - hstack(into).rank())
+        else:
+            tops = [hom_dim(M, S) for S in ctx.simples]
+        M.cache["tops"] = tops
     return M.cache["tops"]
 
 
@@ -535,9 +554,21 @@ def factors_through_projective(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim Ext^1(M, N) via the stable-Hom formula for symmetric algebras:
-    the stable Hom from Omega(M) to N."""
-    return stable_hom_dim(_omega(M), N)
+    """dim Ext^1(M, N) from the cover of M alone:
+
+        hom(Omega M, N) - sum_i t_i(M) * c_i(N) + hom(M, N)
+
+    Hom(-, N) of 0 -> Omega M -> P(M) -> M -> 0 is exact up to
+    Ext^1(M, N) -> Ext^1(P(M), N) = 0, and hom(P_i, N) = [N : S_i] as the
+    simples are split.  It needs no symmetric-algebra premise, builds no
+    Omega(N), and gives 0 for a projective M (Omega M = 0, P(M) = M)."""
+    _check_context(M, N)
+    if N.dim == 0 or M.dim == 0:
+        return 0
+    tops = top_multiplicities(M)
+    comp = composition_multiplicities(N)
+    through_p = sum(t * c for t, c in zip(tops, comp))
+    return hom_dim(_omega(M), N) - through_p + hom_dim(M, N)
 
 
 def _coboundaries(M: ModuleRep, N: ModuleRep):
@@ -791,11 +822,21 @@ def socle_series(M: ModuleRep) -> list[list[int]]:
 
 
 def composition_multiplicities(M: ModuleRep) -> list[int]:
-    """Multiplicity of each simple among composition factors, counted via
-    Hom from the projective indecomposables; cached in M.cache, a list
-    that callers only read."""
+    """Multiplicity c_i(M) = [M : S_i] of each simple among composition
+    factors; cached in M.cache, a list that callers only read.
+
+    With vertex idempotents, [M : S_i] = dim e_i M = rank e_i, in any
+    basis.  Over a group, c_i(M) = hom(P_i, M) for every simple but the
+    last, whose count follows from dim M = sum_i c_i(M) dim S_i."""
     if "composition" not in M.cache:
-        M.cache["composition"] = [hom_dim(P_i, M) for P_i in M.algebra.pims]
+        ctx = M.algebra
+        if ctx.idempotents:
+            comp = [M.action[e].rank() for e in ctx.idempotents]
+        else:
+            *first, last = ctx.simples
+            comp = [hom_dim(P_i, M) for P_i in ctx.pims[: len(first)]]
+            comp.append((M.dim - sum(c * S.dim for c, S in zip(comp, first))) // last.dim)
+        M.cache["composition"] = comp
     return M.cache["composition"]
 
 

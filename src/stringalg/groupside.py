@@ -18,7 +18,8 @@ H_PERM = (1, 0, 2, 3)
 
 _COSET_REPS = ((0, 1, 2, 3), H_PERM)  # S4 = A4 + h.A4
 
-_TOWER_LIMIT = 6
+# the largest n_max of extension_tower (verify.GUARDS reads it)
+TOWER_LIMIT = 6
 
 
 def perm_module(degree: int = 1) -> ModuleRep:
@@ -127,8 +128,8 @@ def extension_tower(n_max: int, degree: int = 1) -> list[ModuleRep]:
     """V_0 = T0 and V_n the non-split extension of the permutation module
     by V_{n-1}; checks dim Hom(PermRep, V_{n-1}) = n and
     Ext^1(PermRep, V_{n-1}) = k before each step."""
-    if not 0 <= n_max <= _TOWER_LIMIT:
-        raise LimitExceeded(f"tower bound {n_max} not in 0..{_TOWER_LIMIT}")
+    if not 0 <= n_max <= TOWER_LIMIT:
+        raise LimitExceeded(f"tower bound {n_max} not in 0..{TOWER_LIMIT}")
     ctx = group_context("S4", degree)
     M = perm_module(degree)
     tower = [ctx.simples[0].relabel("V0")]

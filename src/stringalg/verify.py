@@ -27,6 +27,7 @@ from .chars import (
 from .errors import ConfigError
 from .gf import GF4, OMEGA
 from .groupside import (
+    TOWER_LIMIT,
     extension_tower,
     induce,
     involution_profile,
@@ -49,7 +50,7 @@ from .words import (
 )
 
 # the largest value of each scan bound of SuiteConfig
-GUARDS = {"string_scan_len": 16, "pair_len": 10, "mirror_len": 16, "band_len": 14, "tower_n": 6, "radius": 8}
+GUARDS = {"string_scan_len": 16, "pair_len": 10, "mirror_len": 16, "band_len": 14, "tower_n": TOWER_LIMIT, "radius": 8}
 
 C_PERIOD = "gamma eta- beta alpha- beta- eta gamma- alpha-"
 X_PERIOD = "gamma- alpha- gamma eta- beta alpha- beta- eta"

@@ -1,3 +1,4 @@
+import copy
 import random
 from functools import reduce
 from itertools import product
@@ -10,13 +11,13 @@ from stringalg import calculus as C
 from stringalg.algebra import _verify_context, group_context, quiver_context
 from stringalg.errors import DimensionMismatch, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
-from stringalg.groupside import standard_reps
+from stringalg.groupside import extension_tower, induce, restrict, standard_reps
 from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import Band, Word, enumerate_bands, enumerate_strings, make_string, parse_word
 
-from oracles import ext1_dim_cocycles
+from oracles import composition_multiplicities_hom, ext1_dim_cocycles, top_multiplicities_hom
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +477,78 @@ class TestRadicalAndSocle:
                 assert all(_combination(S, e).is_zero() for e in J), (ctx, S)
 
 
+def _group_modules(degree):
+    """Group-side modules over GF(2^degree): the simples and PIMs of each
+    group algebra, the standard reps, the tower V_1..V_4, and the kS4
+    reps restricted (to C2, and to A4 over GF(4)) and the kA4 reps
+    induced."""
+    reps = standard_reps(degree)
+    mods = list(reps.values()) + extension_tower(4, degree)[1:]
+    subgroups = ("C2", "A4") if degree == 2 else ("C2",)  # A4 needs GF(4)
+    for name in ("S4",) + subgroups:
+        ctx = group_context(name, degree)
+        mods += list(ctx.simples) + list(ctx.pims)
+    s4 = [M for M in mods if M.algebra.name == "kS4"]
+    mods += [restrict(M, sub) for M in s4 if M.dim <= 9 for sub in subgroups]
+    mods += [induce(M) for M in reps.values() if M.algebra.name == "kA4"]
+    return mods
+
+
+class TestMultiplicities:
+    """Composition and top multiplicities (ranks with vertex idempotents,
+    one PIM system fewer over a group) against Hom with the PIMs and the
+    simples."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_against_the_hom_routes(self, degree):
+        mods = _oracle_modules(degree)
+        both_vertices = [M for M in mods if len(set(C.vertex_grading(M))) == 2]
+        conj = [_conjugated(M, seed)[0] for seed, M in enumerate(both_vertices)]
+        assert all(C.vertex_grading(M) is None for M in conj)
+        for M in mods + conj + _group_modules(degree):
+            assert C.composition_multiplicities(M) == composition_multiplicities_hom(M), M
+            assert C.top_multiplicities(M) == top_multiplicities_hom(M), M
+
+    def test_set_up_refuses_a_simple_off_its_vertex(self, lam):
+        # the rank counts read S_i as e_i acting by 1 and all else by 0
+        S0, S1 = lam.simples
+        bad = ModuleRep(lam, 1, dict(S0.action, alpha=Mat.identity(lam.field, 1)), label="S0'")
+        other = copy.copy(lam)
+        other.simples = [bad, S1]
+        with pytest.raises(SplitFailure, match="not the simple at e0"):
+            _verify_context(other)
+
+    def test_set_up_refuses_arrows_that_miss_the_radical(self, lam):
+        # without eta, the arrow images miss the radical of P1
+        other = copy.copy(lam)
+        other.arrows = {a: ends for a, ends in lam.arrows.items() if a != "eta"}
+        with pytest.raises(SplitFailure, match="do not span the radical"):
+            _verify_context(other)
+
+
+class TestExtFromTheCoverOfM:
+    """Ext^1(M, N) = hom(Omega M, N) - sum_i t_i(M) c_i(N) + hom(M, N)
+    against the cocycle count and at its edges."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_standard_reps_and_the_tower_against_cocycles(self, degree):
+        reps = [M for M in standard_reps(degree).values() if M.algebra.name == "kS4"]
+        for M in reps:
+            for V in extension_tower(4, degree)[1:]:
+                assert C.ext1_dim(M, V) == ext1_dim_cocycles(M, V), (M, V)
+                assert C.ext1_dim(V, M) == ext1_dim_cocycles(V, M), (V, M)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_projectives_have_no_extensions(self, degree):
+        mods = _oracle_modules(degree) + _group_modules(degree)
+        for P in mods:
+            if P not in P.algebra.pims:
+                continue
+            for N in mods:
+                if N.algebra is P.algebra:
+                    assert C.ext1_dim(P, N) == C.ext1_dim(N, P) == 0, (P, N)
+
+
 class TestZeroModule:
     """The zero module is its own projective cover."""
 
@@ -486,12 +559,23 @@ class TestZeroModule:
         Z = ModuleRep(lam, 0, {g: Mat.zeros(field, 0, 0) for g in lam.gen_names}, label="0")
         P, pi = C.projective_cover(Z)
         assert P.dim == 0 and (pi.nrows, pi.ncols) == (0, 0)
+        assert C.composition_multiplicities(Z) == C.top_multiplicities(Z) == [0, 0]
         for M in (string_module(parse_word("alpha"), degree), lam.simples[1], lam.pims[0], Z):
             for A, B in ((Z, M), (M, Z)):
                 assert C.ext1_dim(A, B) == ext1_dim_cocycles(A, B) == 0, (A, B)
                 assert C.factors_through_projective(Mat.zeros(field, B.dim, A.dim), A, B), (A, B)
                 with pytest.raises(SplitOnly):
                     C.nonsplit_extension(A, B)
+
+    @pytest.mark.parametrize("name, degree", [("S4", 1), ("S4", 2), ("A4", 2), ("C2", 1)])
+    def test_group_zero_module(self, name, degree):
+        ctx = group_context(name, degree)
+        Z = ModuleRep(ctx, 0, {g: Mat.zeros(ctx.field, 0, 0) for g in ctx.gen_names}, label="0")
+        assert C.composition_multiplicities(Z) == C.top_multiplicities(Z) == [0] * len(ctx.simples)
+        for M in list(ctx.simples) + list(ctx.pims) + [Z]:
+            for A, B in ((Z, M), (M, Z)):
+                assert C.ext1_dim(A, B) == ext1_dim_cocycles(A, B) == 0, (A, B)
+                assert C.stable_hom_dim(A, B) == 0, (A, B)
 
 
 class TestStableAndExt:

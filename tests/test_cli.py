@@ -6,6 +6,8 @@ import pytest
 
 from stringalg import verify
 from stringalg.cli import main
+from stringalg.errors import ConfigError
+from stringalg.groupside import TOWER_LIMIT
 from stringalg.verify import SuiteConfig, run_suite, report_json
 
 
@@ -334,6 +336,13 @@ def test_suite_config_defaults_and_keywords():
     assert SuiteConfig().band_len == 12  # a keyword sets the instance, not the default
     with pytest.raises(TypeError):
         SuiteConfig(band_length=6)
+
+
+def test_tower_guard_is_the_tower_limit():
+    assert verify.GUARDS["tower_n"] == TOWER_LIMIT
+    verify.config_from_dict({"tower_n": TOWER_LIMIT})
+    with pytest.raises(ConfigError, match=f"tower_n must lie in 0..{TOWER_LIMIT}"):
+        verify.config_from_dict({"tower_n": TOWER_LIMIT + 1})
 
 
 def test_verify_text_format(capsys):
