@@ -59,13 +59,13 @@ stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
 with t the top and c the composition multiplicities.  Ext^1 needs the
 cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
 -> 0 gives ext1_dim(M, N) = hom(Omega M, N) - sum_i t_i(M) c_i(N) +
-hom(M, N), on any algebra with split simples.  With vertex idempotents the
-multiplicities are ranks, c_i(M) = rank e_i and t_i(M) = c_i(M) minus the
-rank of the arrows ending at i (rad M = JM = sum_a aM), premises that
-set-up certifies; over a group they are Hom with P_i and S_i, the last c_i
-read off dim M.  Omega of a string or band module is read off its word
-(Butler-Ringel 1987); the kernel of the cover (syzygy) stays the route for
-every other module and the oracle.
+hom(M, N), on any algebra with split simples.  The top multiplicities
+are hom(M, S_i).  With vertex idempotents c_i(M) = rank e_i, on the
+premise, certified at set-up, that S_i is e_i acting by 1 and the rest by
+0; over a group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Omega
+of a string or band module is read off its word (Butler-Ringel 1987); the
+kernel of the cover (syzygy) stays the route for every other module and
+the oracle.
 """
 
 from __future__ import annotations
@@ -378,22 +378,10 @@ def rad_rows(M: ModuleRep) -> Mat:
 
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
-    """How often each P_i is a summand of P(M), t_i(M) = [top M : S_i];
-    cached in M.cache, a list that callers only read.
-
-    With vertex idempotents, rad M = JM is the sum of the images aM of the
-    arrows, and aM lies in e_t(a) M, so t_i(M) = rank e_i - rank of the
-    arrows ending at i, in any basis.  Over a group, hom(M, S_i)."""
+    """How often each P_i is a summand of P(M), t_i(M) = [top M : S_i] =
+    hom(M, S_i); cached in M.cache, a list that callers only read."""
     if "tops" not in M.cache:
-        ctx = M.algebra
-        if ctx.idempotents:
-            tops = []
-            for i, c in enumerate(composition_multiplicities(M)):
-                into = [M.action[a] for a, (_, t) in ctx.arrows.items() if t == i]
-                tops.append(c - hstack(into).rank())
-        else:
-            tops = [hom_dim(M, S) for S in ctx.simples]
-        M.cache["tops"] = tops
+        M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
     return M.cache["tops"]
 
 

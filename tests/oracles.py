@@ -15,8 +15,3 @@ def ext1_dim_cocycles(M, N) -> int:
 def composition_multiplicities_hom(M) -> list[int]:
     """[M : S_i] as dim Hom(P_i, M), the simples being split."""
     return [C.hom_dim(P_i, M) for P_i in M.algebra.pims]
-
-
-def top_multiplicities_hom(M) -> list[int]:
-    """[top M : S_i] as dim Hom(M, S_i), the simples being split."""
-    return [C.hom_dim(M, S) for S in M.algebra.simples]
