@@ -22,7 +22,7 @@ regular module, each found by its top.
 from __future__ import annotations
 
 from .errors import ContextMismatch, FieldTooSmall, ParseError, SplitFailure
-from .gf import GF, OMEGA
+from .gf import GF, GF4, OMEGA
 from .matrix import Mat, RowBasis, repack
 from .rep import ModuleRep, direct_sum
 from . import calculus
@@ -141,6 +141,17 @@ _GROUP_GENS = {
     "C2": {"h": (1, 0, 2, 3)},
 }
 
+# The simples of each group, in order: label -> the entries of each
+# generator's matrix.  kS4's T1 is inflated through the quotient onto the
+# symmetric group on the three pair-partitions, acting on the 3-point
+# permutation module mod the all-ones vector; kA4's E_k sends u to
+# omega^k, so it needs GF(4).
+_GROUP_SIMPLES = {
+    "S4": {"T0": {"s": [[1]], "t": [[1]]}, "T1": {"s": [[1, 1], [0, 1]], "t": [[1, 0], [1, 1]]}},
+    "A4": {f"E{k}": {"u": [[GF4.pow(OMEGA, k)]], "v": [[1]]} for k in range(3)},
+    "C2": {"k": {"h": [[1]]}},
+}
+
 
 def perm_compose(p, q):
     """Apply q first, then p."""
@@ -172,54 +183,6 @@ def group_elements(gens: dict) -> dict:
     return words
 
 
-def _s4_simples(ctx):
-    field = ctx.field
-    t0 = ModuleRep(
-        ctx,
-        1,
-        {g: Mat.identity(field, 1) for g in ctx.gen_names},
-        label="T0",
-    )
-    # inflation through the quotient onto the symmetric group on the three
-    # pair-partitions, acting on the 3-point permutation module mod the
-    # all-ones vector
-    t1 = ModuleRep(
-        ctx,
-        2,
-        {
-            "s": Mat.from_entries(field, [[1, 1], [0, 1]]),
-            "t": Mat.from_entries(field, [[1, 0], [1, 1]]),
-        },
-        label="T1",
-    )
-    return [t0, t1]
-
-
-def _a4_simples(ctx):
-    field = ctx.field
-    if field.order < 4:
-        raise FieldTooSmall("cube roots of unity need GF(4)")
-    simples = []
-    for k, name in ((0, "E0"), (1, "E1"), (2, "E2")):
-        scalar = field.pow(OMEGA, k)
-        act = {
-            "u": Mat.from_entries(field, [[scalar]]),
-            "v": Mat.identity(field, 1),
-        }
-        simples.append(ModuleRep(ctx, 1, act, label=name))
-    return simples
-
-
-def _c2_simples(ctx):
-    t0 = ModuleRep(
-        ctx,
-        1,
-        {g: Mat.identity(ctx.field, 1) for g in ctx.gen_names},
-        label="k",
-    )
-    return [t0]
-
-
 def group_context(name: str, degree: int = 1) -> AlgebraContext:
     key = (name, degree)
     if key in _CONTEXTS:
@@ -246,12 +209,13 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     # g -> g^-1
     ctx.opposite = {g: ctx.elements[inv] for g, inv in inverses.items()}
 
-    if name == "S4":
-        ctx.simples = _s4_simples(ctx)
-    elif name == "A4":
-        ctx.simples = _a4_simples(ctx)
-    else:
-        ctx.simples = _c2_simples(ctx)
+    simples = _GROUP_SIMPLES[name]
+    if any(x >= field.order for act in simples.values() for m in act.values() for row in m for x in row):
+        raise FieldTooSmall(f"the simples of k{name} need a field larger than {field}")
+    ctx.simples = [
+        ModuleRep(ctx, len(act[ctx.gen_names[0]]), {g: Mat.from_entries(field, m) for g, m in act.items()}, label)
+        for label, act in simples.items()
+    ]
     for S in ctx.simples:
         _assert_is_representation(ctx, S)
 

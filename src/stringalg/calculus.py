@@ -35,8 +35,11 @@ A shifted map that is not nilpotent splits the module (Fitting's lemma);
 the nilpotent ones span V, and End is certified local once V is closed
 under multiplication by End and End = k[g] + V for one shifted map g.
 SplitFailure is raised only when the search ends with neither; no such
-input is known.  Two string or band modules are isomorphic iff their
-words, kept in M.cache, name one class (_same_tag; Butler-Ringel 1987).
+input is known.  A string or band module carries the tag of its
+isomorphism class in M.cache["tag"] (modules.string_module,
+modules.band_module): its String, or its Band with lambda read in the
+Band's orientation and m.  Two tagged modules are isomorphic iff their
+tags are equal (_same_tag; Butler-Ringel 1987).
 For any other pair is_isomorphic solves one Hom(M, N) basis and tries two
 sound certificates before anything else: (1) an invertible basis map,
 (2) an invertible sum of the basis maps.  The sum is a candidate, not a
@@ -82,7 +85,7 @@ from .errors import (
 )
 from .matrix import Mat, RowBasis, hstack, repack, support, vstack
 from .rep import ModuleRep, direct_sum
-from .words import syzygy_word
+from .words import String, syzygy_word
 
 
 def _check_context(M: ModuleRep, N: ModuleRep):
@@ -483,20 +486,20 @@ def _cover_kernel(M: ModuleRep):
 
 
 def _omega(M: ModuleRep) -> ModuleRep:
-    """Omega(M) up to isomorphism: read off the word for a string or band
-    module (words.syzygy_word), cached in M.cache; the kernel of the
-    projective cover (syzygy) for any other module."""
-    s = M.cache.get("string")
-    band = M.cache.get("band")
-    if s is None and band is None:
+    """Omega(M) up to isomorphism: read off the word of M's tag for a
+    string or band module (words.syzygy_word), cached in M.cache; the
+    kernel of the projective cover (syzygy) for any other module."""
+    tag = M.cache.get("tag")
+    if tag is None:
         return syzygy(M)
     if "omega" not in M.cache:
         from .modules import band_module, string_module  # modules -> algebra -> calculus
 
-        if s is not None:
-            M.cache["omega"] = string_module(syzygy_word(s), M.field.degree)
+        if isinstance(tag, String):
+            M.cache["omega"] = string_module(syzygy_word(tag), M.field.degree)
         else:
-            M.cache["omega"] = band_module(syzygy_word(band[0]), *band[1:], M.field.degree)
+            band, lam, m = tag
+            M.cache["omega"] = band_module(syzygy_word(band.word), lam, m, M.field.degree)
     return M.cache["omega"]
 
 
@@ -574,30 +577,20 @@ def _coboundaries(M: ModuleRep, N: ModuleRep):
 
 
 def _same_tag(M: ModuleRep, N: ModuleRep) -> bool | None:
-    """Whether two string or band modules of one dimension are isomorphic,
-    read off their tags (Butler-Ringel 1987); None unless both are tagged.
-    Strings must be equal.  M(B, lambda, m) = M(B', lambda', m') iff B' is
-    a rotation of B with lambda' = lambda, or of B^-1 with lambda' =
-    lambda^-1 (then m = m', the dimension being len(B) m)."""
-    a = M.cache.get("string", M.cache.get("band"))
-    b = N.cache.get("string", N.cache.get("band"))
+    """Whether two string or band modules are isomorphic: their tags, each
+    naming an isomorphism class, are equal (Butler-Ringel 1987); None
+    unless both are tagged."""
+    a = M.cache.get("tag")
+    b = N.cache.get("tag")
     if a is None or b is None:
         return None
-    if type(a) is not tuple or type(b) is not tuple:
-        return a == b
-    (word, lam, _), (other, mu, _) = a, b
-    if len(word) != len(other):
-        return False
-    cycle = bytes(word.letters) * 2  # the rotations of B are the words in BB
-    if mu == lam and bytes(other.letters) in cycle:
-        return True
-    return mu == M.field.inv(lam) and bytes(other.inverse().letters) in cycle
+    return a == b
 
 
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test.  Two string or band modules are decided on
-    their tags (_same_tag).  Any other pair is decided on a basis H of
-    Hom(M, N), in four steps:
+    """Exact isomorphism test.  Two string or band modules are decided by
+    equality of their tags (_same_tag).  Any other pair is decided on a
+    basis H of Hom(M, N), in four steps:
 
     1. True if a map in H is invertible;
     2. True if the sum of the maps in H is invertible;
@@ -633,7 +626,7 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
-    """Isomorphism test for U KNOWN to be indecomposable: the tags when
+    """Isomorphism test for U KNOWN to be indecomposable: equal tags when
     both are string or band modules (_same_tag), otherwise some basis map
     U -> V is invertible.  End(U) is local, so when U = V the maps U -> V
     that are not isomorphisms form a proper subspace, which holds no
@@ -760,17 +753,17 @@ def decompose(M: ModuleRep) -> list[ModuleRep]:
 # -- extensions -----------------------------------------------------------------
 
 
-def nonsplit_extension(top: ModuleRep, bottom: ModuleRep, cocycle_index: int = 0) -> ModuleRep:
+def nonsplit_extension(top: ModuleRep, bottom: ModuleRep) -> ModuleRep:
     """Middle term of a non-split extension of `top` by `bottom`.
 
     Built as the pushout of Omega(top) -> P(top) along a cocycle
-    Omega(top) -> bottom chosen outside the coboundary space."""
+    Omega(top) -> bottom: the first map of a Hom basis that lies outside
+    the coboundary space."""
     _check_context(top, bottom)
     P, OmegaT, inc, cob = _coboundaries(top, bottom)
-    chosen = [h for h in hom_basis(OmegaT, bottom) if not cob.contains(h.vector())]
-    if not chosen:
+    h = next((h for h in hom_basis(OmegaT, bottom) if not cob.contains(h.vector())), None)
+    if h is None:
         raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")
-    h = chosen[cocycle_index % len(chosen)]
     big = direct_sum([bottom, P])
     # row k: (h(w_k), inc(w_k)) for the basis vector w_k of Omega(top)
     rows = vstack([h, inc]).transpose()

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import ConfigError, LimitExceeded, StringAlgError
-from .gf import GF4, OMEGA
+from .gf import BAND_SCALARS
 from .words import (
     Band,
     String,
@@ -23,7 +23,6 @@ from .words import (
     parse_word,
 )
 
-_SCALARS = {"1": (1, 1), "w": (OMEGA, 2), "w2": (GF4.inv(OMEGA), 2)}
 # Largest `chars --n-max`: time and output grow linearly in the levels
 # (0.35 s and 0.7 MB of JSON at 4096).
 _N_MAX_LIMIT = 4096
@@ -55,7 +54,7 @@ def _module_from_args(args):
         if args.lam is not None or args.mult is not None:
             raise ConfigError("--lam and --mult need --band, not --string")
         return string_module(parse_word(args.string), _degree(args))
-    lam, deg = _SCALARS[args.lam or "1"]
+    lam, deg = BAND_SCALARS[args.lam or "1"]
     deg = max(deg, _degree(args))
     mult = 1 if args.mult is None else args.mult
     return band_module(Band.from_word(parse_word(args.band)), lam, mult, deg)
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The one string or band module of `module` and `stable-end`."""
         sp.add_argument("--string")
         sp.add_argument("--band")
-        sp.add_argument("--lam", choices=tuple(_SCALARS), help="band parameter (default 1)")
+        sp.add_argument("--lam", choices=tuple(BAND_SCALARS), help="band parameter (default 1)")
         sp.add_argument("--mult", type=int, help="band multiplicity (default 1)")
         common(sp, field=True)
 

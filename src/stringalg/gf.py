@@ -78,8 +78,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -126,3 +124,6 @@ def GF(degree: int) -> FiniteField:
 GF2 = GF(1)
 GF4 = GF(2)
 OMEGA = 2  # the class of x in GF(4); a primitive cube root of unity
+# The band scalars of `module --lam` and of the band scan: name ->
+# (lambda, least field degree holding it).
+BAND_SCALARS = {"1": (1, 1), "w": (OMEGA, 2), "w2": (GF4.inv(OMEGA), 2)}

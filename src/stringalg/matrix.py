@@ -177,9 +177,6 @@ class Mat:
             rows.append(acc)
         return Mat(field, self.nrows, m, rows)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def power(self, e):
         if self.nrows != self.ncols:
             raise DimensionMismatch("power of non-square matrix")

@@ -30,7 +30,17 @@ from .errors import InvalidMultiplicity, LimitExceeded, ParseError, ZeroLambda
 from .gf import GF
 from .matrix import Mat
 from .rep import ModuleRep
-from .words import ARROW_NAMES, INV, Band, String, Word, is_inverse, validate_band_word, validate_string_word
+from .words import (
+    ARROW_NAMES,
+    INV,
+    Band,
+    String,
+    Word,
+    _band_canonical,
+    is_inverse,
+    validate_band_word,
+    validate_string_word,
+)
 
 # Largest band multiplicity: the stable End of M(B, 1, 16) takes under 0.5 s
 # for every band of length <= 14, and its cost grows faster than dim^3.
@@ -49,8 +59,9 @@ def _string_word(obj) -> Word:
 
 def string_module(S, degree: int = 1) -> ModuleRep:
     """Canonical module of a string (or of a specific word representative,
-    keeping the basis aligned with that word's letters).  Its String is
-    kept in M.cache["string"], so that Omega can be read off the word."""
+    keeping the basis aligned with that word's letters).  Its String, the
+    tag of its isomorphism class, is kept in M.cache["tag"], so that Omega
+    and isomorphism can be read off the word."""
     word = _string_word(S)
     ctx = quiver_context(degree)
     dim = len(word.letters) + 1
@@ -62,7 +73,7 @@ def string_module(S, degree: int = 1) -> ModuleRep:
         rows[ARROW_NAMES[letter & 3]][dst] |= 1 << src
     action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
     M = ModuleRep(ctx, dim, action, label=f"M({word.text()})")
-    M.cache["string"] = S if isinstance(S, String) else String.from_valid_word(word)
+    M.cache["tag"] = S if isinstance(S, String) else String.from_valid_word(word)
     return M
 
 
@@ -70,9 +81,11 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     """M(B, lambda, m): the wrap-around letter acts through the Jordan
     block J_m(lambda); basis index = cycle position * m + Jordan slot.
     B is a Band, or a Word that passes as a band word (ForbiddenSubword),
-    whose own rotation is kept for the basis.  That word, lambda and m are
-    kept in M.cache["band"], so that Omega and isomorphism can be read off
-    the word."""
+    whose own rotation is kept for the basis.  The tag of its isomorphism
+    class, (Band, lambda', m), is kept in M.cache["tag"]: M(B, lambda, m)
+    = M(B^-1, lambda^-1, m) (Butler-Ringel 1987), so lambda' is lambda^-1
+    when the Band's letters are a rotation of the inverse word, and lambda
+    otherwise.  Omega and isomorphism are read off the tag."""
     if lam == 0:
         raise ZeroLambda("band parameter must be nonzero")
     if mult < 1:
@@ -80,9 +93,11 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     if mult > _MULT_LIMIT:
         raise LimitExceeded(f"band multiplicity {mult} > {_MULT_LIMIT}")
     if isinstance(B, Band):
-        word = B.word
+        word, band, flipped = B.word, B, False
     elif isinstance(B, Word):
         word = validate_band_word(B)
+        letters, flipped = _band_canonical(word.letters)
+        band = Band(letters)
     else:
         raise ParseError(f"not a band or a word: {B!r}")
     ctx = quiver_context(degree)
@@ -97,7 +112,7 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     # M(B,l,m) independent of the chosen rotation for the same l.
     twist = jordan if is_inverse(word.letters[-1]) else jordan.inverse()
     M = closed_walk_module(ctx, word.letters, f"M({word.text()}; {lam}, {mult})", twist)
-    M.cache["band"] = (word, lam, mult)
+    M.cache["tag"] = (band, field.inv(lam) if flipped else lam, mult)
     return M
 
 

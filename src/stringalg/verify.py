@@ -25,7 +25,7 @@ from .chars import (
     lift_characters,
 )
 from .errors import ConfigError
-from .gf import GF4, OMEGA
+from .gf import BAND_SCALARS, GF4, OMEGA
 from .groupside import (
     TOWER_LIMIT,
     extension_tower,
@@ -356,12 +356,11 @@ def check_band_scan(cfg, memo):
     bands = enumerate_bands(bound)
     bad_pieces = []
     bad_stable = []
-    lams = [(1, 1), (OMEGA, 2), (GF4.inv(OMEGA), 2)]
     for b in bands:
         texts = {p.text() for p in top_socle_decomposition(b)}
         if "beta- gamma-" not in texts and "eta-" not in texts:
             bad_pieces.append(b.text())
-        for lam, degree in lams:
+        for lam, degree in BAND_SCALARS.values():
             se = C.stable_end_dim(band_module(b, lam, 1, degree=degree))
             if se < 2:
                 bad_stable.append([b.text(), lam, degree, se])
@@ -375,7 +374,7 @@ def check_band_scan(cfg, memo):
         "eta-, and all its one-parameter modules (three scalar values over "
         "GF(2)/GF(4)) have stable endomorphism dimension >= 2; the string "
         "1-tube family is witnessed by the z0 -> z_{3n+2} endomorphism",
-        {"max_len": bound, "scalars": ["1@GF2", "w@GF4", "w2@GF4"]},
+        {"max_len": bound, "scalars": [f"{name}@GF{2**degree}" for name, (_, degree) in BAND_SCALARS.items()]},
         {"bad_pieces": [], "bad_stable": [], "tube_witnesses": {f"n={n}": True for n in range(4)}},
         {
             "bad_pieces": bad_pieces,

@@ -13,7 +13,10 @@ Letters are small ints: arrow index 0..3, with bit 2 set for an inverse.
 The canonical representative of a string class is the lexicographically
 smaller of the word and its inverse under alpha < beta < gamma < eta <
 alpha- < beta- < gamma- < eta-; band classes are minimized over all
-rotations of both orientations.
+rotations of both orientations.  No band word is a rotation of its own
+inverse (that would be a reflection of the cycle sending each letter to
+its inverse, which fixes a letter or puts a letter next to its inverse),
+so the least rotation comes from exactly one orientation.
 
 AR neighbours of string modules follow the hook rule (Butler-Ringel 1987),
 applied at the right end of a word.  A hook is a direct letter followed by
@@ -249,7 +252,7 @@ class Band(_Walk):
 
     @classmethod
     def from_word(cls, word: Word) -> "Band":
-        return cls(_band_canonical(validate_band_word(word).letters))
+        return cls(_band_canonical(validate_band_word(word).letters)[0])
 
     @property
     def word(self) -> Word:
@@ -262,14 +265,16 @@ class Band(_Walk):
 
 
 def _band_canonical(letters):
+    """(least, flipped): the least rotation of the letters or of their
+    inverse, and whether it is a rotation of the inverse."""
     n = len(letters)
-    best = None
-    for seq in (letters, tuple([inv_letter(l) for l in reversed(letters)])):
+    best = flipped = None
+    for flip, seq in ((False, letters), (True, tuple([inv_letter(l) for l in reversed(letters)]))):
         for i in range(n):
             rot = seq[i:] + seq[:i]
             if best is None or rot < best:
-                best = rot
-    return best
+                best, flipped = rot, flip
+    return best, flipped
 
 
 def band_flaw(word: Word) -> str | None:
@@ -410,7 +415,7 @@ def enumerate_bands(max_len: int) -> list[Band]:
     classes = set()
     for w in _all_words_upto(max_len):
         # one word per class is canonical; test that first, it is cheaper
-        if w == _band_canonical(w) and is_band(Word(w)):
+        if w == _band_canonical(w)[0] and is_band(Word(w)):
             classes.add(Band(w))
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))
 

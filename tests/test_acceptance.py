@@ -94,5 +94,5 @@ def test_observations_are_computed_on_hom(monkeypatch):
     from stringalg import calculus
 
     computed = ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3]
-    monkeypatch.setattr(calculus, "_same_tag", lambda M, N: False if "band" in M.cache and "band" in N.cache else None)
+    monkeypatch.setattr(calculus, "_same_tag", lambda M, N: False if "tag" in M.cache and "tag" in N.cache else None)
     assert ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3] == computed

@@ -15,7 +15,7 @@ from stringalg.groupside import extension_tower, induce, restrict, standard_reps
 from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
-from stringalg.words import Band, Word, enumerate_bands, enumerate_strings, make_string, parse_word
+from stringalg.words import Band, String, enumerate_bands, enumerate_strings, make_string, parse_word, syzygy_word
 
 from oracles import composition_multiplicities_hom, ext1_dim_cocycles
 
@@ -628,9 +628,9 @@ class TestStableHomRoutes:
 
     def test_string_tag(self):
         s = enumerate_strings(3)[-1]
-        assert string_module(s).cache["string"] == s
-        assert string_module(s.word.inverse()).cache["string"] == s
-        assert "string" not in _untagged(string_module(s)).cache
+        assert string_module(s).cache["tag"] == s
+        assert string_module(s.word.inverse()).cache["tag"] == s
+        assert "tag" not in _untagged(string_module(s)).cache
 
     def test_stable_end_and_self_ext_of_strings(self):
         for s in enumerate_strings(10):
@@ -710,16 +710,17 @@ def _band_params(degree):
 
 @pytest.mark.parametrize("degree", [1, 2])
 class TestBandRoutes:
-    """Band modules carry their word, lambda and m (M.cache["band"]):
-    Omega is read off the word and isomorphism off the tags; the cover and
-    Hom routes on untagged copies are the oracle."""
+    """Band modules carry the tag (Band, lambda', m) of their class in
+    M.cache["tag"]: Omega is read off the Band's word and isomorphism off
+    the tags; the cover and Hom routes on untagged copies are the
+    oracle."""
 
     def test_band_tag(self, degree):
         b = enumerate_bands(6)[-1]
         w = b.rotation(1).inverse()
-        assert band_module(w, 1, 2, degree).cache["band"] == (w, 1, 2)
-        assert band_module(b, 1, 1, degree).relabel("x").cache["band"] == (b.word, 1, 1)
-        assert "band" not in _untagged(band_module(b, 1, 1, degree)).cache
+        assert band_module(w, 1, 2, degree).cache["tag"] == (b, 1, 2)
+        assert band_module(b, 1, 1, degree).relabel("x").cache["tag"] == (b, 1, 1)
+        assert "tag" not in _untagged(band_module(b, 1, 1, degree)).cache
 
     def test_omega_on_the_word_against_the_cover(self, degree):
         for b in enumerate_bands(12):
@@ -727,7 +728,7 @@ class TestBandRoutes:
                 for w in (b.word, b.rotation(1).inverse()):
                     M = band_module(w, lam, m, degree)
                     omega = C._omega(M)
-                    assert omega.cache["band"][1:] == (lam, m)
+                    assert omega.cache["tag"] == band_module(syzygy_word(w), lam, m, degree).cache["tag"]
                     assert C.is_isomorphic(_untagged(omega), C.syzygy(_untagged(M))), (w.text(), lam, m)
 
     def test_stable_end_and_self_ext(self, degree):
@@ -766,14 +767,23 @@ class TestBandRoutes:
         assert 50 < seen < 250
 
 
+def test_inverse_word_inverts_lambda_in_the_tag():
+    # over GF(4): M(B^-1, omega, m) = M(B, omega^-1, m), and omega^-1 = omega^2 = omega + 1
+    for b in enumerate_bands(8):
+        for i in range(len(b)):
+            w = b.rotation(i)
+            assert band_module(w, OMEGA, 1, 2).cache["tag"] == (b, OMEGA, 1)
+            assert band_module(w.inverse(), OMEGA, 2, 2).cache["tag"] == (b, OMEGA ^ 1, 2)
+
+
 def _rebuilt(M, rng, degree):
     """The module of M's tag read another way: a string word inverted, a
     band word rotated and perhaps inverted with lambda inverted or kept."""
-    if "string" in M.cache:
-        return string_module(M.cache["string"].word.inverse(), degree)
-    word, lam, m = M.cache["band"]
-    i = rng.randrange(len(word))
-    w = Word(word.letters[i:] + word.letters[:i])
+    tag = M.cache["tag"]
+    if isinstance(tag, String):
+        return string_module(tag.word.inverse(), degree)
+    band, lam, m = tag
+    w = band.rotation(rng.randrange(len(band)))
     if rng.random() < 0.5:
         return band_module(w, lam, m, degree)
     inv = M.field.inv(lam) if rng.random() < 0.8 else lam
@@ -1213,12 +1223,6 @@ class TestExtensions:
         T11 = C.nonsplit_extension(T1, T1)
         with pytest.raises(SplitOnly):
             C.nonsplit_extension(T11, T11)
-
-    def test_unique_middle_when_ext_is_one(self, lam):
-        S0 = lam.simples[0]
-        e1 = C.nonsplit_extension(S0, S0, cocycle_index=0)
-        e2 = C.nonsplit_extension(S0, S0, cocycle_index=1)
-        assert C.is_isomorphic(e1, e2)
 
     def test_extension_is_nonsplit(self, lam):
         S0, S1 = lam.simples

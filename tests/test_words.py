@@ -23,6 +23,7 @@ from stringalg.words import (
     Word,
     _LEGAL_RUNS,
     _all_words_upto,
+    _band_canonical,
     _extensions,
     _runs,
     add_hook,
@@ -152,6 +153,24 @@ class TestBands:
 
     def test_noncyclic_word_rejected(self):
         assert not is_band(parse_word("alpha- gamma"))
+
+
+class TestBandCanonical:
+    """_band_canonical: the least rotation of a band word or of its
+    inverse, and which of the two it came from."""
+
+    def test_every_rotation_of_either_orientation(self):
+        for b in enumerate_bands(12):
+            for i in range(len(b)):
+                for w, flipped in ((b.rotation(i), False), (b.rotation(i).inverse(), True)):
+                    assert _band_canonical(w.letters) == (b.letters, flipped), w.text()
+                    assert Band.from_word(w).letters == b.letters, w.text()
+
+    def test_no_band_is_a_rotation_of_its_inverse(self):
+        # so the orientation of the least rotation is well defined
+        for b in enumerate_bands(16):
+            flipped = b.word.inverse().letters
+            assert flipped not in {b.rotation(i).letters for i in range(len(b))}, b.text()
 
 
 def least_rotation(letters):
