@@ -22,7 +22,7 @@ regular module, each found by its top.
 from __future__ import annotations
 
 from .errors import ContextMismatch, FieldTooSmall, ParseError, SplitFailure
-from .gf import GF, GF4, OMEGA
+from .gf import GF
 from .matrix import Mat, RowBasis, repack
 from .rep import ModuleRep, direct_sum
 from . import calculus
@@ -145,12 +145,23 @@ _GROUP_GENS = {
 # generator's matrix.  kS4's T1 is inflated through the quotient onto the
 # symmetric group on the three pair-partitions, acting on the 3-point
 # permutation module mod the all-ones vector; kA4's E_k sends u to
-# omega^k, so it needs GF(4).
+# omega^k, written ("w", k), with omega the least element of
+# multiplicative order 3 in the field (_cube_root).
 _GROUP_SIMPLES = {
     "S4": {"T0": {"s": [[1]], "t": [[1]]}, "T1": {"s": [[1, 1], [0, 1]], "t": [[1, 0], [1, 1]]}},
-    "A4": {f"E{k}": {"u": [[GF4.pow(OMEGA, k)]], "v": [[1]]} for k in range(3)},
+    "A4": {f"E{k}": {"u": [[("w", k)]], "v": [[1]]} for k in range(3)},
     "C2": {"k": {"h": [[1]]}},
 }
+
+
+def _cube_root(field) -> int:
+    """The least element of multiplicative order 3: OMEGA in GF(4).
+    GF(2^d) has one iff 3 divides 2^d - 1, that is iff d is even;
+    FieldTooSmall otherwise."""
+    for x in field.nonzero_elements():
+        if x != 1 and field.pow(x, 3) == 1:
+            return x
+    raise FieldTooSmall(f"{field} has no primitive cube root of unity")
 
 
 def perm_compose(p, q):
@@ -209,12 +220,17 @@ def group_context(name: str, degree: int = 1) -> AlgebraContext:
     # g -> g^-1
     ctx.opposite = {g: ctx.elements[inv] for g, inv in inverses.items()}
 
-    simples = _GROUP_SIMPLES[name]
-    if any(x >= field.order for act in simples.values() for m in act.values() for row in m for x in row):
-        raise FieldTooSmall(f"the simples of k{name} need a field larger than {field}")
+    def entry(x):
+        return field.pow(_cube_root(field), x[1]) if isinstance(x, tuple) else x
+
     ctx.simples = [
-        ModuleRep(ctx, len(act[ctx.gen_names[0]]), {g: Mat.from_entries(field, m) for g, m in act.items()}, label)
-        for label, act in simples.items()
+        ModuleRep(
+            ctx,
+            len(act[ctx.gen_names[0]]),
+            {g: Mat.from_entries(field, [[entry(x) for x in row] for row in m]) for g, m in act.items()},
+            label,
+        )
+        for label, act in _GROUP_SIMPLES[name].items()
     ]
     for S in ctx.simples:
         _assert_is_representation(ctx, S)

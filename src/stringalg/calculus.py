@@ -12,18 +12,27 @@ top(M) of the maps kept so far; the zero module is its own cover.
 
 Everything reduces to exact linear algebra.  A module map M -> N is a
 plain N.dim x M.dim matrix (is_module_map checks one).  Hom spaces are
-intertwiner solution spaces; one function sets up the Hom system for
-hom_dim and hom_basis.  The algebra context names its vertex
-idempotents and the source and target vertex of every other generator.
-When both modules are graded by the vertices (the
-idempotents act as complementary 0/1 diagonal matrices, each arrow
+intertwiner solution spaces; one function (_hom_rows) sets up the Hom
+system for hom_dim and hom_basis, in one layout for every pair: the
+unknown X[i,k] is column i*M.dim + k, as in the entrywise system.  An
+equation with one entry only says that one unknown is zero.  String
+modules, bands with m = 1, the projectives of Lambda and the simples act
+by partial permutations, so most of their equations are of that kind.
+Those unknowns are kept as a mask Z, set a row of X at a time, and only
+the equations with two or more entries, with their entries in Z cleared
+on every plane, go into a RowBasis.  With the units of Z they span the
+row space of the entrywise system, and none has an entry in Z, so that
+rank is |Z| plus theirs: hom_dim = unknowns - |Z| - rank.  The algebra
+context names its vertex idempotents and the source and target vertex of
+every other generator.  When both modules are graded by the vertices
+(the idempotents act as complementary 0/1 diagonal matrices, each arrow
 matrix lives in the block from its source to its target vertex), a map
-preserves vertices: the only unknowns are the X[i,j] with i and j at one
-vertex and the only equations are those of the arrows.  That is the full
-system with its forced-zero unknowns removed, so every answer, down to
-the order of a Hom basis, is the same; modules that are not graded get
-the full system.  hom_basis reads its maps off the kernel of the
-system's own reduced basis.  A map f: M -> N factors through a
+preserves vertices: the X[i,k] with i and k at different vertices are a
+second known-zero mask, and only the arrow equations are read.
+hom_basis reads its maps off the kernel of the reduced basis, with both
+masks as known-zero columns; the row space and the column order are
+those of the entrywise system, so every Hom basis, down to its order, is
+the one the entrywise system gives.  A map f: M -> N factors through a
 projective iff it lifts along the projective cover pi: P(N) ->> N, that
 is iff f lies in the span of the pi*g over a basis of Hom(M, P(N)).  The
 cover of a module and its kernel, with the inclusion, are built once and
@@ -83,7 +92,7 @@ from .errors import (
     SplitFailure,
     SplitOnly,
 )
-from .matrix import Mat, RowBasis, hstack, repack, support, vstack
+from .matrix import Mat, RowBasis, bits, hstack, repack, support, vstack
 from .rep import ModuleRep, direct_sum
 from .words import String, syzygy_word
 
@@ -110,7 +119,14 @@ def vertex_grading(M: ModuleRep):
     M is graded when its vertex idempotents act as complementary 0/1
     diagonal matrices and every arrow matrix lives in the block from its
     source vertex to its target vertex.  Over a group algebra (no
-    idempotents, one vertex) every module is graded.  Cached in M.cache."""
+    idempotents, one vertex) every module is graded."""
+    graded = _graded(M)
+    return None if graded is None else graded[0]
+
+
+def _graded(M: ModuleRep):
+    """(the vertex of each basis vector, the mask of the basis vectors at
+    each vertex) if M is graded, else None; cached in M.cache."""
     if "grading" not in M.cache:
         M.cache["grading"] = _grading(M)
     return M.cache["grading"]
@@ -134,131 +150,193 @@ def _grading(M):
             masks.append(mask)
         if sum(masks) != full or reduce(or_, masks) != full:
             return None
-    for name, (s, t) in ctx.arrows.items():
-        arrow = M.action[name].rows
-        rows = sum(1 << i for i, row in enumerate(arrow) if row)
-        cols = support(reduce(or_, arrow, 0), M.dim)
-        if rows & ~masks[t] or cols & ~masks[s]:
+    for a, (s, t) in zip(_generators(M, True), ctx.arrows.values()):
+        if (full ^ a.zero_rows) & ~masks[t] or (full ^ a.zero_cols) & ~masks[s]:
             return None
-    return tuple(verts)
+    return tuple(verts), masks
 
 
-def _spread(v: int, places, width: int, new_width: int) -> int:
-    """Move entry k of each plane of v (planes `width` apart) to entry
-    places[k] of a vector with planes `new_width` apart; entries from
-    len(places) on are dropped."""
-    full = (1 << len(places)) - 1
+class _Generator(NamedTuple):
+    """A generator's matrix a as a Hom system reads it: by its columns
+    when the module is the source, by its rows when it is the target."""
+
+    cols: list  # (j, column j) for each nonzero column, entry k at bit k
+    zero_cols: int  # the mask of the zero columns
+    image: int  # the OR of the single-entry columns
+    multi_cols: list  # (j, column j) for each column with two or more entries
+    rows: list  # (i, row i) for each nonzero row
+    zero_rows: int  # the mask of the zero rows
+    coimage: int  # the OR of the single-entry rows
+    multi_rows: list  # (i, row i) for each row with two or more entries
+
+
+def _generators(M, graded: bool) -> list:
+    """The arrows of M if `graded`, else all its generators, each read by
+    columns and by rows (_Generator); cached in M.cache."""
+    key = "hom_arrows" if graded else "hom_gens"
+    if key not in M.cache:
+        ctx = M.algebra
+        M.cache[key] = [_generator(M, name) for name in (ctx.arrows if graded else ctx.gen_names)]
+    return M.cache[key]
+
+
+def _generator(M, name: str) -> _Generator:
+    """The matrix of generator `name` on M, read by columns and by rows."""
+    n = M.dim
+    full = (1 << n) - 1
+    rows = [(i, row) for i, row in enumerate(M.action[name].rows) if row]
+    cols = [0] * n
+    for i, row in rows:
+        if row <= full and not row & (row - 1):  # one entry, and it is 1
+            cols[row.bit_length() - 1] |= 1 << i
+            continue
+        while row:
+            low = row & -row
+            p, j = divmod(low.bit_length() - 1, n)
+            cols[j] |= 1 << (p * n + i)
+            row ^= low
+    cols = [(j, col) for j, col in enumerate(cols) if col]
+    return _Generator(*_lines(cols, n), *_lines(rows, n))
+
+
+def _lines(lines: list, n: int) -> tuple:
+    """(lines, the mask of the zero lines, the OR of the single-entry
+    lines, the lines with two or more entries) for the nonzero lines
+    (j, v) of an n x n matrix."""
+    full = (1 << n) - 1
+    nonzero = single = 0
+    multi = []
+    for j, v in lines:
+        nonzero |= 1 << j
+        s = v if v <= full else support(v, n)
+        if s & (s - 1):
+            multi.append((j, v))
+        else:
+            single |= s
+    return lines, full ^ nonzero, single, multi
+
+
+def _dilate(v: int, n: int, m: int) -> int:
+    """The vector v of n entries with entry l moved to entry l*m and its
+    planes n*m apart."""
+    if 0 < v < 1 << n and not v & (v - 1):
+        return 1 << ((v.bit_length() - 1) * m)
+    width = n * m
     out = 0
     shift = 0
+    full = (1 << n) - 1
     while v:
         plane = v & full
         while plane:
             low = plane & -plane
-            out |= 1 << (shift + places[low.bit_length() - 1])
+            out |= 1 << (shift + (low.bit_length() - 1) * m)
             plane ^= low
-        v >>= width
-        shift += new_width
+        v >>= n
+        shift += width
     return out
 
 
-class _HomParts(NamedTuple):
-    """What a module brings to a Hom system, as source and as target."""
-
-    verts: tuple  # the vertex of each basis vector
-    members: list  # members[v]: the basis vectors at vertex v, in order
-    # per equation s -> t: the columns j at s (in the order of members[s],
-    # with entry k moved to k's place in members of its vertex) and the
-    # rows i at t as (i, row)
-    gens: list
-
-
-def _hom_parts(M, graded: bool) -> _HomParts:
-    """M's part of a Hom system, cached in M.cache.  Graded: a block per
-    vertex and the arrow equations.  One block: every basis vector at
-    vertex 0 and every generator an equation."""
-    key = "hom_graded" if graded else "hom_block"
-    if key not in M.cache:
-        ctx = M.algebra
-        if graded:
-            verts = vertex_grading(M)
-            arrows = ctx.arrows.items()
-            nverts = max(1, len(ctx.idempotents))
-        else:
-            verts = (0,) * M.dim
-            arrows = [(name, (0, 0)) for name in ctx.gen_names]
-            nverts = 1
-        members = [[] for _ in range(nverts)]
-        pos = []
-        for j, v in enumerate(verts):
-            pos.append(len(members[v]))
-            members[v].append(j)
-        n = M.dim
-        gens = []
-        for name, (s, t) in arrows:
-            rows = M.action[name].rows
-            # entry (k, j) sits in row k and source column j, and j is at s
-            cols = [0] * len(members[s])
-            for k, row in enumerate(rows):
-                while row:
-                    low = row & -row
-                    p, j = divmod(low.bit_length() - 1, n)
-                    cols[pos[j]] |= 1 << (p * n + pos[k])
-                    row ^= low
-            gens.append((cols, [(i, rows[i]) for i in members[t]]))
-        M.cache[key] = _HomParts(verts, members, gens)
-    return M.cache[key]
-
-
 class _HomSystem(NamedTuple):
-    """The Hom system of a pair M -> N in a RowBasis, with its layout: the
-    unknowns of row i of X are the X[i,j] with j at i's vertex, a run of
-    columns from base[i] in X's row-major order."""
+    """The Hom system of a pair M -> N, the unknown X[i,k] in column
+    i*M.dim + k: `zero`, the mask of the unknowns that an equation with
+    one entry forces to zero; `basis`, the other equations with those
+    entries cleared; `unknowns`, the number of unknowns in neither `zero`
+    nor _across(M, N)."""
 
     basis: RowBasis
     unknowns: int
-    base: list
-    source: _HomParts
-    target: _HomParts
+    zero: int
 
 
 def _hom_rows(M, N) -> _HomSystem:
-    """The equations of X*a_M = a_N*X in one RowBasis.
+    """The equations of X*a_M = a_N*X, the unknown X[i,k] in column
+    i*m + k (m = M.dim, n = N.dim).
 
-    When M and N are both graded, a map preserves vertices: the only
-    unknowns are the X[i,j] with i and j at one vertex, the idempotent
-    equations hold, and an arrow s -> t gives equations for i at t and j
-    at s only.  Otherwise both are read as one block, which is the full
-    entrywise system.  Either way the system is the full one with its
-    forced-zero columns removed and the rest in order, so it has the same
-    kernel."""
-    graded = vertex_grading(M) is not None and vertex_grading(N) is not None
-    source = _hom_parts(M, graded)
-    target = _hom_parts(N, graded)
-    base = []
-    unknowns = 0
-    for v in target.verts:
-        base.append(unknowns)
-        unknowns += len(source.members[v])
+    Equation (i, j) of a generator a reads sum_k a_M[k,j] X[i,k] =
+    sum_l a_N[i,l] X[l,j].  When M and N are both graded, a map preserves
+    vertices: X[i,k] with i and k at different vertices is zero (_across),
+    the idempotent equations hold, and an arrow s -> t gives equations for
+    i at t and j at s only.  Otherwise every generator gives every
+    equation.
+
+    An equation with one entry says that one unknown is zero, and those
+    go into the mask Z in bulk.  A zero row i of a_N against a
+    single-entry column of a_M zeroes X[i,k], with k the entry of that
+    column: over the zero rows that is the image of the single-entry
+    columns shifted to row i of X.  A single-entry row of a_N, with its
+    entry at l, against a zero column j of a_M zeroes X[l,j]: the zero
+    columns shifted to row l.  The other equations, with the entries in Z
+    cleared on every plane, go into one RowBasis.  With the units of Z
+    they span the row space of the entrywise system, and none of them has
+    an entry in Z, so the rank of the system is |Z| plus the rank of the
+    RowBasis."""
+    ctx = M.algebra
+    m, n = M.dim, N.dim
+    width = n * m
+    gm, gn = _graded(M), _graded(N)
+    if gm is not None and gn is not None:
+        mm, nm = gm[1], gn[1]
+        unknowns = sum(a.bit_count() * b.bit_count() for a, b in zip(mm, nm))
+        gens = list(zip(_generators(M, True), _generators(N, True), ctx.arrows.values()))
+    else:
+        mm, nm = [(1 << m) - 1], [(1 << n) - 1]
+        unknowns = width
+        gens = [(a, b, (0, 0)) for a, b in zip(_generators(M, False), _generators(N, False))]
+    # starts[v] has bit i*m set for each row i at vertex v, and leads[g]
+    # for each of those where generator g of N has a zero row; times a
+    # mask of m bits, such a mask puts a copy of it in each of those rows
+    starts = [_dilate(mask, n, m) for mask in nm]
+    leads = []
+    zero = 0
+    for a, b, (s, t) in gens:
+        lead = starts[t]
+        for i, _ in b.rows:
+            lead &= ~(1 << (i * m))
+        leads.append(lead)
+        zero |= lead * a.image | _dilate(b.coimage, n, m) * (a.zero_cols & mm[s])
     degree = M.field.degree
-    basis = RowBasis(M.field, unknowns)
+    keep = (1 << (degree * width)) - 1
+    for p in range(degree):
+        keep ^= zero << (p * width)
+    basis = RowBasis(M.field, width)
     insert = basis.insert
-    for (cols, _), (_, rows) in zip(source.gens, target.gens):
-        # row (i, j): column j of a_M at X's row i, plus row i of a_N
-        # spread over X's column j
-        acols = repack(cols, M.dim, unknowns, degree)
-        for i, row in rows:
-            shift = base[i]
-            b = _spread(row, base, N.dim, unknowns)
-            if b:
-                for pj, a in enumerate(acols):
-                    v = (a << shift) ^ (b << pj)
+    for (a, b, (s, _)), lead in zip(gens, leads):
+        cols = a.cols
+        if degree > 1:
+            cols = list(zip([j for j, _ in cols], repack([col for _, col in cols], m, width, degree)))
+        for i, row in b.rows:
+            shift = i * m
+            d = _dilate(row, n, m)
+            for j, col in cols:
+                v = ((col << shift) ^ (d << j)) & keep
+                if v:
+                    insert(v)
+        if a.multi_cols:
+            mcols = repack([col for _, col in a.multi_cols], m, width, degree)
+            for shift in bits(lead):
+                for col in mcols:
+                    v = (col << shift) & keep
                     if v:
                         insert(v)
-            else:
-                for a in acols:
-                    if a:
-                        insert(a << shift)
-    return _HomSystem(basis, unknowns, base, source, target)
+        zero_cols = a.zero_cols & mm[s]
+        if zero_cols:
+            for _, row in b.multi_rows:
+                d = _dilate(row, n, m)
+                for j in bits(zero_cols):
+                    v = (d << j) & keep
+                    if v:
+                        insert(v)
+    return _HomSystem(basis, unknowns - zero.bit_count(), zero)
+
+
+def _across(M, N) -> int:
+    """The mask of the unknowns X[i,k] with i and k at different vertices
+    when M and N are graded (a map leaves them zero), else 0."""
+    gm, gn = _graded(M), _graded(N)
+    if gm is None or gn is None:
+        return 0
+    full = (1 << M.dim) - 1
+    return sum((full ^ gm[1][v]) << (i * M.dim) for i, v in enumerate(gn[0]))
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -276,13 +354,11 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
         return []
     system = _hom_rows(M, N)
     basis = system.basis
-    runs = [(base, system.source.members[v]) for base, v in zip(system.base, system.target.verts)]
+    m, degree = M.dim, M.field.degree
     out = []
-    for x in basis.kernel():
-        # row i of the map is the run of X's row i, spread over M's basis
-        # vectors at i's vertex
-        rows = [_spread(x >> base, members, basis.width, M.dim) for base, members in runs]
-        out.append(Mat(M.field, N.dim, M.dim, rows))
+    for x in basis.kernel(system.zero | _across(M, N)):
+        rows = repack([x >> (i * m) for i in range(N.dim)], basis.width, m, degree)
+        out.append(Mat(M.field, N.dim, m, rows))
     return out
 
 

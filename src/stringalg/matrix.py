@@ -27,7 +27,8 @@ from .errors import DimensionMismatch
 from .gf import FiniteField
 
 
-def _bits(x: int):
+def bits(x: int):
+    """The positions of the set bits of x, lowest first."""
     while x:
         low = x & -x
         yield low.bit_length() - 1
@@ -97,7 +98,7 @@ class Mat:
                 raise DimensionMismatch("ragged entry rows")
             v = 0
             for c, e in enumerate(row):
-                for p in _bits(e):
+                for p in bits(e):
                     v |= 1 << (p * ncols + c)
             rows.append(v)
         return cls(field, nrows, ncols, rows)
@@ -193,7 +194,7 @@ class Mat:
         n, m = self.ncols, self.nrows
         rows = [0] * n
         for r, v in enumerate(self.rows):
-            for b in _bits(v):
+            for b in bits(v):
                 p, c = divmod(b, n)
                 rows[c] |= 1 << (p * m + r)
         return Mat(self.field, n, m, rows)
@@ -379,23 +380,24 @@ class RowBasis:
             v = pivots[lead]
             # a cleared pivot is zero in every other pivot column, so
             # clearing with it adds no bit to this set
-            for col in _bits(support(v, self.width) & lead_mask & ~(1 << lead)):
+            for col in bits(support(v, self.width) & lead_mask & ~(1 << lead)):
                 v = self.clear(v, col, pivots[col])
             pivots[lead] = v
 
-    def kernel(self) -> list:
-        """Basis of {x : p . x = 0 for every pivot p}, read off the
-        reduced basis: one vector per free column fc, with 1 at fc and, at
-        each pivot column pc, the entry of pc's pivot at fc (char 2: x_pc =
-        p[fc] * x_fc)."""
+    def kernel(self, zero: int = 0) -> list:
+        """Basis of {x : p . x = 0 for every pivot p, x_c = 0 for every
+        column c in the mask `zero`}, read off the reduced basis: one vector
+        per free column fc, with 1 at fc and, at each pivot column pc, the
+        entry of pc's pivot at fc (char 2: x_pc = p[fc] * x_fc).  No pivot
+        may have an entry in `zero`."""
         self.reduce()
         width = self.width
-        free = self.full & ~sum(1 << pc for pc in self.pivots)
-        index = {fc: k for k, fc in enumerate(_bits(free))}
+        free = self.full & ~zero & ~sum(1 << pc for pc in self.pivots)
+        index = {fc: k for k, fc in enumerate(bits(free))}
         out = [1 << fc for fc in index]
         free_planes = sum(free << (p * width) for p in range(self.field.degree))
         for pc, v in self.pivots.items():
-            for b in _bits(v & free_planes):
+            for b in bits(v & free_planes):
                 p, fc = divmod(b, width)
                 out[index[fc]] |= 1 << (p * width + pc)
         return out

@@ -171,10 +171,10 @@ class TestHomSpaces:
                 C.is_module_map(Mat.zeros(M.field, *shape), M, N)
 
 
-def _entrywise_hom_basis(M, N):
-    """Reference: the full intertwiner system, one equation
-    (X a_M)[i,j] = (a_N X)[i,j] for every generator a and every (i, j),
-    the unknown X[k,l] in column k*m + l, solved by Mat.nullspace."""
+def _entrywise_equations(M, N):
+    """The full intertwiner system as a matrix: one row per equation
+    (X a_M)[i,j] = (a_N X)[i,j], for every generator a and every (i, j),
+    the unknown X[k,l] in column k*m + l."""
     field = M.field
     n, m = N.dim, M.dim
     eqs = []
@@ -188,7 +188,15 @@ def _entrywise_hom_basis(M, N):
                 for k in range(n):
                     row[k * m + j] = field.add(row[k * m + j], B.entry(i, k))
                 eqs.append(row)
-    kernel = Mat.from_entries(field, eqs).nullspace()
+    return Mat.from_entries(field, eqs)
+
+
+def _entrywise_hom_basis(M, N):
+    """Reference: the kernel of the full intertwiner system, solved by
+    Mat.nullspace."""
+    field = M.field
+    n, m = N.dim, M.dim
+    kernel = _entrywise_equations(M, N).nullspace()
     return [
         Mat.from_entries(field, [[kernel.entry(r, i * m + j) for j in range(m)] for i in range(n)])
         for r in range(kernel.nrows)
@@ -232,10 +240,11 @@ def _oracle_modules(degree):
     lam = quiver_context(degree)
     strings = [s for s in enumerate_strings(4) if len(s.letters) >= 2][::5]
     mods = [string_module(s, degree) for s in strings]
-    lams = (1,) if degree == 1 else (OMEGA, OMEGA ^ 1)
+    # lambda with an entry on every plane of the scalar
+    scalar = (1 << degree) - 1
     for text in ("alpha beta- gamma-", "eta- beta alpha- gamma"):
         band = Band.from_word(parse_word(text))
-        mods += [band_module(band, lams[-1], mult, degree) for mult in (1, 2)]
+        mods += [band_module(band, scalar, mult, degree) for mult in (1, 2)]
     mods.append(direct_sum([mods[0], mods[3]]))
     mods += [C.syzygy(mods[1]), C.syzygy(mods[2], -1)]
     mods += list(lam.simples) + list(lam.pims)
@@ -246,7 +255,7 @@ class TestHomAgainstEntrywiseSystem:
     """hom_dim and hom_basis against the full entrywise system: the graded
     route on graded modules, the one-block route on the rest."""
 
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_graded_modules(self, degree):
         mods = _oracle_modules(degree)
         assert all(C.vertex_grading(M) is not None for M in mods)
@@ -255,7 +264,7 @@ class TestHomAgainstEntrywiseSystem:
             for N in rng.sample(mods, 6):
                 _assert_hom_matches_entrywise(M, N)
 
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_one_block_modules(self, degree):
         strings = [string_module(parse_word(t), degree) for t in ("gamma beta alpha-", "alpha beta- eta gamma-")]
         odd = [_conjugated(M, seed)[0] for seed, M in enumerate(strings)]
@@ -280,7 +289,7 @@ class TestHomAgainstEntrywiseSystem:
                 assert C.factors_through_projective(f.mul(Pinv), conj, target) == answers[-1]
         assert True in answers and False in answers
 
-    @pytest.mark.parametrize("name, degree", [("S4", 1), ("A4", 2)])
+    @pytest.mark.parametrize("name, degree", [("S4", 1), ("A4", 2), ("A4", 4)])
     def test_group_algebra_modules(self, name, degree):
         ctx = group_context(name, degree)
         mods = list(ctx.simples) + list(ctx.pims)
@@ -293,6 +302,35 @@ class TestHomAgainstEntrywiseSystem:
     @given(st.sampled_from(enumerate_strings(5)), st.sampled_from(enumerate_strings(5)))
     def test_string_pairs(self, a, b):
         _assert_hom_matches_entrywise(string_module(a), string_module(b))
+
+
+def test_no_equation_with_one_entry_reaches_the_row_basis(monkeypatch):
+    # string modules act by partial permutations, so most equations of
+    # their Hom system have one entry: each only says that one unknown is
+    # zero, and goes into the zero mask instead of the RowBasis
+    s = next(s for s in enumerate_strings(8) if len(s.letters) == 8)
+    M, N = string_module(s), string_module(syzygy_word(s))
+    inserted = []
+
+    class Spy(RowBasis):
+        def insert(self, v, keep=True):
+            inserted.append(v)
+            return super().insert(v, keep)
+
+    monkeypatch.setattr(C, "RowBasis", Spy)
+    dim = C.hom_dim(M, N)
+    width = N.dim * M.dim
+    eqs = [v for v in _entrywise_equations(M, N).rows if v]
+    single = [v for v in eqs if bin(v).count("1") == 1]
+    assert len(single) > len(eqs) // 2
+    system = C._hom_rows(M, N)
+    known = system.zero | C._across(M, N)
+    # every equation with one entry is in the mask, no other unknown is
+    assert all(v & known for v in single)
+    assert dim == len(_entrywise_hom_basis(M, N)) == width - bin(known).count("1") - system.basis.rank
+    # what the RowBasis sees are the equations with two or more entries,
+    # with the entries in the mask cleared
+    assert inserted and set(inserted) <= {v & ~known for v in eqs if v not in single}
 
 
 class TestCoversAndSyzygies:

@@ -11,6 +11,7 @@ from stringalg.errors import (
     ParseError,
     SplitFailure,
 )
+from stringalg.gf import OMEGA
 from stringalg.matrix import Mat
 from stringalg.groupside import (
     extension_tower,
@@ -61,6 +62,16 @@ class TestStandardReps:
     def test_e_modules_need_gf4(self):
         with pytest.raises(FieldTooSmall):
             group_context("A4", 1)
+
+    def test_e_modules_need_a_cube_root_of_unity(self):
+        # GF(2^d) has an element of order 3 iff d is even
+        with pytest.raises(FieldTooSmall):
+            group_context("A4", 3)
+        ctx = group_context("A4", 4)
+        # omega is the least element of order 3; in GF(4) it is OMEGA
+        assert [S.action["u"].entry(0, 0) for S in ctx.simples] == [1, 6, 7]
+        assert [S.action["u"].entry(0, 0) for S in group_context("A4", 2).simples] == [1, OMEGA, OMEGA ^ 1]
+        assert [P.dim for P in ctx.pims] == [4, 4, 4]
 
     def test_e12_sequence(self, reps4):
         E12 = reps4["E12"]
