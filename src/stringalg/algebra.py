@@ -13,6 +13,8 @@ that the list is complete, and the symmetric-algebra properties
 soc(P) = top(P) and D(P) projective are asserted rather than assumed.
 With vertex idempotents set-up also checks that S_i is e_i acting by 1
 and the rest by 0: the calculus reads [M : S_i] off the rank of e_i.
+The context keeps no table of arrows: the Hom systems read the vertices
+of a module off its idempotents alone, as one known-zero mask.
 The projective indecomposables of the path algebra are closed walks,
 down one arm of words.ARMS and back up the other, built by the code that
 builds band modules; those of a group algebra are the summands of the
@@ -26,7 +28,7 @@ from .gf import GF
 from .matrix import Mat, RowBasis, repack
 from .rep import ModuleRep, direct_sum
 from . import calculus
-from .words import ARMS, ARROW_NAMES, INV, MIRROR_ARROW, e_of, is_inverse, s_of
+from .words import ARMS, ARROW_NAMES, INV, MIRROR_ARROW, e_of, is_inverse
 
 
 class AlgebraContext:
@@ -35,7 +37,6 @@ class AlgebraContext:
         "field",
         "gen_names",
         "idempotents",
-        "arrows",
         "regular",
         "opposite",
         "simples",
@@ -48,10 +49,11 @@ class AlgebraContext:
         self.name = name
         self.field = field
         self.gen_names = tuple(gen_names)
-        # vertex idempotents, one per vertex (none: a single vertex), and
-        # the (source, target) vertex of every other generator
+        # vertex idempotents, one per vertex and the first generators
+        # (none: a single vertex); the Hom systems read each module's
+        # vertices off them alone, as one known-zero mask of the unknowns
+        # across two vertices
         self.idempotents = ()
-        self.arrows = {name: (0, 0) for name in self.gen_names}
         self.regular = None
         # generator -> the word of its image under an anti-automorphism
         self.opposite = {}
@@ -109,8 +111,7 @@ def quiver_context(degree: int = 1) -> AlgebraContext:
         return _CONTEXTS[key]
     field = GF(degree)
     ctx = AlgebraContext("Lambda", field, ("e0", "e1") + ARROW_NAMES)
-    ctx.idempotents = ("e0", "e1")
-    ctx.arrows = {name: (s_of(a), e_of(a)) for a, name in enumerate(ARROW_NAMES)}
+    ctx.idempotents = ctx.gen_names[:2]
 
     # the mirror table of words.mirror_string is an anti-automorphism
     ctx.opposite = {e: (e,) for e in ctx.idempotents}

@@ -18,25 +18,24 @@ unknown X[i,k] is column i*M.dim + k, as in the entrywise system.  An
 equation with one entry only says that one unknown is zero.  String
 modules, bands with m = 1, the projectives of Lambda and the simples act
 by partial permutations, so most of their equations are of that kind.
-Those unknowns are kept as a mask Z, set a row of X at a time, and only
-the equations with two or more entries, with their entries in Z cleared
-on every plane, go into a RowBasis.  With the units of Z they span the
-row space of the entrywise system, and none has an entry in Z, so that
-rank is |Z| plus theirs: hom_dim = unknowns - |Z| - rank.  The algebra
-context names its vertex idempotents and the source and target vertex of
-every other generator.  When both modules are graded by the vertices
-(the idempotents act as complementary 0/1 diagonal matrices, each arrow
-matrix lives in the block from its source to its target vertex), a map
-preserves vertices: the X[i,k] with i and k at different vertices are a
-second known-zero mask, and only the arrow equations are read.
-hom_basis reads its maps off the kernel of the reduced basis, with both
-masks as known-zero columns; the row space and the column order are
-those of the entrywise system, so every Hom basis, down to its order, is
-the one the entrywise system gives.  A map f: M -> N factors through a
-projective iff it lifts along the projective cover pi: P(N) ->> N, that
-is iff f lies in the span of the pi*g over a basis of Hom(M, P(N)).  The
-cover of a module and its kernel, with the inclusion, are built once and
-cached (_cover_kernel); syzygy and nonsplit_extension read them.
+Those unknowns are kept as one known-zero mask Z, set a row of X at a
+time, and only the equations with two or more entries, with their
+entries in Z cleared on every plane, go into a RowBasis.  With the units
+of Z they span the row space of the entrywise system, and none has an
+entry in Z, so that rank is |Z| plus theirs: hom_dim = M.dim * N.dim -
+|Z| - rank.  When the vertex idempotents act on both modules as
+complementary 0/1 diagonal matrices (_vertex_masks), their equations say
+exactly that X[i,k] is zero for i and k at different vertices, whatever
+the arrows do: those unknowns go into Z too, and only the other
+generators are read.  hom_basis reads its maps off the kernel of the
+reduced basis, with Z as known-zero columns; the row space and the
+column order are those of the entrywise system, so every Hom basis, down
+to its order, is the one the entrywise system gives.  A map f: M -> N
+factors through a projective iff it lifts along the projective cover
+pi: P(N) ->> N, that is iff f lies in the span of the pi*g over a basis
+of Hom(M, P(N)).  The cover of a module and its kernel, with the
+inclusion, are built once and cached (_cover_kernel); syzygy and
+nonsplit_extension read them.
 decompose and is_isomorphic rest on one deterministic search (_split):
 basis endomorphisms, then their products with the nilpotents found so
 far, are shifted by the first monic polynomial that makes them singular.
@@ -113,47 +112,25 @@ def _check_map(f: Mat, M: ModuleRep, N: ModuleRep):
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def vertex_grading(M: ModuleRep):
-    """The vertex of each basis vector of M, or None if M is not graded.
+def _vertex_masks(M: ModuleRep):
+    """The mask of the basis vectors at each vertex, read off the vertex
+    idempotents alone, or None; cached in M.cache.
 
-    M is graded when its vertex idempotents act as complementary 0/1
-    diagonal matrices and every arrow matrix lives in the block from its
-    source vertex to its target vertex.  Over a group algebra (no
-    idempotents, one vertex) every module is graded."""
-    graded = _graded(M)
-    return None if graded is None else graded[0]
-
-
-def _graded(M: ModuleRep):
-    """(the vertex of each basis vector, the mask of the basis vectors at
-    each vertex) if M is graded, else None; cached in M.cache."""
-    if "grading" not in M.cache:
-        M.cache["grading"] = _grading(M)
-    return M.cache["grading"]
-
-
-def _grading(M):
-    ctx = M.algebra
-    full = (1 << M.dim) - 1
-    verts = [0] * M.dim
-    masks = [full]
-    if ctx.idempotents:
-        masks = []
-        for v, name in enumerate(ctx.idempotents):
-            mask = 0
-            for i, row in enumerate(M.action[name].rows):
-                if row:
-                    if row != 1 << i:
-                        return None
-                    mask |= row
-                    verts[i] = v
-            masks.append(mask)
-        if sum(masks) != full or reduce(or_, masks) != full:
-            return None
-    for a, (s, t) in zip(_generators(M, True), ctx.arrows.values()):
-        if (full ^ a.zero_rows) & ~masks[t] or (full ^ a.zero_cols) & ~masks[s]:
-            return None
-    return tuple(verts), masks
+    When they act as complementary 0/1 diagonal matrices, the idempotent
+    equations of a Hom system say exactly that X[i,k] is zero for i and k
+    at different vertices.  A group (no idempotents, one vertex) gives one
+    full mask, any other action None."""
+    if "vertex_masks" not in M.cache:
+        full = (1 << M.dim) - 1
+        masks = [full]
+        if M.algebra.idempotents:
+            diagonals = [M.action[name].rows for name in M.algebra.idempotents]
+            masks = [reduce(or_, rows, 0) for rows in diagonals]
+            zero_one = all(row in (0, 1 << i) for rows in diagonals for i, row in enumerate(rows))
+            if not zero_one or sum(masks) != full or reduce(or_, masks) != full:
+                masks = None
+        M.cache["vertex_masks"] = masks
+    return M.cache["vertex_masks"]
 
 
 class _Generator(NamedTuple):
@@ -165,19 +142,19 @@ class _Generator(NamedTuple):
     image: int  # the OR of the single-entry columns
     multi_cols: list  # (j, column j) for each column with two or more entries
     rows: list  # (i, row i) for each nonzero row
-    zero_rows: int  # the mask of the zero rows
     coimage: int  # the OR of the single-entry rows
     multi_rows: list  # (i, row i) for each row with two or more entries
 
 
-def _generators(M, graded: bool) -> list:
-    """The arrows of M if `graded`, else all its generators, each read by
-    columns and by rows (_Generator); cached in M.cache."""
-    key = "hom_arrows" if graded else "hom_gens"
-    if key not in M.cache:
-        ctx = M.algebra
-        M.cache[key] = [_generator(M, name) for name in (ctx.arrows if graded else ctx.gen_names)]
-    return M.cache[key]
+def _generators(M, names) -> list:
+    """The generators `names` of M, each read by columns and by rows
+    (_Generator); the views are cached in M.cache, one dict by name."""
+    views = M.cache.setdefault("hom_gens", {})
+    try:
+        return [views[name] for name in names]
+    except KeyError:
+        views.update((name, _generator(M, name)) for name in names if name not in views)
+        return [views[name] for name in names]
 
 
 def _generator(M, name: str) -> _Generator:
@@ -196,7 +173,8 @@ def _generator(M, name: str) -> _Generator:
             cols[j] |= 1 << (p * n + i)
             row ^= low
     cols = [(j, col) for j, col in enumerate(cols) if col]
-    return _Generator(*_lines(cols, n), *_lines(rows, n))
+    rows, _, coimage, multi_rows = _lines(rows, n)
+    return _Generator(*_lines(cols, n), rows, coimage, multi_rows)
 
 
 def _lines(lines: list, n: int) -> tuple:
@@ -238,13 +216,10 @@ def _dilate(v: int, n: int, m: int) -> int:
 
 class _HomSystem(NamedTuple):
     """The Hom system of a pair M -> N, the unknown X[i,k] in column
-    i*M.dim + k: `zero`, the mask of the unknowns that an equation with
-    one entry forces to zero; `basis`, the other equations with those
-    entries cleared; `unknowns`, the number of unknowns in neither `zero`
-    nor _across(M, N)."""
+    i*M.dim + k: `zero`, the mask of the unknowns known to be zero;
+    `basis`, the other equations with those entries cleared."""
 
     basis: RowBasis
-    unknowns: int
     zero: int
 
 
@@ -253,54 +228,55 @@ def _hom_rows(M, N) -> _HomSystem:
     i*m + k (m = M.dim, n = N.dim).
 
     Equation (i, j) of a generator a reads sum_k a_M[k,j] X[i,k] =
-    sum_l a_N[i,l] X[l,j].  When M and N are both graded, a map preserves
-    vertices: X[i,k] with i and k at different vertices is zero (_across),
-    the idempotent equations hold, and an arrow s -> t gives equations for
-    i at t and j at s only.  Otherwise every generator gives every
-    equation.
+    sum_l a_N[i,l] X[l,j].  When both modules have vertex masks
+    (_vertex_masks), the idempotent equations say exactly that X[i,k] is
+    zero for i and k at different vertices: those unknowns start the zero
+    mask Z, and only the other generators are read.  Otherwise every
+    generator is read.  Each generator read gives every equation.
 
     An equation with one entry says that one unknown is zero, and those
-    go into the mask Z in bulk.  A zero row i of a_N against a
-    single-entry column of a_M zeroes X[i,k], with k the entry of that
-    column: over the zero rows that is the image of the single-entry
-    columns shifted to row i of X.  A single-entry row of a_N, with its
-    entry at l, against a zero column j of a_M zeroes X[l,j]: the zero
-    columns shifted to row l.  The other equations, with the entries in Z
-    cleared on every plane, go into one RowBasis.  With the units of Z
-    they span the row space of the entrywise system, and none of them has
-    an entry in Z, so the rank of the system is |Z| plus the rank of the
-    RowBasis."""
+    go into Z in bulk.  A zero row i of a_N against a single-entry column
+    of a_M zeroes X[i,k], with k the entry of that column: over the zero
+    rows that is the image of the single-entry columns shifted to row i of
+    X.  A single-entry row of a_N, with its entry at l, against a zero
+    column j of a_M zeroes X[l,j]: the zero columns shifted to row l.  The
+    other equations, with the entries in Z cleared on every plane, go into
+    one RowBasis.  With the units of Z they span the row space of the
+    entrywise system, and none of them has an entry in Z, so the rank of
+    the system is |Z| plus the rank of the RowBasis."""
     ctx = M.algebra
     m, n = M.dim, N.dim
     width = n * m
-    gm, gn = _graded(M), _graded(N)
-    if gm is not None and gn is not None:
-        mm, nm = gm[1], gn[1]
-        unknowns = sum(a.bit_count() * b.bit_count() for a, b in zip(mm, nm))
-        gens = list(zip(_generators(M, True), _generators(N, True), ctx.arrows.values()))
-    else:
+    mm, nm = _vertex_masks(M), _vertex_masks(N)
+    names = ctx.gen_names
+    if mm is None or nm is None:
         mm, nm = [(1 << m) - 1], [(1 << n) - 1]
-        unknowns = width
-        gens = [(a, b, (0, 0)) for a, b in zip(_generators(M, False), _generators(N, False))]
-    # starts[v] has bit i*m set for each row i at vertex v, and leads[g]
-    # for each of those where generator g of N has a zero row; times a
-    # mask of m bits, such a mask puts a copy of it in each of those rows
-    starts = [_dilate(mask, n, m) for mask in nm]
+    else:
+        names = names[len(ctx.idempotents) :]  # the idempotents come first
+    gens = list(zip(_generators(M, names), _generators(N, names)))
+    # _dilate(mask, n, m) has bit i*m set for each row i of X in the mask;
+    # times m bits, it copies them into each such row.  starts covers
+    # every row, leads[g] the zero rows of generator g of N
+    full = (1 << m) - 1
+    starts = zero = 0
+    for a, b in zip(mm, nm):
+        rows = _dilate(b, n, m)
+        starts |= rows
+        zero |= rows * (full ^ a)
     leads = []
-    zero = 0
-    for a, b, (s, t) in gens:
-        lead = starts[t]
+    for a, b in gens:
+        lead = starts
         for i, _ in b.rows:
             lead &= ~(1 << (i * m))
         leads.append(lead)
-        zero |= lead * a.image | _dilate(b.coimage, n, m) * (a.zero_cols & mm[s])
+        zero |= lead * a.image | _dilate(b.coimage, n, m) * a.zero_cols
     degree = M.field.degree
     keep = (1 << (degree * width)) - 1
     for p in range(degree):
         keep ^= zero << (p * width)
     basis = RowBasis(M.field, width)
     insert = basis.insert
-    for (a, b, (s, _)), lead in zip(gens, leads):
+    for (a, b), lead in zip(gens, leads):
         cols = a.cols
         if degree > 1:
             cols = list(zip([j for j, _ in cols], repack([col for _, col in cols], m, width, degree)))
@@ -318,25 +294,14 @@ def _hom_rows(M, N) -> _HomSystem:
                     v = (col << shift) & keep
                     if v:
                         insert(v)
-        zero_cols = a.zero_cols & mm[s]
-        if zero_cols:
+        if a.zero_cols:
             for _, row in b.multi_rows:
                 d = _dilate(row, n, m)
-                for j in bits(zero_cols):
+                for j in bits(a.zero_cols):
                     v = (d << j) & keep
                     if v:
                         insert(v)
-    return _HomSystem(basis, unknowns - zero.bit_count(), zero)
-
-
-def _across(M, N) -> int:
-    """The mask of the unknowns X[i,k] with i and k at different vertices
-    when M and N are graded (a map leaves them zero), else 0."""
-    gm, gn = _graded(M), _graded(N)
-    if gm is None or gn is None:
-        return 0
-    full = (1 << M.dim) - 1
-    return sum((full ^ gm[1][v]) << (i * M.dim) for i, v in enumerate(gn[0]))
+    return _HomSystem(basis, zero)
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -344,7 +309,7 @@ def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
     if M.dim * N.dim == 0:
         return 0
     system = _hom_rows(M, N)
-    return system.unknowns - system.basis.rank
+    return M.dim * N.dim - system.zero.bit_count() - system.basis.rank
 
 
 def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
@@ -356,7 +321,7 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[Mat]:
     basis = system.basis
     m, degree = M.dim, M.field.degree
     out = []
-    for x in basis.kernel(system.zero | _across(M, N)):
+    for x in basis.kernel(system.zero):
         rows = repack([x >> (i * m) for i in range(N.dim)], basis.width, m, degree)
         out.append(Mat(M.field, N.dim, m, rows))
     return out

@@ -333,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=None, help="string scan bound")
     sp.add_argument("--band-len", type=int, default=None, help="band scan bound")
     sp.add_argument("--n-max", type=int, default=None, help="tower bound")
-    sp.add_argument("--radius", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    echoed = "only echoed into the report's config; no check reads it"
+    sp.add_argument("--radius", type=int, default=None, help=echoed)
+    sp.add_argument("--seed", type=int, default=None, help=echoed)
     sp.add_argument("--timings", action="store_true")
     common(sp, ("json", "text"))
     sp.set_defaults(fn=cmd_verify)

@@ -23,7 +23,7 @@ vectors; subspaces are handled as matrices whose rows span them.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .gf import FiniteField
 
 
@@ -90,6 +90,8 @@ class Mat:
 
     @classmethod
     def from_entries(cls, field, entries):
+        """The matrix of a list of rows, each a list of field elements, the
+        integers 0..field.order-1; ParseError for any other entry."""
         nrows = len(entries)
         ncols = len(entries[0]) if nrows else 0
         rows = []
@@ -98,6 +100,8 @@ class Mat:
                 raise DimensionMismatch("ragged entry rows")
             v = 0
             for c, e in enumerate(row):
+                if type(e) is not int or not 0 <= e < field.order:
+                    raise ParseError(f"entry {e!r} is not an element of {field}")
                 for p in bits(e):
                     v |= 1 << (p * ncols + c)
             rows.append(v)

@@ -85,9 +85,8 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     class, (Band, lambda', m), is kept in M.cache["tag"]: M(B, lambda, m)
     = M(B^-1, lambda^-1, m) (Butler-Ringel 1987), so lambda' is lambda^-1
     when the Band's letters are a rotation of the inverse word, and lambda
-    otherwise.  Omega and isomorphism are read off the tag."""
-    if lam == 0:
-        raise ZeroLambda("band parameter must be nonzero")
+    otherwise.  Omega and isomorphism are read off the tag.  lambda must
+    be a nonzero element of GF(2^degree), 1..q-1 (ZeroLambda)."""
     if mult < 1:
         raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
     if mult > _MULT_LIMIT:
@@ -102,8 +101,8 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
         raise ParseError(f"not a band or a word: {B!r}")
     ctx = quiver_context(degree)
     field = ctx.field
-    if lam >= field.order:
-        raise ZeroLambda(f"parameter {lam} not in {field}")
+    if not 0 < lam < field.order:
+        raise ZeroLambda(f"band parameter {lam} is not a nonzero element of {field}")
     jordan = Mat.from_entries(
         field, [[lam if c == r else int(c == r - 1) for c in range(mult)] for r in range(mult)]
     )

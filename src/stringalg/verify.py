@@ -77,6 +77,18 @@ class SuiteConfig:
             setattr(self, key, value)
 
     def validate(self):
+        """ConfigError unless each field has its type (a bool is not an
+        int; sections is a tuple or list of check ids), each scan bound
+        lies in 0..its guard, and each section is a known check."""
+        for key, kind in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if kind is list:
+                typed = type(value) in (tuple, list) and all(type(s) is str for s in value)
+            else:
+                typed = type(value) is kind
+            if not typed:
+                want = "a list of check ids" if kind is list else f"of type {kind.__name__}"
+                raise ConfigError(f"config key {key!r} must be {want}, not {value!r}")
         for key, guard in GUARDS.items():
             if not 0 <= getattr(self, key) <= guard:
                 raise ConfigError(f"{key} must lie in 0..{guard}, not {getattr(self, key)}")
@@ -90,19 +102,15 @@ _CONFIG_TYPES = {**dict.fromkeys((*GUARDS, "seed"), int), "include_timings": boo
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
-    """The suite config of a JSON object; a key of the wrong type (a bool
-    is not an int) or out of bounds raises ConfigError."""
+    """The suite config of a JSON object; an unknown key raises
+    ConfigError, and so does SuiteConfig.validate."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     cfg = SuiteConfig()
     for key, value in data.items():
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        if type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
-            want = "a list of check ids" if kind is list else f"of type {kind.__name__}"
-            raise ConfigError(f"config key {key!r} must be {want}, not {value!r}")
-        setattr(cfg, key, tuple(value) if kind is list else value)
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 

@@ -2,6 +2,7 @@ import copy
 import random
 from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,18 @@ from stringalg.groupside import extension_tower, induce, restrict, standard_reps
 from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
-from stringalg.words import Band, String, enumerate_bands, enumerate_strings, make_string, parse_word, syzygy_word
+from stringalg.words import (
+    ARROW_NAMES,
+    Band,
+    String,
+    e_of,
+    enumerate_bands,
+    enumerate_strings,
+    make_string,
+    parse_word,
+    s_of,
+    syzygy_word,
+)
 
 from oracles import composition_multiplicities_hom, ext1_dim_cocycles
 
@@ -94,8 +106,8 @@ def _assert_relations(M):
     assert e[0].add(e[1]) == Mat.identity(M.field, M.dim), M
     assert e[0].mul(e[1]) == e[1].mul(e[0]) == zero, M
     assert all(x.mul(x) == x for x in e), M
-    for name, (source, target) in ctx.arrows.items():
-        assert e[target].mul(M.action[name]).mul(e[source]) == M.action[name], (M, name)
+    for a, name in enumerate(ARROW_NAMES):
+        assert e[e_of(a)].mul(M.action[name]).mul(e[s_of(a)]) == M.action[name], (M, name)
     for paths in _RELATIONS:
         assert reduce(Mat.add, [M.word_matrix(p) for p in paths]) == zero, (M, paths)
 
@@ -228,12 +240,19 @@ def _conjugated(M, seed):
 
 def _off_vertex(M):
     """M with one alpha entry from a vertex-1 basis vector, so the arrow
-    matrix leaves its vertex pair (0 -> 0)."""
-    verts = C.vertex_grading(M)
-    j = verts.index(1)
+    matrix leaves its vertex pair (0 -> 0); the idempotents are M's."""
+    at_1 = C._vertex_masks(M)[1]
+    j = (at_1 & -at_1).bit_length() - 1
     alpha = M.action["alpha"].copy()
     alpha.set_entry(0, j, 1)
     return ModuleRep(M.algebra, M.dim, dict(M.action, alpha=alpha), label="bad")
+
+
+def _both_at_once(M):
+    """M with e0 and e1 both acting as the identity: 0/1 diagonals that
+    are not complementary."""
+    one = Mat.identity(M.field, M.dim)
+    return ModuleRep(M.algebra, M.dim, dict(M.action, e0=one, e1=one), label="e0=e1=1")
 
 
 def _oracle_modules(degree):
@@ -252,13 +271,14 @@ def _oracle_modules(degree):
 
 
 class TestHomAgainstEntrywiseSystem:
-    """hom_dim and hom_basis against the full entrywise system: the graded
-    route on graded modules, the one-block route on the rest."""
+    """hom_dim and hom_basis against the full entrywise system: the
+    arrows-only route on modules with vertex masks, the all-generators
+    route on the rest."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_graded_modules(self, degree):
         mods = _oracle_modules(degree)
-        assert all(C.vertex_grading(M) is not None for M in mods)
+        assert all(C._vertex_masks(M) is not None for M in mods)
         rng = random.Random(degree)
         for M in mods:
             for N in rng.sample(mods, 6):
@@ -267,11 +287,19 @@ class TestHomAgainstEntrywiseSystem:
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_one_block_modules(self, degree):
         strings = [string_module(parse_word(t), degree) for t in ("gamma beta alpha-", "alpha beta- eta gamma-")]
-        odd = [_conjugated(M, seed)[0] for seed, M in enumerate(strings)]
-        odd += [_off_vertex(M) for M in strings]
-        assert all(C.vertex_grading(M) is None for M in odd)
-        for M in odd:
-            for N in odd + strings:
+        conj = [_conjugated(M, seed)[0] for seed, M in enumerate(strings)]
+        off = [_off_vertex(M) for M in strings]
+        both = [_both_at_once(strings[1])]
+        # the vertex masks come from the idempotents alone, whatever the
+        # arrows do; e0 = e1 = 1 is not complementary
+        assert all(C._vertex_masks(M) is None for M in conj + both)
+        assert [C._vertex_masks(M) for M in off] == [C._vertex_masks(M) for M in strings]
+        # End(M) reads the idempotents on the all-generators route only
+        for M in off + both:
+            C.hom_dim(M, M)
+        assert ["e0" in M.cache["hom_gens"] for M in off + both] == [False, False, True]
+        for M in conj + off + both:
+            for N in conj + off + both + strings:
                 _assert_hom_matches_entrywise(M, N)
                 _assert_hom_matches_entrywise(N, M)
 
@@ -324,13 +352,14 @@ def test_no_equation_with_one_entry_reaches_the_row_basis(monkeypatch):
     single = [v for v in eqs if bin(v).count("1") == 1]
     assert len(single) > len(eqs) // 2
     system = C._hom_rows(M, N)
-    known = system.zero | C._across(M, N)
-    # every equation with one entry is in the mask, no other unknown is
-    assert all(v & known for v in single)
-    assert dim == len(_entrywise_hom_basis(M, N)) == width - bin(known).count("1") - system.basis.rank
+    zero = system.zero
+    # the unknowns of the equations with one entry, the cross-vertex ones
+    # among them, make up the mask
+    assert zero == reduce(or_, single)
+    assert dim == len(_entrywise_hom_basis(M, N)) == width - bin(zero).count("1") - system.basis.rank
     # what the RowBasis sees are the equations with two or more entries,
     # with the entries in the mask cleared
-    assert inserted and set(inserted) <= {v & ~known for v in eqs if v not in single}
+    assert inserted and set(inserted) <= {v & ~zero for v in eqs if v not in single}
 
 
 class TestCoversAndSyzygies:
@@ -453,7 +482,7 @@ def _radical_matrices(M):
     the four arrows for Lambda, the annihilator of the simples for kG."""
     ctx = M.algebra
     if ctx.elements is None:
-        return [M.action[name] for name in ctx.arrows]
+        return [M.action[name] for name in ARROW_NAMES]
     return [_combination(M, e) for e in _annihilator_of_the_simples(ctx)]
 
 
@@ -498,7 +527,7 @@ class TestRadicalAndSocle:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_against_the_radical_of_the_algebra(self, degree):
         mods = _radical_oracle_modules(degree)
-        assert any(C.vertex_grading(M) is None for M in mods)
+        assert any(C._vertex_masks(M) is None for M in mods)
         for M in mods:
             mats = _radical_matrices(M)
             rad = vstack([m.transpose() for m in mats]).row_space()
@@ -539,9 +568,9 @@ class TestMultiplicities:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_against_the_hom_routes(self, degree):
         mods = _oracle_modules(degree)
-        both_vertices = [M for M in mods if len(set(C.vertex_grading(M))) == 2]
+        both_vertices = [M for M in mods if all(C._vertex_masks(M))]
         conj = [_conjugated(M, seed)[0] for seed, M in enumerate(both_vertices)]
-        assert all(C.vertex_grading(M) is None for M in conj)
+        assert all(C._vertex_masks(M) is None for M in conj)
         for M in mods + conj + _group_modules(degree):
             assert C.composition_multiplicities(M) == composition_multiplicities_hom(M), M
 

@@ -338,6 +338,35 @@ def test_suite_config_defaults_and_keywords():
         SuiteConfig(band_length=6)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tower_n", 2.5),
+        ("string_scan_len", True),
+        ("string_scan_len", "12"),
+        ("seed", None),
+        ("include_timings", 1),
+        ("sections", "c09-characters"),
+        ("sections", ["c09-characters", 9]),
+    ],
+)
+def test_both_config_paths_refuse_a_field_of_the_wrong_type(key, value):
+    # keywords and JSON objects share one check, SuiteConfig.validate
+    message = f"config key {key!r} must be"
+    with pytest.raises(ConfigError, match=message):
+        SuiteConfig(**{key: value}).validate()
+    with pytest.raises(ConfigError, match=message):
+        run_suite(SuiteConfig(**{key: value}))
+    with pytest.raises(ConfigError, match=message):
+        verify.config_from_dict({key: value})
+
+
+def test_sections_may_be_a_tuple_or_a_list():
+    for sections in (("c09-characters",), ["c09-characters"]):
+        SuiteConfig(sections=sections).validate()
+        assert list(verify.config_from_dict({"sections": list(sections)}).sections) == ["c09-characters"]
+
+
 def test_tower_guard_is_the_tower_limit():
     assert verify.GUARDS["tower_n"] == TOWER_LIMIT
     verify.config_from_dict({"tower_n": TOWER_LIMIT})

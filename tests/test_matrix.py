@@ -341,3 +341,16 @@ def test_shape_errors():
         A.add(B)
     with _pytest.raises(DimensionMismatch):
         A.solve(Mat.identity(GF2, 3))
+
+
+@pytest.mark.parametrize(
+    "field, entry", [(GF2, 2), (GF2, -1), (GF4, 4), (GF2, 0.5)], ids=["GF2-2", "GF2-minus1", "GF4-4", "GF2-half"]
+)
+def test_from_entries_refuses_entries_outside_the_field(field, entry):
+    from stringalg.errors import ParseError
+
+    # over GF(2), [[2]] used to read back as [[0]] yet be nonzero, and its
+    # rank raised ZeroDivisionError
+    with pytest.raises(ParseError, match="not an element of"):
+        Mat.from_entries(field, [[1, entry]])
+    assert Mat.from_entries(field, [[field.order - 1, 0]]).rank() == 1

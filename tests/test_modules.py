@@ -95,9 +95,11 @@ class TestBandModules:
         assert band_module(b, 1, 3).dim == 12
 
     def test_zero_lambda(self):
+        # lambda must be a nonzero field element; -1 used to loop forever
         b = Band.from_word(parse_word(self.BAND))
-        with pytest.raises(ZeroLambda):
-            band_module(b, 0, 1)
+        for lam, degree in ((0, 1), (-1, 1), (2, 1), (-1, 2), (4, 2)):
+            with pytest.raises(ZeroLambda):
+                band_module(b, lam, 1, degree)
 
     @pytest.mark.parametrize("mult", [0, -1, -2])
     def test_nonpositive_multiplicity(self, mult):
@@ -275,7 +277,7 @@ class TestStringArguments:
         for i in range(len(b)):
             rot = b.rotation(i)
             M = band_module(rot, 1)
-            assert C.vertex_grading(M)[0] == rot.vertices()[0]
+            assert C._vertex_masks(M)[rot.vertices()[0]] & 1
             assert C.is_isomorphic(M, band_module(b, 1))
         with pytest.raises(ParseError):
             band_module("eta- beta alpha- gamma", 1)
