@@ -36,27 +36,37 @@ pi: P(N) ->> N, that is iff f lies in the span of the pi*g over a basis
 of Hom(M, P(N)).  The cover of a module and its kernel, with the
 inclusion, are built once and cached (_cover_kernel); syzygy and
 nonsplit_extension read them.
-decompose and is_isomorphic rest on one deterministic search (_split):
-basis endomorphisms, then their products with the nilpotents found so
-far, are shifted by the first monic polynomial that makes them singular.
-A shifted map that is not nilpotent splits the module (Fitting's lemma);
+A string or band module carries the tag of its isomorphism class in
+M.cache["tag"] (modules.string_module, modules.band_module): its String,
+or its Band with lambda read in the Band's orientation and m.  A direct
+sum keeps its parts, the part objects themselves, in M.cache["parts"]
+(rep.direct_sum).  Two premises make tags decide isomorphism and
+decomposition: a string module and the M(B, lambda, m) of a primitive
+band are indecomposable, and two of them are isomorphic iff their tags
+are equal (Butler-Ringel 1987); and Krull-Schmidt holds, so a module is
+fixed up to isomorphism by the multiset of its indecomposable summands.
+So decompose returns a tagged module whole and a sum as the concatenated
+decompositions of its parts, and two modules whose parts, through nested
+sums, are all tagged are isomorphic iff their multisets of tags are equal
+(_same_tag); neither solves a linear system.
+Any other module goes through one deterministic search (_split): basis
+endomorphisms, then their products with the nilpotents found so far, are
+shifted by the first monic polynomial that makes them singular.  A
+shifted map that is not nilpotent splits the module (Fitting's lemma);
 the nilpotent ones span V, and End is certified local once V is closed
 under multiplication by End and End = k[g] + V for one shifted map g.
 SplitFailure is raised only when the search ends with neither; no such
-input is known.  A string or band module carries the tag of its
-isomorphism class in M.cache["tag"] (modules.string_module,
-modules.band_module): its String, or its Band with lambda read in the
-Band's orientation and m.  Two tagged modules are isomorphic iff their
-tags are equal (_same_tag; Butler-Ringel 1987).
-For any other pair is_isomorphic solves one Hom(M, N) basis and tries two
-sound certificates before anything else: (1) an invertible basis map,
-(2) an invertible sum of the basis maps.  The sum is a candidate, not a
-complete test.  Only then does it (3) compare dim End(M), dim End(N)
-and dim Hom(N, M) with dim Hom(M, N), and (4) match the two
-decompositions by Krull-Schmidt.  The End(M) basis (end_basis) and the
-summands of decompose are cached in M.cache, so each is solved once per
-module; steps 3 and 4 read dim End from the cached bases and reuse the
-cached summands.
+input is known.  For any pair with an untagged part, is_isomorphic solves
+one Hom(M, N) basis and tries two sound certificates before anything
+else: (1) an invertible basis map, (2) an invertible sum of the basis
+maps.  The sum is a candidate, not a complete test.  Only then does it
+(3) compare dim End(M), dim End(N) and dim Hom(N, M) with dim Hom(M, N),
+and (4) match the two decompositions by Krull-Schmidt.  The End(M) basis
+(end_basis) and the summands of decompose are cached in M.cache, so each
+is solved once per module; steps 3 and 4 read dim End from the cached
+bases and reuse the cached summands.  ModuleRep.plain() gives a copy
+with an empty cache, which takes the matrix route: the tests use it as
+the oracle of the tag route.
 
 Negative syzygies are D Omega D, with D the k-dual made a module
 through the context's anti-automorphism (ctx.opposite): D is an exact
@@ -81,6 +91,7 @@ the oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
@@ -617,21 +628,41 @@ def _coboundaries(M: ModuleRep, N: ModuleRep):
 # -- isomorphism and decomposition ------------------------------------------------
 
 
+def _tags(M: ModuleRep) -> list | None:
+    """The tags of M's indecomposable summands, when M is a string or band
+    module or a direct sum of them, through nested sums; None otherwise."""
+    tag = M.cache.get("tag")
+    if tag is not None:
+        return [tag]
+    parts = M.cache.get("parts")
+    if parts is None:
+        return None
+    tags = []
+    for part in parts:
+        sub = _tags(part)
+        if sub is None:
+            return None
+        tags += sub
+    return tags
+
+
 def _same_tag(M: ModuleRep, N: ModuleRep) -> bool | None:
-    """Whether two string or band modules are isomorphic: their tags, each
-    naming an isomorphism class, are equal (Butler-Ringel 1987); None
-    unless both are tagged."""
-    a = M.cache.get("tag")
-    b = N.cache.get("tag")
+    """Whether two modules whose indecomposable summands are all string or
+    band modules are isomorphic: the multisets of their tags (_tags), each
+    naming an isomorphism class (Butler-Ringel 1987), are equal
+    (Krull-Schmidt); None unless all summands of both are tagged."""
+    a = _tags(M)
+    b = _tags(N)
     if a is None or b is None:
         return None
-    return a == b
+    return Counter(a) == Counter(b)
 
 
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test.  Two string or band modules are decided by
-    equality of their tags (_same_tag).  Any other pair is decided on a
-    basis H of Hom(M, N), in four steps:
+    """Exact isomorphism test.  Two string or band modules, or direct sums
+    of them (nested or not), are decided by their multisets of tags
+    (_same_tag), with no Hom system.  Any other pair is decided on a basis
+    H of Hom(M, N), in four steps:
 
     1. True if a map in H is invertible;
     2. True if the sum of the maps in H is invertible;
@@ -668,7 +699,8 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
 def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
     """Isomorphism test for U KNOWN to be indecomposable: equal tags when
-    both are string or band modules (_same_tag), otherwise some basis map
+    both are string or band modules or sums of them (_same_tag), otherwise
+    some basis map
     U -> V is invertible.  End(U) is local, so when U = V the maps U -> V
     that are not isomorphisms form a proper subspace, which holds no
     basis."""
@@ -777,7 +809,14 @@ def _split(M: ModuleRep, E: list[Mat]):
 
 
 def decompose(M: ModuleRep) -> list[ModuleRep]:
-    """Indecomposable direct summands via Fitting splitting (see _split).
+    """Indecomposable direct summands.
+
+    A string or band module is returned whole: a string module and the
+    M(B, lambda, m) of a primitive band are indecomposable (Butler-Ringel
+    1987).  A direct sum built by rep.direct_sum gives the concatenated
+    decompositions of its parts, so the summands of a sum of string and
+    band modules are its part objects, shared, not copied.  Neither solves
+    End(M).  Any other module is split by Fitting's lemma (see _split).
 
     The summands are cached in M.cache (None when M is indecomposable),
     which a relabelled copy shares, labels included; each call returns a
@@ -785,8 +824,14 @@ def decompose(M: ModuleRep) -> list[ModuleRep]:
     if M.dim == 0:
         return []
     if "summands" not in M.cache:
-        split = _split(M, end_basis(M))
-        M.cache["summands"] = None if split is None else decompose(split[0]) + decompose(split[1])
+        if "parts" in M.cache:
+            summands = [U for part in M.cache["parts"] for U in decompose(part)]
+        elif "tag" in M.cache:
+            summands = None
+        else:
+            split = _split(M, end_basis(M))
+            summands = None if split is None else decompose(split[0]) + decompose(split[1])
+        M.cache["summands"] = summands
     parts = M.cache["summands"]
     return [M] if parts is None else list(parts)
 

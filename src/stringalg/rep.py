@@ -10,7 +10,10 @@ class ModuleRep:
     """A module over an algebra context: one square matrix per generator.
 
     Instances are treated as immutable; ``cache`` holds derived data
-    (Hom bases to the simples, projective cover, ...) keyed by name.
+    (Hom bases to the simples, projective cover, ...) keyed by name, and
+    what the constructors know of the module: the isomorphism class of a
+    string or band module ("tag") and the parts of a direct sum
+    ("parts").
     """
 
     __slots__ = ("algebra", "dim", "action", "label", "cache")
@@ -46,6 +49,12 @@ class ModuleRep:
         out.cache = self.cache
         return out
 
+    def plain(self) -> "ModuleRep":
+        """The same action matrices and label with an empty cache: no tag,
+        no parts and no derived data, so that every question about the
+        copy is answered from its matrices."""
+        return ModuleRep(self.algebra, self.dim, self.action, self.label)
+
     def to_json_dict(self) -> dict:
         field = self.field
         m = field.degree
@@ -74,6 +83,10 @@ class ModuleRep:
 
 
 def direct_sum(mods: list[ModuleRep], label: str = "") -> ModuleRep:
+    """The block-diagonal sum of mods, in order.  The parts are kept in
+    its cache as a tuple ("parts"), the same objects, not copies, so that
+    decompose and is_isomorphic can read a sum of string and band modules
+    off the parts' tags."""
     if not mods:
         raise DimensionMismatch("direct sum of nothing")
     algebra = mods[0].algebra
@@ -86,4 +99,6 @@ def direct_sum(mods: list[ModuleRep], label: str = "") -> ModuleRep:
     }
     if not label:
         label = " + ".join(m.label or "?" for m in mods)
-    return ModuleRep(algebra, sum(m.dim for m in mods), action, label)
+    out = ModuleRep(algebra, sum(m.dim for m in mods), action, label)
+    out.cache["parts"] = tuple(mods)
+    return out

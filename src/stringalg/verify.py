@@ -37,7 +37,7 @@ from .groupside import (
 )
 from .matrix import Mat
 from .modules import band_module, string_hom_dim, string_module
-from .rep import ModuleRep, direct_sum
+from .rep import direct_sum
 from .words import (
     Band,
     String,
@@ -548,11 +548,10 @@ def observe_band_conventions(cfg, memo):
     """Open-question observations, recorded rather than asserted: how the
     scalar transforms under band inversion, and double-syzygy invariance
     of band modules.  The band tags encode the conventions observed here,
-    so the isomorphism tests run on untagged copies, on Hom."""
+    so the isomorphism tests run on plain copies, on Hom."""
 
     def untagged(word, lam):
-        M = band_module(word, lam, 1, degree=2)
-        return ModuleRep(M.algebra, M.dim, M.action, M.label)
+        return band_module(word, lam, 1, degree=2).plain()
 
     b = Band.from_word(parse_word("eta- beta alpha- gamma"))
     lam = OMEGA

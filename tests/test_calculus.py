@@ -75,12 +75,15 @@ class TestAlgebraSetup:
             _verify_context(ctx)
 
     def test_decompose_regular_quiver_algebra(self, lam):
-        parts = C.decompose(lam.regular)
-        dims = sorted(p.dim for p in parts)
-        assert dims == [5, 6]
-        by_dim = {p.dim: p for p in parts}
-        assert C.is_isomorphic(by_dim[6], lam.pims[0])
-        assert C.is_isomorphic(by_dim[5], lam.pims[1])
+        # the sum of the PIMs as built, and as a plain copy, which _split
+        # decomposes whole
+        for regular in (lam.regular, lam.regular.plain()):
+            parts = C.decompose(regular)
+            dims = sorted(p.dim for p in parts)
+            assert dims == [5, 6]
+            by_dim = {p.dim: p for p in parts}
+            assert C.is_isomorphic(by_dim[6], lam.pims[0])
+            assert C.is_isomorphic(by_dim[5], lam.pims[1])
 
 
 # The defining relations of Lambda as README states them, each a sum of
@@ -673,13 +676,6 @@ class TestStableAndExt:
         assert C.ext1_dim(m_eta, m_eta) == 0
 
 
-def _untagged(M):
-    """M with a fresh cache, so without its string or band tag: stable Hom
-    and Ext^1 take the cover and kernel route on it, and is_isomorphic the
-    Hom route."""
-    return ModuleRep(M.algebra, M.dim, M.action)
-
-
 def _stable_hom_via_cover(M, N):
     """hom(M, N) minus the maps that lift along the cover P(N) ->> N,
     from the cover module itself."""
@@ -697,19 +693,19 @@ class TestStableHomRoutes:
         s = enumerate_strings(3)[-1]
         assert string_module(s).cache["tag"] == s
         assert string_module(s.word.inverse()).cache["tag"] == s
-        assert "tag" not in _untagged(string_module(s)).cache
+        assert "tag" not in string_module(s).plain().cache
 
     def test_stable_end_and_self_ext_of_strings(self):
         for s in enumerate_strings(10):
             M = string_module(s)
-            U = _untagged(M)
+            U = M.plain()
             assert C.stable_end_dim(M) == C.stable_end_dim(U), s.text()
             assert C.ext1_dim(M, M) == C.ext1_dim(U, U), s.text()
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_string_pairs(self, degree):
         tagged = [string_module(s, degree) for s in enumerate_strings(4)]
-        untagged = [_untagged(M) for M in tagged]
+        untagged = [M.plain() for M in tagged]
         for M, UM in zip(tagged, untagged):
             for N, UN in zip(tagged, untagged):
                 assert C.stable_hom_dim(M, N) == C.stable_hom_dim(UM, UN), (M, N)
@@ -787,7 +783,7 @@ class TestBandRoutes:
         w = b.rotation(1).inverse()
         assert band_module(w, 1, 2, degree).cache["tag"] == (b, 1, 2)
         assert band_module(b, 1, 1, degree).relabel("x").cache["tag"] == (b, 1, 1)
-        assert "tag" not in _untagged(band_module(b, 1, 1, degree)).cache
+        assert "tag" not in band_module(b, 1, 1, degree).plain().cache
 
     def test_omega_on_the_word_against_the_cover(self, degree):
         for b in enumerate_bands(12):
@@ -796,13 +792,13 @@ class TestBandRoutes:
                     M = band_module(w, lam, m, degree)
                     omega = C._omega(M)
                     assert omega.cache["tag"] == band_module(syzygy_word(w), lam, m, degree).cache["tag"]
-                    assert C.is_isomorphic(_untagged(omega), C.syzygy(_untagged(M))), (w.text(), lam, m)
+                    assert C.is_isomorphic(omega.plain(), C.syzygy(M.plain())), (w.text(), lam, m)
 
     def test_stable_end_and_self_ext(self, degree):
         for b in enumerate_bands(10):
             for lam, m in _band_params(degree):
                 M = band_module(b, lam, m, degree)
-                U = _untagged(M)
+                U = M.plain()
                 assert C.stable_end_dim(M) == C.stable_end_dim(U), (b.text(), lam, m)
                 assert C.ext1_dim(M, M) == C.ext1_dim(U, U), (b.text(), lam, m)
 
@@ -828,7 +824,7 @@ class TestBandRoutes:
             N = draw() if rng.random() < 0.5 else _rebuilt(M, rng, degree)
             while N.dim != M.dim:
                 N = draw()
-            iso = C.is_isomorphic(_untagged(M), _untagged(N))
+            iso = C.is_isomorphic(M.plain(), N.plain())
             seen += iso
             assert C.is_isomorphic(M, N) == C.indec_isomorphic(M, N) == iso, (M, N)
         assert 50 < seen < 250
@@ -902,14 +898,17 @@ class TestIsoAndDecompose:
     def test_simples_not_isomorphic(self, lam):
         assert not C.is_isomorphic(lam.simples[0], lam.simples[1])
 
+    # the sums below are plain copies, so that _split splits them and
+    # does not read their parts
+
     def test_direct_sum_decomposes(self, lam):
         S0 = lam.simples[0]
-        parts = C.decompose(direct_sum([S0, S0]))
+        parts = C.decompose(direct_sum([S0, S0]).plain())
         assert len(parts) == 2
         assert all(C.is_isomorphic(p, S0) for p in parts)
 
     def test_mixed_sum(self, lam):
-        M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
+        M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]]).plain()
         dims = sorted(p.dim for p in C.decompose(M))
         assert dims == [1, 3, 5]
 
@@ -986,34 +985,43 @@ def test_decompose_and_is_isomorphic_match_the_brute_force_oracle(degree):
     # every pool module is indecomposable by the oracle, so decompose must
     # return it whole; on seeded sums of two or three pool modules its
     # summands must match the parts one to one, and is_isomorphic must
-    # agree with the oracle
+    # agree with the oracle.  Each module is taken as built, where the tags
+    # and parts decide every string or band module and every sum of them,
+    # and as a plain copy, which goes through Hom and _split
     pool = _oracle_pool(degree)
-    rng = random.Random(degree)
     wrong = []
-    for M in pool:
-        if [p.dim for p in C.decompose(M)] != [M.dim] or not _oracle_indecomposable(M):
-            wrong.append(("decompose", M))
-    for _ in range(40):
-        first = rng.choice(pool)
-        parts = [first] + rng.choices([X for X in pool if X.algebra is first.algebra], k=rng.choice((1, 2)))
-        M = direct_sum(parts)
-        found = C.decompose(M)
-        left = list(parts)
-        for U in found:
-            # U = X needs dim Hom(U, X) = dim End(X), which is listable
-            hit = next((k for k, X in enumerate(left) if _fits(U, X) and _oracle_isomorphic(U, X)), None)
-            if hit is None:
-                wrong.append(("summand", M, U))
-                break
-            left.pop(hit)
-        if left:
-            wrong.append(("summands", M))
-        swapped = parts[1:] + parts[:1]
-        same_dim = [X for X in pool if X.algebra is first.algebra and X.dim == first.dim]
-        others = [swapped, swapped[:-1] + [rng.choice(same_dim)]]
-        for N in map(direct_sum, others):
-            if _fits(M, N) and C.is_isomorphic(M, N) != _oracle_isomorphic(M, N):
-                wrong.append(("is_isomorphic", M, N))
+    for plain in (False, True):
+
+        def build(parts):
+            M = direct_sum(parts)
+            return M.plain() if plain else M
+
+        for M in pool:
+            M = M.plain() if plain else M
+            if [p.dim for p in C.decompose(M)] != [M.dim] or not _oracle_indecomposable(M):
+                wrong.append(("decompose", plain, M))
+        rng = random.Random(degree)
+        for _ in range(40):
+            first = rng.choice(pool)
+            parts = [first] + rng.choices([X for X in pool if X.algebra is first.algebra], k=rng.choice((1, 2)))
+            M = build(parts)
+            found = C.decompose(M)
+            left = list(parts)
+            for U in found:
+                # U = X needs dim Hom(U, X) = dim End(X), which is listable
+                hit = next((k for k, X in enumerate(left) if _fits(U, X) and _oracle_isomorphic(U, X)), None)
+                if hit is None:
+                    wrong.append(("summand", plain, M, U))
+                    break
+                left.pop(hit)
+            if left:
+                wrong.append(("summands", plain, M))
+            swapped = parts[1:] + parts[:1]
+            same_dim = [X for X in pool if X.algebra is first.algebra and X.dim == first.dim]
+            others = [swapped, swapped[:-1] + [rng.choice(same_dim)]]
+            for N in map(build, others):
+                if _fits(M, N) and C.is_isomorphic(M, N) != _oracle_isomorphic(M, N):
+                    wrong.append(("is_isomorphic", plain, M, N))
     assert wrong == []
 
 
@@ -1041,26 +1049,37 @@ class TestSplitSearch:
         M = string_module(parse_word(" ".join(["alpha beta- gamma-"] * copies)), degree)
         assert [p.dim for p in C.decompose(M)] == [3 * copies + 1]
 
-    def test_double_of_a_long_string(self):
+    # the doubles are plain copies, so that _split splits them and does not
+    # read their parts
+
+    def test_double_of_a_long_string(self, monkeypatch):
         M = string_module(parse_word(" ".join(["alpha beta- gamma-"] * 4)), 2)
-        MM = direct_sum([M, M])
+        MM = direct_sum([M, M]).plain()
+        calls = _spy(monkeypatch, "_split")
         assert [p.dim for p in C.decompose(MM)] == [13, 13]
-        assert C.is_isomorphic(MM, direct_sum([M, M]))
+        assert calls and calls[0][0] is MM
+        assert C.is_isomorphic(MM, direct_sum([M, M]).plain())
 
-    def test_residue_field_larger_than_the_field(self):
+    def test_residue_field_larger_than_the_field(self, monkeypatch):
         M = _companion_band()
+        calls = _spy(monkeypatch, "_split")
         assert [p.dim for p in C.decompose(M)] == [6]
+        assert calls and calls[0][0] is M
         assert _oracle_indecomposable(M)
-        MM = direct_sum([M, M])
+        MM = direct_sum([M, M]).plain()
+        calls.clear()
         assert [p.dim for p in C.decompose(MM)] == [6, 6]
-        assert C.is_isomorphic(MM, direct_sum([M, M]))
+        assert calls and calls[0][0] is MM
+        assert C.is_isomorphic(MM, direct_sum([M, M]).plain())
 
-    def test_double_projective_with_an_element_of_order_three(self, ks4):
+    def test_double_projective_with_an_element_of_order_three(self, ks4, monkeypatch):
         # End(P(T1) + P(T1)) has basis elements with no eigenvalue in GF(2)
         P = ks4.pims[1]
-        PP = direct_sum([P, P])
+        PP = direct_sum([P, P]).plain()
+        calls = _spy(monkeypatch, "_split")
         assert [p.dim for p in C.decompose(PP)] == [8, 8]
-        assert C.is_isomorphic(PP, direct_sum([P, P]))
+        assert calls and calls[0][0] is PP
+        assert C.is_isomorphic(PP, direct_sum([P, P]).plain())
 
     def test_products_in_k_plus_v_do_not_certify(self, lam):
         # End(S0^3) = M_3(GF(2)) is spanned by 1 and nilpotents (N1, N2 are
@@ -1076,23 +1095,20 @@ class TestSplitSearch:
         assert sorted(p.dim for p in split) == [1, 2]
 
 
-def _fresh(M):
-    """M with an empty cache: no End basis and no summands yet."""
-    return ModuleRep(M.algebra, M.dim, M.action, M.label)
-
-
 class TestDecomposeCache:
     def test_changing_the_returned_list_leaves_the_cache(self, lam):
-        M = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
-        first = C.decompose(M)
-        parts = list(first)
-        first.pop(0)
-        first.pop()
-        assert C.decompose(M) == parts
-        U = parts[1]
-        whole = C.decompose(U)
-        whole.clear()
-        assert C.decompose(U) == [U]
+        # on the sum as built and on a plain copy, which _split decomposes
+        built = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
+        for M in (built, built.plain()):
+            first = C.decompose(M)
+            parts = list(first)
+            first.pop(0)
+            first.pop()
+            assert C.decompose(M) == parts
+            U = parts[1]
+            whole = C.decompose(U)
+            whole.clear()
+            assert C.decompose(U) == [U]
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_is_isomorphic_after_decompose_matches_a_fresh_copy(self, degree):
@@ -1107,14 +1123,17 @@ class TestDecomposeCache:
             (direct_sum([a, a]), direct_sum([a, string_module(parse_word("beta alpha"), degree)])),
             (direct_sum([lam.pims[1], lam.pims[1]]), direct_sum([lam.pims[1], lam.pims[1]])),
         ]
+        # plain copies, so that is_isomorphic goes through Hom and the
+        # decompositions through _split
+        pairs = [(M.plain(), N.plain()) for M, N in pairs]
         for M, N in pairs:
-            expected = C.is_isomorphic(_fresh(M), _fresh(N))
+            expected = C.is_isomorphic(M.plain(), N.plain())
             C.decompose(M)
             C.decompose(N)
             # twice: the first call pops from N's summands
             assert C.is_isomorphic(M, N) == expected, (M, N)
             assert C.is_isomorphic(M, N) == expected, (M, N)
-            assert len(C.decompose(N)) == len(C.decompose(_fresh(N)))
+            assert len(C.decompose(N)) == len(C.decompose(N.plain()))
         assert [C.is_isomorphic(M, N) for M, N in pairs] == [True, True, False, False, True]
 
 
@@ -1142,9 +1161,9 @@ class TestIsomorphismRoutes:
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
         lam = 1 if degree == 1 else OMEGA
         for m in (1, 2):
-            M = _untagged(band_module(b, lam, m, degree))
+            M = band_module(b, lam, m, degree).plain()
             for i in range(1, len(b)):
-                N = _untagged(band_module(b.rotation(i), lam, m, degree))
+                N = band_module(b.rotation(i), lam, m, degree).plain()
                 assert any(h.is_invertible() for h in C.hom_basis(M, N))
                 calls = _spy(monkeypatch, "decompose")
                 assert C.is_isomorphic(M, N)
@@ -1191,9 +1210,10 @@ class TestIsomorphismRoutes:
         assert not C.is_isomorphic(M, N)
         assert calls
         monkeypatch.undo()
-        # here the End dimensions differ, which step 3 sees
+        # here the End dimensions differ, which step 3 sees; plain copies,
+        # which the tags do not decide
         a, ba = strings("gamma beta", "beta alpha")
-        M, N = direct_sum([a, a]), direct_sum([a, ba])
+        M, N = direct_sum([a, a]).plain(), direct_sum([a, ba]).plain()
         calls = _spy(monkeypatch, "decompose")
         assert not C.is_isomorphic(M, N)
         assert calls == []
@@ -1201,7 +1221,7 @@ class TestIsomorphismRoutes:
     def test_band_against_its_rotation_solves_one_hom_system(self, degree, monkeypatch):
         lam = 1 if degree == 1 else OMEGA
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
-        M, N = _untagged(band_module(b, lam, 2, degree)), _untagged(band_module(b.rotation(1), lam, 2, degree))
+        M, N = band_module(b, lam, 2, degree).plain(), band_module(b.rotation(1), lam, 2, degree).plain()
         calls = _spy(monkeypatch, "_hom_rows")
         assert C.is_isomorphic(M, N)
         assert [(X is M, Y is N) for X, Y in calls] == [(True, True)]
@@ -1215,6 +1235,103 @@ class TestIsomorphismRoutes:
         S = string_module(enumerate_strings(7)[-1], degree)  # dim 8, as M
         assert not C.is_isomorphic(M, S) and not C.indec_isomorphic(S, M)
         assert calls == []
+
+
+def _sums_of_tagged_modules(degree):
+    """Seeded pairs (M, N, leaves) of modules of equal dimension over
+    GF(2^degree), with leaves the parts of M through nested sums, or None
+    when a part is untagged: sums of two or three string and band modules
+    (lambda in 1, omega, omega^2, m <= 3) against a permutation and against
+    the sum with one part replaced, a nested sum, a sum with an untagged
+    simple or projective, and pairs of equal dimension that only the
+    lambdas, the multiplicity, a string or the multiplicity of a summand
+    tell apart."""
+    ctx = quiver_context(degree)
+    rng = random.Random(60 + degree)
+    lams = (1,) if degree == 1 else (1, OMEGA, OMEGA ^ 1)
+    strings = enumerate_strings(4)
+    bands = enumerate_bands(4)
+
+    def draw():
+        if rng.random() < 0.5:
+            return string_module(rng.choice(strings), degree)
+        return band_module(rng.choice(bands), rng.choice(lams), rng.randint(1, 3), degree)
+
+    def same_dim(X):
+        while True:
+            Y = draw()
+            if Y.dim == X.dim:
+                return Y
+
+    cases = []
+    for _ in range(24):
+        parts = [draw() for _ in range(rng.choice((2, 3)))]
+        M = direct_sum(parts)
+        perm = parts[1:] + parts[:1]
+        cases.append((M, direct_sum(perm), parts))
+        k = rng.randrange(len(parts))
+        cases.append((M, direct_sum(parts[:k] + [same_dim(parts[k])] + parts[k + 1 :]), parts))
+    a, b, c = draw(), draw(), draw()
+    cases.append((direct_sum([direct_sum([a, b]), c]), direct_sum([c, a, b]), [a, b, c]))
+    cases.append((direct_sum([direct_sum([a, b]), c]), direct_sum([direct_sum([b, same_dim(a)]), c]), [a, b, c]))
+    for untagged in (ctx.simples[0], ctx.pims[1]):
+        cases.append((direct_sum([a, untagged, b]), direct_sum([b, a, untagged]), None))
+        cases.append((direct_sum([a, untagged]), direct_sum([same_dim(a), untagged]), None))
+    S = string_module(strings[-1], degree)
+    for band in bands[:3]:
+        for lam in lams:
+            B1 = band_module(band, lam, 1, degree)
+            cases.append((direct_sum([B1, B1]), band_module(band, lam, 2, degree), [B1, B1]))
+            if lam != 1:
+                other = band_module(band, lam ^ 1, 1, degree)  # omega <-> omega^2
+                cases.append((direct_sum([B1, S]), direct_sum([other, S]), [B1, S]))
+    by_len = {}
+    for s in strings:
+        by_len.setdefault(len(s), []).append(string_module(s, degree))
+    for same in by_len.values():
+        for X, Y in zip(same, same[1:]):
+            cases.append((direct_sum([X, S]), direct_sum([S, Y]), [X, S]))
+            cases.append((direct_sum([X, X, Y]), direct_sum([X, Y, Y]), [X, X, Y]))
+    return cases
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sums_of_tagged_modules_against_the_matrix_route(degree, monkeypatch):
+    # decompose and is_isomorphic read a sum of string and band modules off
+    # the tags of its parts; on plain copies the same questions go through
+    # _split and Hom, which are the oracle.  A sum of tagged modules reaches
+    # no End or Hom basis and no _split, and its summands are its parts
+    wrong = []
+    seen = [0, 0]
+    for M, N, leaves in _sums_of_tagged_modules(degree):
+        assert M.dim == N.dim
+        if leaves is not None:
+            calls = [_spy(monkeypatch, name) for name in ("end_basis", "hom_basis", "_split")]
+        found = C.decompose(M)
+        iso = C.is_isomorphic(M, N)
+        if leaves is not None:
+            monkeypatch.undo()
+            if any(calls):
+                wrong.append(("solved", M, N))
+            if len(found) != len(leaves) or any(U is not X for U, X in zip(found, leaves)):
+                wrong.append(("not the parts", M))
+        seen[iso] += 1
+        PM, PN = M.plain(), N.plain()
+        assert PM.cache == {} and PM.action is M.action and PM.label == M.label
+        if iso != C.is_isomorphic(PM, PN):
+            wrong.append(("is_isomorphic", M, N))
+        oracle = C.decompose(PM)
+        if sorted(U.dim for U in found) != sorted(V.dim for V in oracle):
+            wrong.append(("dims", M))
+            continue
+        for U in found:
+            hit = next((k for k, V in enumerate(oracle) if C.indec_isomorphic(V, U)), None)
+            if hit is None:
+                wrong.append(("summand", M, U))
+                break
+            oracle.pop(hit)
+    assert wrong == []
+    assert min(seen) >= 10, seen
 
 
 def _base_changed(M, rng):
