@@ -19,10 +19,12 @@ equation with one entry only says that one unknown is zero.  String
 modules, bands with m = 1, the projectives of Lambda and the simples act
 by partial permutations, so most of their equations are of that kind.
 Those unknowns are kept as one known-zero mask Z, set a row of X at a
-time, and only the equations with two or more entries, with their
-entries in Z cleared on every plane, go into a RowBasis.  With the units
-of Z they span the row space of the entrywise system, and none has an
-entry in Z, so that rank is |Z| plus theirs: hom_dim = M.dim * N.dim -
+time.  The equations with two or more entries come from one loop over
+the pairs (a row of a generator on N, a column of it on M), a zero line
+read as the line 0 only where that gives such an equation; with their
+entries in Z cleared on every plane, they go into a RowBasis.  With the
+units of Z they span the row space of the entrywise system, and none has
+an entry in Z, so that rank is |Z| plus theirs: hom_dim = M.dim * N.dim -
 |Z| - rank.  When the vertex idempotents act on both modules as
 complementary 0/1 diagonal matrices (_vertex_masks), their equations say
 exactly that X[i,k] is zero for i and k at different vertices, whatever
@@ -68,14 +70,15 @@ bases and reuse the cached summands.  ModuleRep.plain() gives a copy
 with an empty cache, which takes the matrix route: the tests use it as
 the oracle of the tag route.
 
-Negative syzygies are D Omega D, with D the k-dual made a module
+Negative syzygies and quotients go through D, the k-dual made a module
 through the context's anti-automorphism (ctx.opposite): D is an exact
 duality, and at set-up the dual of each projective indecomposable is
 checked to be one, so D takes the projective cover of D(M) to the
-injective envelope of M and Omega^-1 = D Omega D.  The socle of each
-projective indecomposable is checked to be simple and isomorphic to its
-top; that makes P_i the injective hull of S_i, so that
-dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
+injective envelope of M and Omega^-1 = D Omega D; and D(M/U) is the
+annihilator of U in D(M), so quotient_module is D of a sub_module of
+D(M).  The socle of each projective indecomposable is checked to be
+simple and isomorphic to its top; that makes P_i the injective hull of
+S_i, so that dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
 stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
 with t the top and c the composition multiplicities.  Ext^1 needs the
 cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
@@ -151,10 +154,11 @@ class _Generator(NamedTuple):
     cols: list  # (j, column j) for each nonzero column, entry k at bit k
     zero_cols: int  # the mask of the zero columns
     image: int  # the OR of the single-entry columns
-    multi_cols: list  # (j, column j) for each column with two or more entries
+    multi_col: bool  # whether a column has two or more entries
     rows: list  # (i, row i) for each nonzero row
+    zero_rows: int  # the mask of the zero rows
     coimage: int  # the OR of the single-entry rows
-    multi_rows: list  # (i, row i) for each row with two or more entries
+    multi_row: bool  # whether a row has two or more entries
 
 
 def _generators(M, names) -> list:
@@ -184,22 +188,21 @@ def _generator(M, name: str) -> _Generator:
             cols[j] |= 1 << (p * n + i)
             row ^= low
     cols = [(j, col) for j, col in enumerate(cols) if col]
-    rows, _, coimage, multi_rows = _lines(rows, n)
-    return _Generator(*_lines(cols, n), rows, coimage, multi_rows)
+    return _Generator(*_lines(cols, n), *_lines(rows, n))
 
 
 def _lines(lines: list, n: int) -> tuple:
     """(lines, the mask of the zero lines, the OR of the single-entry
-    lines, the lines with two or more entries) for the nonzero lines
+    lines, whether a line has two or more entries) for the nonzero lines
     (j, v) of an n x n matrix."""
     full = (1 << n) - 1
     nonzero = single = 0
-    multi = []
+    multi = False
     for j, v in lines:
         nonzero |= 1 << j
         s = v if v <= full else support(v, n)
         if s & (s - 1):
-            multi.append((j, v))
+            multi = True
         else:
             single |= s
     return lines, full ^ nonzero, single, multi
@@ -251,10 +254,14 @@ def _hom_rows(M, N) -> _HomSystem:
     rows that is the image of the single-entry columns shifted to row i of
     X.  A single-entry row of a_N, with its entry at l, against a zero
     column j of a_M zeroes X[l,j]: the zero columns shifted to row l.  The
-    other equations, with the entries in Z cleared on every plane, go into
-    one RowBasis.  With the units of Z they span the row space of the
-    entrywise system, and none of them has an entry in Z, so the rank of
-    the system is |Z| plus the rank of the RowBasis."""
+    other equations, with the entries in Z cleared on every plane, come
+    from one loop over the pairs (row i of a_N, column j of a_M) into one
+    RowBasis, which is reduced before it is read.  The loop reads a zero
+    row as (i, 0) if a_M has a multi-entry column, a zero column as (j, 0)
+    if a_N has a multi-entry row: any other pair with a zero line clears
+    to 0.  With the units of Z they span the row space of the entrywise
+    system, and none of them has an entry in Z, so the rank of the system
+    is |Z| plus the rank of the RowBasis."""
     ctx = M.algebra
     m, n = M.dim, N.dim
     width = n * m
@@ -267,19 +274,18 @@ def _hom_rows(M, N) -> _HomSystem:
     gens = list(zip(_generators(M, names), _generators(N, names)))
     # _dilate(mask, n, m) has bit i*m set for each row i of X in the mask;
     # times m bits, it copies them into each such row.  starts covers
-    # every row, leads[g] the zero rows of generator g of N
+    # every row, lead the zero rows of a generator of N, cleared from
+    # starts by its few nonzero rows
     full = (1 << m) - 1
     starts = zero = 0
     for a, b in zip(mm, nm):
         rows = _dilate(b, n, m)
         starts |= rows
         zero |= rows * (full ^ a)
-    leads = []
     for a, b in gens:
         lead = starts
         for i, _ in b.rows:
             lead &= ~(1 << (i * m))
-        leads.append(lead)
         zero |= lead * a.image | _dilate(b.coimage, n, m) * a.zero_cols
     degree = M.field.degree
     keep = (1 << (degree * width)) - 1
@@ -287,31 +293,21 @@ def _hom_rows(M, N) -> _HomSystem:
         keep ^= zero << (p * width)
     basis = RowBasis(M.field, width)
     insert = basis.insert
-    for (a, b), lead in zip(gens, leads):
-        cols = a.cols
+    for a, b in gens:
+        rows, cols = b.rows, a.cols
+        if a.multi_col:
+            rows = rows + [(i, 0) for i in bits(b.zero_rows)]
+        if b.multi_row:
+            cols = cols + [(j, 0) for j in bits(a.zero_cols)]
         if degree > 1:
             cols = list(zip([j for j, _ in cols], repack([col for _, col in cols], m, width, degree)))
-        for i, row in b.rows:
+        for i, row in rows:
             shift = i * m
             d = _dilate(row, n, m)
             for j, col in cols:
                 v = ((col << shift) ^ (d << j)) & keep
                 if v:
                     insert(v)
-        if a.multi_cols:
-            mcols = repack([col for _, col in a.multi_cols], m, width, degree)
-            for shift in bits(lead):
-                for col in mcols:
-                    v = (col << shift) & keep
-                    if v:
-                        insert(v)
-        if a.zero_cols:
-            for _, row in b.multi_rows:
-                d = _dilate(row, n, m)
-                for j in bits(a.zero_cols):
-                    v = (d << j) & keep
-                    if v:
-                        insert(v)
     return _HomSystem(basis, zero)
 
 
@@ -379,30 +375,12 @@ def sub_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep, Mat
     return ModuleRep(M.algebra, r, action, label or f"sub({M.label})"), inc
 
 
-def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> tuple[ModuleRep, Mat]:
-    """Quotient of M by the invariant span of the given row vectors.
-
-    Returns (Q, proj) with proj a (Q.dim x M.dim) projection matrix.
-    """
-    span = RowBasis(M.field, M.dim)
-    _grows(span, rows)
-    # e_pc reduces to its pivot row restricted to the free coordinates,
-    # so the projection is the kernel basis of the span
-    kernel = span.kernel()
-    proj = Mat(M.field, len(kernel), M.dim, kernel)
-    free = [c for c in range(M.dim) if c not in span.pivots]
-    section = Mat.zeros(M.field, M.dim, len(free))
-    for a, fc in enumerate(free):
-        section.rows[fc] = 1 << a
-    spanned = rows.transpose()
-    action = {}
-    for name in M.algebra.gen_names:
-        act = proj.mul(M.action[name])
-        if not act.mul(spanned).is_zero():
-            raise DimensionMismatch(f"span not invariant under {name}")
-        action[name] = act.mul(section)
-    Q = ModuleRep(M.algebra, len(free), action, label or f"quot({M.label})")
-    return Q, proj
+def quotient_module(M: ModuleRep, rows: Mat, label: str = "") -> ModuleRep:
+    """Quotient of M by the invariant span U of the given row vectors, as
+    D of the annihilator of U in D(M): D is an exact duality (see dual),
+    so that annihilator, a submodule of D(M), is D(M/U).  Raises
+    DimensionMismatch (from sub_module) if the span is not invariant."""
+    return dual(sub_module(dual(M), rows.nullspace())[0], label=label or f"quot({M.label})")
 
 
 # -- tops, socles, covers -------------------------------------------------------
@@ -853,7 +831,7 @@ def nonsplit_extension(top: ModuleRep, bottom: ModuleRep) -> ModuleRep:
     big = direct_sum([bottom, P])
     # row k: (h(w_k), inc(w_k)) for the basis vector w_k of Omega(top)
     rows = vstack([h, inc]).transpose()
-    E, _ = quotient_module(big, rows, label=f"E({top.label},{bottom.label})")
+    E = quotient_module(big, rows, label=f"E({top.label},{bottom.label})")
     if E.dim != top.dim + bottom.dim:
         raise DimensionMismatch("extension has wrong dimension")
     return E
@@ -884,7 +862,7 @@ def socle_series(M: ModuleRep) -> list[list[int]]:
         layers.append([len(basis) for basis in cur.cache["socle_bases"]])
         if rows.nrows == cur.dim:
             break
-        cur, _ = quotient_module(cur, rows, label=f"M/soc^k({M.label})")
+        cur = quotient_module(cur, rows, label=f"M/soc^k({M.label})")
     return layers
 
 

@@ -22,16 +22,23 @@ _COSET_REPS = ((0, 1, 2, 3), H_PERM)  # S4 = A4 + h.A4
 TOWER_LIMIT = 6
 
 
+_PERM_MODULES: dict[int, ModuleRep] = {}
+
+
 def perm_module(degree: int = 1) -> ModuleRep:
     """The natural 4-point permutation module mod 2 (one matrix per
-    generator, columns are images of basis points)."""
-    ctx = group_context("S4", degree)
-    # point i goes to g[i], so the row of point j holds the column of g^-1 j
-    mats = {
-        name: Mat(ctx.field, 4, 4, [1 << i for i in perm_inverse(ctx.gen_perms[name])])
-        for name in ctx.gen_names
-    }
-    return ModuleRep(ctx, 4, mats, label="PermRep")
+    generator, columns are images of basis points), built once per field,
+    so that its cover, Omega and Hom systems with the simples, cached on
+    it, are solved once."""
+    if degree not in _PERM_MODULES:
+        ctx = group_context("S4", degree)
+        # point i goes to g[i], so the row of point j holds the column of g^-1 j
+        mats = {
+            name: Mat(ctx.field, 4, 4, [1 << i for i in perm_inverse(ctx.gen_perms[name])])
+            for name in ctx.gen_names
+        }
+        _PERM_MODULES[degree] = ModuleRep(ctx, 4, mats, label="PermRep")
+    return _PERM_MODULES[degree]
 
 
 def standard_reps(degree: int = 1) -> dict[str, ModuleRep]:
@@ -119,9 +126,9 @@ def involution_profile(M: ModuleRep) -> tuple[int, int]:
 
 
 def is_free_rank_one_over_c2(M: ModuleRep) -> bool:
-    """Is the restriction to the order-2 subgroup free of rank one?"""
-    res = restrict(M, "C2")
-    return res.dim == 2 and calculus.is_isomorphic(res, group_context("C2", M.field.degree).regular)
+    """Is the restriction to the order-2 subgroup free of rank one?  It is
+    k^a + (kC)^b (involution_profile), so iff (a, b) = (0, 1)."""
+    return involution_profile(M) == (0, 1)
 
 
 def extension_tower(n_max: int, degree: int = 1) -> list[ModuleRep]:

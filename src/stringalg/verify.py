@@ -330,7 +330,7 @@ def check_sheet_classification_scan(cfg, memo):
             if len(cur.letters) + 1 > bound + 1:
                 break
             orbit1.add(cur)
-    boundary3 = set(three_tube_boundary())
+    boundary3 = {t for t in three_tube_boundary() if len(t.letters) <= bound}
     expected_family = family0 | orbit1 | boundary3
 
     sedim1 = set()
@@ -510,7 +510,7 @@ def check_cross_engine_morita(cfg, memo):
     ks4 = group_context("S4", 1)
     # the heart rad(P)/soc(P) is rad(P/soc P), as soc P lies in rad P
     PT0 = ks4.pims[0]
-    Q, _ = C.quotient_module(PT0, C.socle_rows(PT0))
+    Q = C.quotient_module(PT0, C.socle_rows(PT0))
     heart, _ = C.sub_module(Q, C.rad_rows(Q))
     parts = C.decompose(heart)
     lam_b1 = string_module(parse_word("alpha- gamma beta"))

@@ -2,6 +2,11 @@
 test oracles."""
 
 from stringalg import calculus as C
+from stringalg.algebra import group_context
+from stringalg.errors import DimensionMismatch
+from stringalg.groupside import restrict
+from stringalg.matrix import Mat, RowBasis
+from stringalg.rep import ModuleRep
 
 
 def ext1_dim_cocycles(M, N) -> int:
@@ -15,3 +20,35 @@ def ext1_dim_cocycles(M, N) -> int:
 def composition_multiplicities_hom(M) -> list[int]:
     """[M : S_i] as dim Hom(P_i, M), the simples being split."""
     return [C.hom_dim(P_i, M) for P_i in M.algebra.pims]
+
+
+def quotient_module_section(M, rows) -> ModuleRep:
+    """M/U for the invariant span U of the given row vectors, by
+    elimination: the kernel basis of U's reduced row basis is the
+    projection M ->> M/U, and the unit vectors at the free columns are a
+    section of it; each generator acts as projection * a * section."""
+    span = RowBasis(M.field, M.dim)
+    for v in rows.rows:
+        span.insert(v)
+    # e_pc reduces to its pivot row restricted to the free coordinates,
+    # so the projection is the kernel basis of the span
+    kernel = span.kernel()
+    proj = Mat(M.field, len(kernel), M.dim, kernel)
+    free = [c for c in range(M.dim) if c not in span.pivots]
+    section = Mat.zeros(M.field, M.dim, len(free))
+    for a, fc in enumerate(free):
+        section.rows[fc] = 1 << a
+    spanned = rows.transpose()
+    action = {}
+    for name in M.algebra.gen_names:
+        act = proj.mul(M.action[name])
+        if not act.mul(spanned).is_zero():
+            raise DimensionMismatch(f"span not invariant under {name}")
+        action[name] = act.mul(section)
+    return ModuleRep(M.algebra, len(free), action, f"quot({M.label})")
+
+
+def is_free_rank_one_over_c2_restricted(M) -> bool:
+    """Whether Res_C M is kC, by restriction and an isomorphism test."""
+    res = restrict(M, "C2")
+    return res.dim == 2 and C.is_isomorphic(res, group_context("C2", M.field.degree).regular)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringalg import calculus as C
-from stringalg.algebra import _verify_context, group_context, quiver_context
+from stringalg.algebra import _assert_is_representation, _verify_context, group_context, quiver_context
 from stringalg.errors import DimensionMismatch, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
 from stringalg.groupside import extension_tower, induce, restrict, standard_reps
@@ -29,7 +29,7 @@ from stringalg.words import (
     syzygy_word,
 )
 
-from oracles import composition_multiplicities_hom, ext1_dim_cocycles
+from oracles import composition_multiplicities_hom, ext1_dim_cocycles, quotient_module_section
 
 
 @pytest.fixture(scope="module")
@@ -1391,6 +1391,49 @@ def test_fitting_power_is_the_power_two_to_the_k(degree):
             for f in blocks:
                 f = P.mul(f).mul(Pinv)
                 assert C._fitting_power(f) == f.power(2**k), (n, f.to_entries())
+
+
+def _quotient_cases(degree):
+    """(M, rows) over GF(2^degree): the socle, the radical and the image
+    of each End(M) basis map of Lambda modules, of the kS4 (and over GF(4)
+    kA4) standard reps and of the group PIMs."""
+    mods = _oracle_modules(degree) + list(standard_reps(degree).values())
+    for name in ("S4", "A4") if degree == 2 else ("S4",):  # A4 needs GF(4)
+        mods += list(group_context(name, degree).pims)
+    for M in mods:
+        yield M, C.socle_rows(M)
+        yield M, C.rad_rows(M)
+        for f in C.hom_basis(M, M):
+            yield M, f.column_space()
+
+
+class TestQuotients:
+    """M/U as D of the annihilator of U in D(M), against elimination with a
+    section (oracles.quotient_module_section)."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_against_the_section_route(self, degree):
+        contexts = set()
+        for M, rows in _quotient_cases(degree):
+            Q = C.quotient_module(M, rows, label="Q")
+            old = quotient_module_section(M, rows)
+            assert Q.label == "Q" and Q.dim == old.dim == M.dim - rows.rank(), M
+            if M.algebra.elements is None:
+                _assert_relations(Q)
+            else:
+                _assert_is_representation(M.algebra, Q)
+            assert C.is_isomorphic(Q.plain(), old.plain()), (M, rows)
+            contexts.add(M.algebra.name)
+        assert contexts == ({"Lambda", "kS4", "kA4"} if degree == 2 else {"Lambda", "kS4"})
+
+    def test_span_that_is_not_invariant(self):
+        M = string_module(parse_word("gamma beta"))
+        top = Mat(M.field, 1, M.dim, [1 << 2])  # the top basis vector alone
+        assert C.socle_rows(M).row_space() != top
+        with pytest.raises(DimensionMismatch, match="not invariant"):
+            C.quotient_module(M, top)
+        with pytest.raises(DimensionMismatch, match="not invariant"):
+            quotient_module_section(M, top)
 
 
 class TestExtensions:

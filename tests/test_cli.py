@@ -327,6 +327,14 @@ def test_report_json_stable():
     assert a == b
 
 
+@pytest.mark.parametrize("bound", [0, 1])
+def test_every_check_passes_with_every_bound_at(bound):
+    # both bounds lie below the length of some three-tube boundary string
+    report = run_suite(SuiteConfig(**{key: bound for key in verify.GUARDS}))
+    assert [r["status"] for r in report["checks"]] == ["pass"] * 11
+    assert report["summary"] == {"pass": 11, "fail": 0, "undecided": 0}
+
+
 def test_suite_config_defaults_and_keywords():
     cfg = SuiteConfig()
     fields = ("sections", *verify.GUARDS, "seed", "include_timings")

@@ -8,6 +8,7 @@ from stringalg.errors import (
     ContextMismatch,
     FieldTooSmall,
     LimitExceeded,
+    NotInvolution,
     ParseError,
     SplitFailure,
 )
@@ -26,7 +27,7 @@ from stringalg.modules import string_module
 from stringalg.rep import ModuleRep, direct_sum
 from stringalg.words import parse_word
 
-from oracles import ext1_dim_cocycles
+from oracles import ext1_dim_cocycles, is_free_rank_one_over_c2_restricted
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,10 @@ class TestStandardReps:
         # same shape as the quiver-side string module on gamma.beta
         lam_side = string_module(parse_word("gamma beta"))
         assert C.radical_series(lam_side) == [[1, 0], [0, 1], [1, 0]]
+
+    def test_perm_module_is_built_once_per_field(self, reps, reps4):
+        assert perm_module() is perm_module(1) is reps["PermRep"] is standard_reps(1)["PermRep"]
+        assert perm_module(2) is reps4["PermRep"] is not perm_module(1)
 
     def test_uniserial_extensions(self, reps):
         assert reps["T00"].dim == 2
@@ -106,6 +111,16 @@ class TestRestriction:
 
     def test_trivial_restricts_trivially(self, reps):
         assert involution_profile(reps["T0"]) == (1, 0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_free_rank_one_against_the_restriction(self, degree):
+        ks4 = group_context("S4", degree)
+        reps = [M for M in standard_reps(degree).values() if M.algebra is ks4]
+        mods = reps + extension_tower(3, degree) + list(ks4.pims) + [ks4.regular]
+        mods += [C.syzygy(M, step) for M in reps for step in (1, -1)]
+        answers = [is_free_rank_one_over_c2(M) for M in mods]
+        assert answers == [is_free_rank_one_over_c2_restricted(M) for M in mods]
+        assert True in answers and False in answers
 
     def test_restriction_to_a4_of_t1(self, reps4):
         res = restrict(reps4["T1"], "A4")
@@ -161,6 +176,16 @@ class TestInvolutionProfiles:
 class TestTower:
     def test_dims(self, tower):
         assert [v.dim for v in tower] == [1, 5, 9, 13, 17, 21]
+
+    def test_second_tower_solves_no_hom_system_from_the_perm_module_to_a_simple(self, monkeypatch):
+        extension_tower(3, 1)
+        calls = []
+        real = C._hom_rows
+        monkeypatch.setattr(C, "_hom_rows", lambda M, N: calls.append((M, N)) or real(M, N))
+        extension_tower(3, 1)
+        simples = group_context("S4", 1).simples
+        assert calls
+        assert not [N for M, N in calls if M.label == "PermRep" and any(N is S for S in simples)]
 
     def test_hypotheses_checked(self, tower):
         M = perm_module()
@@ -240,6 +265,11 @@ class TestTypedErrors:
     def test_induction_from_a_group_other_than_a4(self, reps):
         with pytest.raises(ContextMismatch, match="from kA4 only"):
             induce(reps["T1"])
+
+    def test_free_rank_one_test_of_an_a4_module(self, reps4):
+        # A4 holds no transposition
+        with pytest.raises(NotInvolution, match="does not contain h"):
+            is_free_rank_one_over_c2(reps4["E12"])
 
     def test_negative_tower_bound(self):
         with pytest.raises(LimitExceeded):
