@@ -2,13 +2,14 @@
 syzygies, stable Hom, Ext^1, isomorphism testing, Fitting decomposition,
 radical/socle structure and non-split extensions.
 
-The top, the radical and the socle are read off Hom with the simples,
-which set-up checks to be absolutely simple and pairwise
-non-isomorphic: a basis of each Hom(M, S_i), stacked, is a map
-T: M ->> top(M), so rad M = ker T and t_i(M) is the number of basis
-maps to S_i; soc M is the sum of the images of the maps S_i -> M.  The
-projective cover keeps a map h: P_i -> M when T*h grows the image in
-top(M) of the maps kept so far; the zero module is its own cover.
+The top and the radical are read off Hom with the simples, which set-up
+checks to be absolutely simple and pairwise non-isomorphic: a basis of
+each Hom(M, S_i), stacked, is a map T: M ->> top(M), so rad M = ker T
+and t_i(M) is the number of basis maps to S_i.  The socle is the top of
+the dual, read back through D (below), so no routine here solves a Hom
+system from a simple S_i.  The projective cover keeps a map h: P_i -> M
+when T*h grows the image in top(M) of the maps kept so far; the zero
+module is its own cover.
 
 Everything reduces to exact linear algebra.  A module map M -> N is a
 plain N.dim x M.dim matrix (is_module_map checks one).  Hom spaces are
@@ -70,15 +71,17 @@ bases and reuse the cached summands.  ModuleRep.plain() gives a copy
 with an empty cache, which takes the matrix route: the tests use it as
 the oracle of the tag route.
 
-Negative syzygies and quotients go through D, the k-dual made a module
-through the context's anti-automorphism (ctx.opposite): D is an exact
-duality, and at set-up the dual of each projective indecomposable is
-checked to be one, so D takes the projective cover of D(M) to the
-injective envelope of M and Omega^-1 = D Omega D; and D(M/U) is the
+Negative syzygies, quotients and socles go through D, the k-dual made a
+module through the context's anti-automorphism (ctx.opposite): D is an
+exact duality, and at set-up the dual of each projective indecomposable
+is checked to be one, so D takes the projective cover of D(M) to the
+injective envelope of M and Omega^-1 = D Omega D; D(M/U) is the
 annihilator of U in D(M), so quotient_module is D of a sub_module of
-D(M).  The socle of each projective indecomposable is checked to be
-simple and isomorphic to its top; that makes P_i the injective hull of
-S_i, so that dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
+D(M); and D(soc M) is top D(M), so soc M is the annihilator of rad D(M)
+and the socle series is D of the radical series of D(M), S_i counted at
+the index of D(S_i).  At set-up top D(P_i) is checked to be D(S_i), that
+is soc P_i = S_i; that makes P_i the injective hull of S_i, so that
+dim Hom(M, P_i) = [M : S_i], and stable Hom needs no cover:
 stable_hom_dim(M, N) = hom(M, N) - sum_i t_i(N) c_i(M) + hom(M, Omega N),
 with t the top and c the composition multiplicities.  Ext^1 needs the
 cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
@@ -394,15 +397,10 @@ def _top_bases(M: ModuleRep) -> list[list[Mat]]:
     return M.cache["top_bases"]
 
 
-def _stack(M: ModuleRep, blocks) -> Mat:
-    """The rows of the blocks, each M.dim wide, as one matrix."""
-    rows = [v for b in blocks for v in b.rows]
-    return Mat(M.field, len(rows), M.dim, rows)
-
-
 def _top_map(M: ModuleRep) -> Mat:
     """T: M ->> top(M), the basis maps to the simples stacked."""
-    return _stack(M, [h for basis in _top_bases(M) for h in basis])
+    rows = [v for basis in _top_bases(M) for h in basis for v in h.rows]
+    return Mat(M.field, len(rows), M.dim, rows)
 
 
 def rad_rows(M: ModuleRep) -> Mat:
@@ -419,12 +417,9 @@ def top_multiplicities(M: ModuleRep) -> list[int]:
 
 
 def socle_rows(M: ModuleRep) -> Mat:
-    """Basis of soc M, the sum of the images of the maps S_i -> M; the
-    basis of each Hom(S_i, M) is cached in M.cache["socle_bases"]."""
-    if "socle_bases" not in M.cache:
-        M.cache["socle_bases"] = [hom_basis(S, M) for S in M.algebra.simples]
-    images = [h.transpose() for basis in M.cache["socle_bases"] for h in basis]
-    return _stack(M, images).row_space()
+    """Basis of soc M, the annihilator of rad D(M): D is an exact duality
+    (see dual), so D(soc M) is the top of D(M)."""
+    return rad_rows(dual(M)).nullspace()
 
 
 def _grows(span: RowBasis, mat: Mat) -> bool:
@@ -854,16 +849,11 @@ def radical_series(M: ModuleRep) -> list[list[int]]:
 
 
 def socle_series(M: ModuleRep) -> list[list[int]]:
-    """Multiplicities of each simple in soc^{j+1}/soc^j, bottom up."""
-    layers = []
-    cur = M
-    while cur.dim:
-        rows = socle_rows(cur)
-        layers.append([len(basis) for basis in cur.cache["socle_bases"]])
-        if rows.nrows == cur.dim:
-            break
-        cur = quotient_module(cur, rows, label=f"M/soc^k({M.label})")
-    return layers
+    """Multiplicities of each simple in soc^{j+1}/soc^j, bottom up: layer j
+    is D of layer j of the radical series of D(M), so S_i is counted at
+    the index of D(S_i) (over kA4, D swaps E1 and E2)."""
+    duals = [top_multiplicities(dual(S)).index(1) for S in M.algebra.simples]
+    return [[layer[j] for j in duals] for layer in radical_series(dual(M))]
 
 
 def composition_multiplicities(M: ModuleRep) -> list[int]:

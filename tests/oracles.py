@@ -48,6 +48,29 @@ def quotient_module_section(M, rows) -> ModuleRep:
     return ModuleRep(M.algebra, len(free), action, f"quot({M.label})")
 
 
+def socle_hom(M) -> tuple[Mat, list[int]]:
+    """(soc M, the multiplicity of each simple in it): the sum of the
+    images of the maps S_i -> M, and the dimension of each Hom(S_i, M),
+    the simples being split."""
+    bases = [C.hom_basis(S, M) for S in M.algebra.simples]
+    rows = [v for basis in bases for h in basis for v in h.transpose().rows]
+    return Mat(M.field, len(rows), M.dim, rows).row_space(), [len(basis) for basis in bases]
+
+
+def socle_series_hom(M) -> list[list[int]]:
+    """The multiplicities of each simple in soc^{j+1}/soc^j, bottom up:
+    the socle by socle_hom, then the same for M modulo it."""
+    layers = []
+    cur = M
+    while cur.dim:
+        rows, counts = socle_hom(cur)
+        layers.append(counts)
+        if rows.nrows == cur.dim:
+            break
+        cur = C.quotient_module(cur, rows)
+    return layers
+
+
 def is_free_rank_one_over_c2_restricted(M) -> bool:
     """Whether Res_C M is kC, by restriction and an isomorphism test."""
     res = restrict(M, "C2")

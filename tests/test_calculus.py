@@ -1,6 +1,6 @@
 import copy
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import or_
 
@@ -29,7 +29,13 @@ from stringalg.words import (
     syzygy_word,
 )
 
-from oracles import composition_multiplicities_hom, ext1_dim_cocycles, quotient_module_section
+from oracles import (
+    composition_multiplicities_hom,
+    ext1_dim_cocycles,
+    quotient_module_section,
+    socle_hom,
+    socle_series_hom,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +78,15 @@ class TestAlgebraSetup:
             _verify_context(ctx)
         monkeypatch.setattr(ctx, "simples", [first, first])
         with pytest.raises(SplitFailure, match="isomorphic"):
+            _verify_context(ctx)
+
+    @pytest.mark.parametrize("name, degree", [("Lambda", 1), ("S4", 1), ("A4", 2)])
+    def test_set_up_refuses_pims_out_of_order(self, name, degree, monkeypatch):
+        # P_{i+1} in the place of P_i: the dimension count and the duals
+        # still pass, but top D(P_{i+1}) is not D(S_i)
+        ctx = _context(name, degree)
+        monkeypatch.setattr(ctx, "pims", ctx.pims[1:] + ctx.pims[:1])
+        with pytest.raises(SplitFailure, match="socle of"):
             _verify_context(ctx)
 
     def test_decompose_regular_quiver_algebra(self, lam):
@@ -524,7 +539,7 @@ def _radical_oracle_modules(degree):
 
 class TestRadicalAndSocle:
     """rad M (the common kernel of the maps to the simples), soc M (the
-    images of the maps from them) and the projective cover, against the
+    annihilator of rad D(M)) and the projective cover, against the
     radical of the algebra acting on M."""
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -545,6 +560,54 @@ class TestRadicalAndSocle:
             assert len(J) == ctx.regular.dim - sum(S.dim**2 for S in ctx.simples), ctx
             for S in ctx.simples:
                 assert all(_combination(S, e).is_zero() for e in J), (ctx, S)
+
+
+@cache
+def _socle_oracle_modules(degree):
+    """Modules over GF(2^degree): Lambda's simples, PIMs and regular
+    module, the string modules of length <= 7, the band modules of length
+    <= 8 (_band_params), the simples, PIMs and regular modules of kS4, kC2
+    and over GF(4) kA4, the standard reps, the tower V_0..V_4, over GF(4)
+    Ind E12 and Res_A4 of PermRep and of T11; then Omega^1 and Omega^-1
+    of each of these of dimension below 30."""
+    lam = quiver_context(degree)
+    mods = list(lam.simples) + list(lam.pims) + [lam.regular]
+    mods += [string_module(s, degree) for s in enumerate_strings(7)]
+    mods += [band_module(b, x, m, degree) for b in enumerate_bands(8) for x, m in _band_params(degree)]
+    for name in ("S4", "C2") + (("A4",) if degree == 2 else ()):  # A4 needs GF(4)
+        ctx = group_context(name, degree)
+        mods += list(ctx.simples) + list(ctx.pims) + [ctx.regular]
+    reps = standard_reps(degree)
+    mods += list(reps.values()) + extension_tower(4, degree)
+    if degree == 2:
+        mods += [induce(reps["E12"]), restrict(reps["PermRep"], "A4"), restrict(reps["T11"], "A4")]
+    mods += [C.syzygy(M, k) for M in mods if M.dim < 30 for k in (1, -1)]
+    return mods
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestSocleThroughTheDual:
+    """soc M as the annihilator of rad D(M) and the socle series as D of
+    the radical series of D(M), on plain copies, against the images of
+    the maps S_i -> M (oracles.socle_series_hom)."""
+
+    def test_against_the_maps_from_the_simples(self, degree):
+        contexts = set()
+        for M in _socle_oracle_modules(degree):
+            M = M.plain()
+            assert C.socle_rows(M).row_space() == socle_hom(M)[0], M
+            assert C.socle_series(M) == socle_series_hom(M), M
+            contexts.add(M.algebra.name)
+        assert contexts == ({"Lambda", "kS4", "kC2", "kA4"} if degree == 2 else {"Lambda", "kS4", "kC2"})
+
+    def test_no_hom_system_starts_at_a_simple(self, degree, monkeypatch):
+        pairs = _spy(monkeypatch, "_hom_rows")
+        for M in _socle_oracle_modules(degree):
+            M = M.plain()
+            C.socle_rows(M)
+            C.socle_series(M)
+        assert pairs
+        assert not [(M, N) for M, N in pairs if any(M is S for S in M.algebra.simples)]
 
 
 def _group_modules(degree):
