@@ -3,9 +3,9 @@ cohooks, syzygies of strings, classifying components (plain sheets vs
 tubes), and locating strings in the classification families.
 
 Syzygies, tube ranks and the mouth of the rank-3 tube are read off the
-word (`words.syzygy_word`); no module is built for them.  The module
-route (`calculus.syzygy` followed by an isomorphism test, radical series
-of string modules) is kept as the test oracle.
+word (`words.syzygy_word`); no module is built for them.  The test
+oracle is `calculus.syzygy` of a `.plain()` copy of the string module (a
+cover's kernel) with an isomorphism test on Hom, and radical series.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .words import (
     add_hook,
     enumerate_strings,
     is_inverse,
-    mirror_string,
     remove_hook,
     syzygy_word,
 )
@@ -87,17 +86,12 @@ def component_window(seed: String, radius: int, guard: bool = True) -> ARCompone
 
 
 def syzygy_string(s: String, power: int = 1) -> String:
-    """The string of Omega^power(M(S)), negative powers being cosyzygies.
-    Omega is read off the word; Omega^-1 is its conjugate by the mirror,
-    the duality onto the opposite algebra (isomorphic to the algebra by
-    swapping beta and gamma).  No field enters: strings have 0/1 modules."""
+    """The string of Omega^power(M(S)), negative powers being cosyzygies,
+    read off the word (words.syzygy_word) for |power| up to _POWER_LIMIT.
+    No field enters: strings have 0/1 modules."""
     if abs(power) > _POWER_LIMIT:
         raise LimitExceeded(f"power {power} not in -{_POWER_LIMIT}..{_POWER_LIMIT}")
-    if power < 0:
-        s = mirror_string(s)
-    for _ in range(abs(power)):
-        s = syzygy_word(s)
-    return mirror_string(s) if power < 0 else s
+    return syzygy_word(s, power)
 
 
 def tube_rank(s: String) -> int | None:
@@ -106,7 +100,7 @@ def tube_rank(s: String) -> int | None:
     plain sheet here)."""
     cur = s
     for r in (1, 2, 3):
-        cur = syzygy_word(syzygy_word(cur))
+        cur = syzygy_word(cur, 2)
         if cur == s:
             return r
     return None

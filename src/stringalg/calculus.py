@@ -37,8 +37,8 @@ to its order, is the one the entrywise system gives.  A map f: M -> N
 factors through a projective iff it lifts along the projective cover
 pi: P(N) ->> N, that is iff f lies in the span of the pi*g over a basis
 of Hom(M, P(N)).  The cover of a module and its kernel, with the
-inclusion, are built once and cached (_cover_kernel); syzygy and
-nonsplit_extension read them.
+inclusion, are one construction (_cover), built once and cached;
+projective_cover, syzygy and nonsplit_extension read it.
 A string or band module carries the tag of its isomorphism class in
 M.cache["tag"] (modules.string_module, modules.band_module): its String,
 or its Band with lambda read in the Band's orientation and m.  A direct
@@ -89,10 +89,10 @@ cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
 hom(M, N), on any algebra with split simples.  The top multiplicities
 are hom(M, S_i).  With vertex idempotents c_i(M) = rank e_i, on the
 premise, certified at set-up, that S_i is e_i acting by 1 and the rest by
-0; over a group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Omega
-of a string or band module is read off its word (Butler-Ringel 1987); the
-kernel of the cover (syzygy) stays the route for every other module and
-the oracle.
+0; over a group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Both
+take Omega from syzygy, the one Omega route: a tagged module steps both
+ways on its word (words.syzygy_word), any other module, the .plain()
+oracle among them, on covers and, for Omega^-1, D.
 """
 
 from __future__ import annotations
@@ -432,12 +432,20 @@ def _grows(span: RowBasis, mat: Mat) -> bool:
 
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     """(P, pi) with P a sum of projective indecomposables matching top
-    multiplicities and pi: P ->> M surjective (pi is M.dim x P.dim).  The
-    zero module is its own cover."""
+    multiplicities and pi: P ->> M surjective (pi is M.dim x P.dim): the
+    first two entries of _cover.  The zero module is its own cover."""
+    return _cover(M)[:2]
+
+
+def _cover(M: ModuleRep):
+    """(P, pi, Omega, inc): the projective cover pi: P ->> M, its kernel
+    Omega(M) and the inclusion inc: Omega -> P, built once and cached in
+    M.cache["cover"]; projective_cover, syzygy and _coboundaries read it.
+    The zero module is its own cover and its own Omega."""
     if "cover" in M.cache:
         return M.cache["cover"]
     if M.dim == 0:
-        return M, Mat.zeros(M.field, 0, 0)
+        return M, Mat.zeros(M.field, 0, 0), M, Mat.zeros(M.field, 0, 0)
     ctx = M.algebra
     top = _top_map(M)
     # the chosen maps cover M iff their images span top(M) (ker T = rad M);
@@ -462,9 +470,9 @@ def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     P = direct_sum(summands, label=f"P({M.label})")
     if pi.rank() != M.dim:
         raise SplitFailure(f"cover of {M!r} is not surjective")
-    result = (P, pi)
-    M.cache["cover"] = result
-    return result
+    Omega, inc = sub_module(P, pi.nullspace(), label=f"O({M.label})")
+    M.cache["cover"] = (P, pi, Omega, inc)
+    return M.cache["cover"]
 
 
 def dual(M: ModuleRep, label: str = "") -> ModuleRep:
@@ -476,56 +484,38 @@ def dual(M: ModuleRep, label: str = "") -> ModuleRep:
 
 
 def syzygy(M: ModuleRep, steps: int = 1) -> ModuleRep:
-    """Omega^steps: kernels of covers for steps > 0, and D Omega D for
-    steps < 0 (D is an exact duality that takes projectives to
-    projectives).
-
-    Projective direct summands are absorbed (the kernel of a cover does
-    not see them), so Omega of a projective is the zero module, and Omega
-    of the zero module is the zero module."""
+    """Omega^steps, negative steps being cosyzygies, a step at a time;
+    each step is cached in the module it leaves, under "syzygy" (Omega) or
+    "cosyzygy" (Omega^-1).  A string or band module steps on its tag, to
+    the module of its word's Omega^+-1 (words.syzygy_word) with the same
+    lambda and m; any other module, a .plain() copy among them, to the
+    kernel of its cover (_cover), or to D Omega D (D is an exact duality
+    that takes projectives to projectives).  Projective summands are
+    absorbed, so Omega of a projective, and of 0, is 0."""
     cur = M
     while steps and cur.dim:
-        if steps > 0:
-            cur = _cover_kernel(cur)[2]
-            steps -= 1
-        else:
-            if "cosyzygy" not in cur.cache:
-                cur.cache["cosyzygy"] = dual(syzygy(dual(cur)), label=f"O-({cur.label})")
-            cur = cur.cache["cosyzygy"]
-            steps += 1
+        sign = 1 if steps > 0 else -1
+        key = "syzygy" if sign > 0 else "cosyzygy"
+        if key not in cur.cache:
+            tag = cur.cache.get("tag")
+            if tag is not None:
+                from .modules import band_module, string_module  # modules -> algebra -> calculus
+                if isinstance(tag, String):
+                    step = string_module(syzygy_word(tag, sign), cur.field.degree)
+                else:
+                    band, lam, m = tag
+                    step = band_module(syzygy_word(band.word, sign), lam, m, cur.field.degree)
+            elif sign > 0:
+                step = _cover(cur)[2]
+            else:
+                step = dual(syzygy(dual(cur)), label=f"O-({cur.label})")
+            cur.cache[key] = step
+        cur = cur.cache[key]
+        steps -= sign
     return cur
 
 
-def _cover_kernel(M: ModuleRep):
-    """(P, pi, Omega, inc): the projective cover pi: P ->> M and its
-    kernel Omega(M) with the inclusion inc: Omega -> P, built once and
-    cached in M.cache["syzygy"]; syzygy and _coboundaries both read it."""
-    if "syzygy" not in M.cache:
-        P, pi = projective_cover(M)
-        Omega, inc = sub_module(P, pi.nullspace(), label=f"O({M.label})")
-        M.cache["syzygy"] = (P, pi, Omega, inc)
-    return M.cache["syzygy"]
-
-
 # -- stable homs, Ext^1 ------------------------------------------------------------
-
-
-def _omega(M: ModuleRep) -> ModuleRep:
-    """Omega(M) up to isomorphism: read off the word of M's tag for a
-    string or band module (words.syzygy_word), cached in M.cache; the
-    kernel of the projective cover (syzygy) for any other module."""
-    tag = M.cache.get("tag")
-    if tag is None:
-        return syzygy(M)
-    if "omega" not in M.cache:
-        from .modules import band_module, string_module  # modules -> algebra -> calculus
-
-        if isinstance(tag, String):
-            M.cache["omega"] = string_module(syzygy_word(tag), M.field.degree)
-        else:
-            band, lam, m = tag
-            M.cache["omega"] = band_module(syzygy_word(band.word), lam, m, M.field.degree)
-    return M.cache["omega"]
 
 
 def stable_hom_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -548,7 +538,7 @@ def stable_hom_dim(M: ModuleRep, N: ModuleRep) -> int:
     tops = top_multiplicities(N)
     comp = composition_multiplicities(M)
     through_p = sum(t * c for t, c in zip(tops, comp))
-    return hom_dim(M, N) - through_p + hom_dim(M, _omega(N))
+    return hom_dim(M, N) - through_p + hom_dim(M, syzygy(N))
 
 
 def stable_end_dim(M: ModuleRep) -> int:
@@ -584,14 +574,14 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
     tops = top_multiplicities(M)
     comp = composition_multiplicities(N)
     through_p = sum(t * c for t, c in zip(tops, comp))
-    return hom_dim(_omega(M), N) - through_p + hom_dim(M, N)
+    return hom_dim(syzygy(M), N) - through_p + hom_dim(M, N)
 
 
 def _coboundaries(M: ModuleRep, N: ModuleRep):
-    """(P, Omega, inc, cob): the projective cover P of M, Omega(M) with
-    its inclusion inc into P (_cover_kernel), and the span of the
+    """(P, Omega, inc, cob): the projective cover P of M, its kernel
+    Omega with the inclusion inc into P (_cover), and the span of the
     coboundaries g*inc for g in Hom(P, N), as flattened vectors."""
-    P, _, Omega, inc = _cover_kernel(M)
+    P, _, Omega, inc = _cover(M)
     cob = RowBasis(M.field, N.dim * Omega.dim)
     for g in hom_basis(P, N):
         cob.insert(g.mul(inc).vector())

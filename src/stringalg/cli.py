@@ -68,7 +68,7 @@ def cmd_classes(args):
     if args.format == "json":
         _emit(args, json.dumps(data, indent=2) + "\n")
     else:
-        _emit(args, "\n".join(data["classes"]) + f"\n# {data['count']} classes\n")
+        _emit(args, "".join(c + "\n" for c in data["classes"]) + f"# {data['count']} classes\n")
 
 
 def cmd_module(args):

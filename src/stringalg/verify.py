@@ -560,7 +560,7 @@ def observe_band_conventions(cfg, memo):
     inverted = C.is_isomorphic(m_inv, untagged(b, GF4.inv(lam)))
     tau_fixed = {}
     for band in enumerate_bands(6):
-        M = band_module(band, 1, 1)
+        M = band_module(band, 1, 1).plain()
         tau_fixed[band.text()] = C.indec_isomorphic(C.syzygy(M, 2), M)
     rotation_ok = all(C.is_isomorphic(untagged(b, lam), untagged(b.rotation(i), lam)) for i in range(len(b.letters)))
     return (

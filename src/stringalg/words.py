@@ -459,11 +459,25 @@ def remove_hook(word: Word, cohook: bool = False) -> Word | None:
 # -- syzygies on words -------------------------------------------------------
 
 
-def syzygy_word(s: String | Word) -> String | Word:
-    """The word of the syzygy, read off the word (Butler-Ringel 1987;
-    Erdmann, LNM 1428): for a String S, the String of Omega(M(S)); for a
-    band word B (a Word read cyclically), the band word OmegaB with
-    Omega(M(B, lambda, m)) = M(OmegaB, lambda, m), in the orientation of B.
+def syzygy_word(s: String | Word, power: int = 1) -> String | Word:
+    """The word of Omega^power (Butler-Ringel 1987; Erdmann, LNM 1428):
+    for a String S, the String of Omega^power(M(S)); for a band word B (a
+    Word read cyclically), a band word B' with Omega^power(M(B, lambda,
+    m)) = M(B', lambda, m), in the orientation of B.  For power < 0, a
+    String gets the mirror conjugate of Omega^-power (the mirror is the
+    duality onto the opposite algebra, Lambda with beta and gamma
+    swapped), and a band word Omega^-power itself: Lambda is symmetric and
+    band modules lie in homogeneous tubes, so Omega^2 = tau fixes every
+    band word, in its orientation (tests/test_words.py)."""
+    if power < 0 and isinstance(s, String):
+        return mirror_string(syzygy_word(mirror_string(s), -power))
+    for _ in range(abs(power)):
+        s = _syzygy_step(s)
+    return s
+
+
+def _syzygy_step(s: String | Word) -> String | Word:
+    """One step of Omega on a String or a band word.
 
     A peak z_p of the word at vertex v, with a direct run of l letters on
     its left and an inverse run of r letters on its right, is the image of
@@ -511,12 +525,12 @@ MIRROR_ARROW = (ALPHA, GAMMA, BETA, ETA)
 
 def mirror_string(s: String) -> String:
     """Letterwise symmetry: swap beta/gamma, keep alpha/eta, invert each
-    letter in place.  A length-preserving involution on strings; 1_v is
-    its own mirror."""
+    letter in place.  A length-preserving involution on strings that
+    takes arms to arms, so it keeps words valid; 1_v is its own mirror."""
     if not s.letters:
         return s
     letters = tuple([MIRROR_ARROW[l & 3] | ((l & INV) ^ INV) for l in s.letters])
-    return String.from_word(Word(letters))
+    return String.from_valid_word(Word(letters))
 
 
 # -- top-socle pieces of bands -----------------------------------------------

@@ -14,7 +14,7 @@ from stringalg.arquiver import (
 )
 from stringalg.errors import LimitExceeded, Undecided
 from stringalg.modules import string_module
-from stringalg.words import String, enumerate_strings, is_inverse, make_string, parse_word, word_flaw
+from stringalg.words import String, enumerate_strings, is_inverse, make_string, mirror_string, parse_word, word_flaw
 
 
 class TestNeighbors:
@@ -48,7 +48,7 @@ class TestNeighbors:
             for side, step in (("successors", -2), ("predecessors", 2)):
                 middle = sum(len(t.letters) + 1 for t in nb[side])
                 middle += projective.get((s, side), 0)
-                assert middle == M.dim + C.syzygy(M, step).dim, (s.text(), side)
+                assert middle == M.dim + C.syzygy(M.plain(), step).dim, (s.text(), side)
 
     def test_edge_duality(self):
         # every successor edge is matched by a predecessor edge seen from
@@ -68,9 +68,10 @@ class TestSyzygyStrings:
 
     def test_matches_module_computation(self):
         # the module route is the oracle: M(Omega^{+-1}(S)) is the module
-        # syzygy (cosyzygy) of M(S), for every string of length <= 12
+        # syzygy (cosyzygy) of M(S), through the cover of an untagged
+        # copy, for every string of length <= 12
         for s in enumerate_strings(12):
-            M = string_module(s)
+            M = string_module(s).plain()
             for step in (1, -1):
                 t = syzygy_string(s, step)
                 assert C.indec_isomorphic(
@@ -78,11 +79,12 @@ class TestSyzygyStrings:
                 ), (s.text(), step, t.text())
 
     def test_word_rules_build_valid_words(self):
-        # syzygy_word and ar_neighbors canonicalise without re-checking
-        # their words; the check is kept here, over every string <= 12
+        # syzygy_word, mirror_string and ar_neighbors canonicalise without
+        # re-checking their words; the check is kept here, over every
+        # string <= 12
         for s in enumerate_strings(12):
             nb = ar_neighbors(s)
-            built = [syzygy_string(s, 1), syzygy_string(s, -1)]
+            built = [syzygy_string(s, 1), syzygy_string(s, -1), mirror_string(s)]
             built += nb["successors"] + nb["predecessors"]
             for t in built:
                 assert word_flaw(t.letters) is None, (s.text(), t.text())
@@ -97,7 +99,7 @@ class TestSyzygyStrings:
     def test_tube_rank_matches_module_period(self):
         # the least r with tau^r M = M, tau = Omega^2, on modules
         for s in enumerate_strings(8):
-            M = string_module(s)
+            M = string_module(s).plain()
             period = next(
                 (r for r in (1, 2, 3) if C.indec_isomorphic(C.syzygy(M, 2 * r), M)),
                 None,
@@ -157,7 +159,7 @@ class TestWindows:
     def test_figure_window_contents(self):
         comp = component_window(String((), 1), 2)
         assert make_string("alpha") in comp.nodes  # the uniserial S0,S0
-        target = C.syzygy(string_module(parse_word("alpha- gamma eta-")))
+        target = C.syzygy(string_module(parse_word("alpha- gamma eta-")).plain())
         assert any(
             len(t.letters) + 1 == target.dim
             and C.indec_isomorphic(target, string_module(t))
@@ -190,8 +192,6 @@ class TestClassification:
         assert classify(make_string("beta alpha beta- eta")) == "outside"  # tube interior
 
     def test_mirror_images_classified_alike(self):
-        from stringalg.words import mirror_string
-
         s = make_string("alpha- gamma beta")
         assert classify(s) == classify(mirror_string(s)) == "s0-family"
 
@@ -205,8 +205,6 @@ class TestMirrorWindowInvariant:
     def test_stable_end_multisets_match_under_mirror(self):
         # windows around a string and its arrow-swap mirror carry the
         # same multiset of stable endomorphism dimensions
-        from stringalg.words import mirror_string
-
         s = make_string("alpha beta- gamma-")
         m = mirror_string(s)
         for seed_pair in ((s, m),):

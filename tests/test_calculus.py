@@ -163,7 +163,7 @@ class TestRelations:
     def test_projectives_are_untagged_with_zero_omega(self, degree):
         for P in quiver_context(degree).pims:
             assert "string" not in P.cache and "band" not in P.cache
-            assert C._omega(P).dim == 0
+            assert C.syzygy(P).dim == 0
 
 
 class TestHomSpaces:
@@ -283,7 +283,7 @@ def _oracle_modules(degree):
         band = Band.from_word(parse_word(text))
         mods += [band_module(band, scalar, mult, degree) for mult in (1, 2)]
     mods.append(direct_sum([mods[0], mods[3]]))
-    mods += [C.syzygy(mods[1]), C.syzygy(mods[2], -1)]
+    mods += [C.syzygy(mods[1].plain()), C.syzygy(mods[2].plain(), -1)]  # untagged
     mods += list(lam.simples) + list(lam.pims)
     return mods
 
@@ -402,17 +402,18 @@ class TestCoversAndSyzygies:
         assert C.syzygy(lam.simples[1]).dim == 4
 
     def test_round_trips_on_random_strings(self, lam):
+        # on the word (tagged) and through the cover and D (untagged)
         rng = random.Random(0)
-        pool = [s for s in enumerate_strings(7) if True]
-        for s in rng.sample(pool, 20):
-            M = string_module(s)
-            assert C.is_isomorphic(C.syzygy(C.syzygy(M), -1), M)
-            assert C.is_isomorphic(C.syzygy(C.syzygy(M, -1), 1), M)
+        for s in rng.sample(enumerate_strings(7), 20):
+            for M in (string_module(s), string_module(s).plain()):
+                assert C.is_isomorphic(C.syzygy(C.syzygy(M), -1), M)
+                assert C.is_isomorphic(C.syzygy(C.syzygy(M, -1), 1), M)
 
     def test_uniserial_period_three(self, lam):
         x1 = string_module(parse_word("beta alpha"))
-        assert C.is_isomorphic(C.syzygy(x1, 3), x1)
-        assert C.is_isomorphic(C.syzygy(x1, 1), C.syzygy(x1, -2))
+        for M in (x1, x1.plain()):
+            assert C.is_isomorphic(C.syzygy(M, 3), M)
+            assert C.is_isomorphic(C.syzygy(M, 1), C.syzygy(M, -2))
 
     @pytest.mark.parametrize("name, degree", [("Lambda", 1), ("S4", 1), ("A4", 2)])
     def test_projectives_and_zero_have_zero_syzygies(self, name, degree):
@@ -581,7 +582,7 @@ def _socle_oracle_modules(degree):
     mods += list(reps.values()) + extension_tower(4, degree)
     if degree == 2:
         mods += [induce(reps["E12"]), restrict(reps["PermRep"], "A4"), restrict(reps["T11"], "A4")]
-    mods += [C.syzygy(M, k) for M in mods if M.dim < 30 for k in (1, -1)]
+    mods += [C.syzygy(M.plain(), k) for M in mods if M.dim < 30 for k in (1, -1)]  # untagged
     return mods
 
 
@@ -745,7 +746,7 @@ def _stable_hom_via_cover(M, N):
     if M.dim * N.dim == 0:
         return 0
     P, _ = C.projective_cover(N)
-    return C.hom_dim(M, N) - C.hom_dim(M, P) + C.hom_dim(M, C.syzygy(N))
+    return C.hom_dim(M, N) - C.hom_dim(M, P) + C.hom_dim(M, C.syzygy(N.plain()))
 
 
 class TestStableHomRoutes:
@@ -782,6 +783,16 @@ class TestStableHomRoutes:
             for N in mods:
                 if M.algebra is N.algebra:
                     assert C.stable_hom_dim(M, N) == _stable_hom_via_cover(M, N), (M, N)
+
+    def test_omega_on_the_word_against_the_cover(self):
+        # Omega^k for k = 1, -1, 2, -2 read off the tag, against the cover
+        # route (D Omega D for k < 0) on an untagged copy
+        for s in enumerate_strings(9):
+            M = string_module(s)
+            for k in (1, -1, 2, -2):
+                omega = C.syzygy(M, k)
+                assert omega.cache["tag"] == syzygy_word(s, k)
+                assert C.is_isomorphic(omega.plain(), C.syzygy(M.plain(), k)), (s.text(), k)
 
     def test_ext_equals_cocycle_count_on_string_pairs(self):
         mods = [string_module(s) for s in enumerate_strings(3)]
@@ -849,13 +860,16 @@ class TestBandRoutes:
         assert "tag" not in band_module(b, 1, 1, degree).plain().cache
 
     def test_omega_on_the_word_against_the_cover(self, degree):
+        # Omega^k for k = 1, -1, 2, -2 read off the tag, against the cover
+        # route (D Omega D for k < 0) on an untagged copy
         for b in enumerate_bands(12):
             for lam, m in _band_params(degree):
                 for w in (b.word, b.rotation(1).inverse()):
                     M = band_module(w, lam, m, degree)
-                    omega = C._omega(M)
-                    assert omega.cache["tag"] == band_module(syzygy_word(w), lam, m, degree).cache["tag"]
-                    assert C.is_isomorphic(omega.plain(), C.syzygy(M.plain())), (w.text(), lam, m)
+                    for k in (1, -1, 2, -2):
+                        omega = C.syzygy(M, k)
+                        assert omega.cache["tag"] == band_module(syzygy_word(w, k), lam, m, degree).cache["tag"]
+                        assert C.is_isomorphic(omega.plain(), C.syzygy(M.plain(), k)), (w.text(), lam, m, k)
 
     def test_stable_end_and_self_ext(self, degree):
         for b in enumerate_bands(10):
@@ -891,6 +905,22 @@ class TestBandRoutes:
             seen += iso
             assert C.is_isomorphic(M, N) == C.indec_isomorphic(M, N) == iso, (M, N)
         assert 50 < seen < 250
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_syzygy_of_a_tagged_module_builds_no_cover(degree, monkeypatch):
+    # Omega^k of a string module, or of a band module with m = 2, steps on
+    # the word: no cover, no dual and no Hom system
+    mods = [string_module(s, degree) for s in enumerate_strings(5)]
+    mods += [band_module(b, lam, 2, degree) for b in enumerate_bands(8) for lam in {x for x, _ in _band_params(degree)}]
+    calls = []
+    for name in ("_cover", "dual", "_hom_rows"):
+        real = getattr(C, name)
+        monkeypatch.setattr(C, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for M in mods:
+        for k in (1, -1, 2, -2):
+            C.syzygy(M, k)
+    assert not calls
 
 
 def test_inverse_word_inverts_lambda_in_the_tag():

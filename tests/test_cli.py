@@ -23,6 +23,11 @@ def test_strings_listing(capsys):
     assert out.splitlines()[:2] == ["1_0", "1_1"]
 
 
+def test_bands_text_with_no_class(capsys):
+    # only the count: no blank line for the empty listing
+    assert run_cli(capsys, "bands", "--max-len", "0") == (0, "# 0 classes\n")
+
+
 def test_strings_json(capsys):
     code, out = run_cli(capsys, "strings", "--max-len", "2", "--format", "json")
     data = json.loads(out)

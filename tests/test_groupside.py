@@ -1,12 +1,15 @@
 import random
+import types
 
 import pytest
 
 from stringalg import calculus as C
+from stringalg import groupside
 from stringalg.algebra import AlgebraContext, _assert_is_representation, _group_pims, group_context
 from stringalg.errors import (
     ContextMismatch,
     FieldTooSmall,
+    HypothesisFailed,
     LimitExceeded,
     NotInvolution,
     ParseError,
@@ -192,6 +195,23 @@ class TestTower:
         for n in range(1, len(tower)):
             assert C.hom_dim(M, tower[n - 1]) == n
             assert C.ext1_dim(M, tower[n - 1]) == 1
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("hom_dim", r"^dim Hom\(PermRep, V_0\) = 2, expected 1$"),
+            ("ext1_dim", r"^dim Ext\^1\(PermRep, V_0\) = 2, expected 1$"),
+        ],
+    )
+    def test_a_failed_hypothesis_stops_the_tower(self, monkeypatch, name, message):
+        # the calculus as extension_tower sees it, with one count one too
+        # high; the calculus itself, and what it caches, stay exact
+        real = getattr(C, name)
+        seen = types.SimpleNamespace(**vars(C))
+        setattr(seen, name, lambda M, N: real(M, N) + 1)
+        monkeypatch.setattr(groupside, "calculus", seen)
+        with pytest.raises(HypothesisFailed, match=message):
+            extension_tower(2)
 
     def test_stable_end_and_self_ext(self, tower):
         for n in (1, 2, 3):
