@@ -601,6 +601,19 @@ def _subset_ok(expected, computed):
     return expected == computed
 
 
+def _raising_module(exc: Exception) -> str | None:
+    """The stringalg module of the innermost traceback frame that lies in
+    stringalg, or None if no frame does."""
+    found = None
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("stringalg."):
+            found = name
+        tb = tb.tb_next
+    return found
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
     cfg.validate()
     sections = cfg.sections or tuple(ALL_CHECKS)
@@ -616,7 +629,11 @@ def run_suite(cfg: SuiteConfig) -> dict:
             status = "pass" if _subset_ok(expected, computed) else "fail"
         except Exception as exc:  # a crashed check is a failed check
             claim, inputs, expected = "", {}, {}
-            computed = {"error": f"{type(exc).__name__}: {exc}"}
+            computed = {
+                "error": f"{type(exc).__name__}: {exc}",
+                "error_type": type(exc).__name__,
+                "error_module": _raising_module(exc),
+            }
             status = "fail"
         record = {
             "check_id": check_id,

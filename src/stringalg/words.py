@@ -410,13 +410,28 @@ def enumerate_strings(max_len: int) -> list[String]:
 
 
 def enumerate_bands(max_len: int) -> list[Band]:
-    """All canonical band classes of length in 1..max_len, sorted."""
+    """All canonical band classes of length in 1..max_len, sorted.
+
+    A depth-first walk over the closed walks that can be canonical.  The
+    canonical word of a class is the least rotation of the word or of its
+    inverse, so it starts with the least letter a of the two: every letter
+    l of it has l >= a and inv_letter(l) >= a, and a itself is direct.
+    Every power of a band word is a string, so the word is a string word,
+    grown from its first letter by _extensions.  The walk starts at each
+    direct letter a, keeps to the letters that meet both bounds, and tests
+    a word only when it closes up (s of its last letter = e of its
+    first)."""
     _check_enum_bound("band", max_len)
-    classes = set()
-    for w in _all_words_upto(max_len):
-        # one word per class is canonical; test that first, it is cheaper
-        if w == _band_canonical(w)[0] and is_band(Word(w)):
-            classes.add(Band(w))
+    classes = []
+    stack = [(a,) for a in range(8) if inv_letter(a) > a] if max_len else []
+    while stack:
+        w = stack.pop()
+        a = w[0]
+        # of the closed walks, few are canonical: that test rejects faster
+        if s_of(w[-1]) == e_of(a) and w == _band_canonical(w)[0] and is_band(Word(w)):
+            classes.append(Band(w))
+        if len(w) < max_len:
+            stack += [w + (l,) for l in _extensions(w) if l >= a and inv_letter(l) >= a]
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))
 
 

@@ -7,6 +7,7 @@ from stringalg.errors import DimensionMismatch
 from stringalg.groupside import restrict
 from stringalg.matrix import Mat, RowBasis
 from stringalg.rep import ModuleRep
+from stringalg.words import Band, Word, _all_words_upto, _band_canonical, _check_enum_bound, is_band
 
 
 def ext1_dim_cocycles(M, N) -> int:
@@ -75,3 +76,15 @@ def is_free_rank_one_over_c2_restricted(M) -> bool:
     """Whether Res_C M is kC, by restriction and an isomorphism test."""
     res = restrict(M, "C2")
     return res.dim == 2 and C.is_isomorphic(res, group_context("C2", M.field.degree).regular)
+
+
+def enumerate_bands_scan(max_len: int) -> list[Band]:
+    """The canonical band classes of length in 1..max_len, sorted, by a
+    scan of every string word of length <= max_len: a word is kept when it
+    is its class's least rotation of either orientation and a band."""
+    _check_enum_bound("band", max_len)
+    classes = set()
+    for w in _all_words_upto(max_len):
+        if w == _band_canonical(w)[0] and is_band(Word(w)):
+            classes.add(Band(w))
+    return sorted(classes, key=lambda b: (len(b.letters), b.letters))

@@ -44,6 +44,8 @@ from stringalg.words import (
     word_flaw,
 )
 
+from oracles import enumerate_bands_scan
+
 # README's relations, transcribed as oracles for what words derives from
 # ARMS: the minimal forbidden paths J (arrow tuples as written, the leftmost
 # acting last) and the legal top-socle pieces of a band (inverse letters)
@@ -262,6 +264,20 @@ class TestEnumeration:
         assert sorted(found, key=lambda b: (len(b.letters), b.letters)) == enumerate_bands(8)
         for b in enumerate_bands(8):
             assert is_band(b.word)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_band_walk_matches_the_word_scan(self, n):
+        assert enumerate_bands(n) == enumerate_bands_scan(n)
+
+    @pytest.mark.parametrize("n, count", [(12, 18), (14, 29), (16, 58), (18, 114), (20, 211), (22, 448), (24, 812)])
+    def test_band_class_counts(self, n, count):
+        # counted by the word scan, up to the enumeration bound
+        assert len(enumerate_bands(n)) == count
+
+    def test_band_walk_builds_no_string_words(self):
+        before = _all_words_upto.cache_info()
+        enumerate_bands(14)
+        assert _all_words_upto.cache_info() == before
 
     def test_follow_rule_matches_full_scan(self):
         # reference: try all 8 letters against the last three letters of
