@@ -116,8 +116,7 @@ def cmd_hom(args):
             args,
             f"hom({S.text()} -> {T.text()}): dim {len(basis)} "
             f"(matrix engine: {matrix_dim})\n"
-            + "\n".join(f"  map {i}: {m}" for i, m in enumerate(data["maps"]))
-            + "\n",
+            + "".join(f"  map {i}: {m}\n" for i, m in enumerate(data["maps"])),
         )
 
 

@@ -176,12 +176,16 @@ def check_algebra_structure(cfg, memo):
     )
 
 
+def _a_string(n: int) -> String:
+    """A_n = (alpha beta- gamma-)^n; B_n is its mirror."""
+    return make_string(" ".join(["alpha beta- gamma-"] * n))
+
+
 def check_ab_tower_stable_endo(cfg, memo):
     rows = {}
     for n in range(1, 6):
-        a = parse_word(" ".join(["alpha beta- gamma-"] * n))
-        b = parse_word(" ".join(["alpha- gamma beta"] * n))
-        for name, w in (("A", a), ("B", b)):
+        a = _a_string(n)
+        for name, w in (("A", a), ("B", mirror_string(a))):
             M = string_module(w)
             rows[f"{name}{n}"] = [C.stable_end_dim(M), C.ext1_dim(M, M)]
     return (
@@ -498,8 +502,8 @@ def check_cross_engine_morita(cfg, memo):
     tower = _tower(cfg, memo)
     morita = {}
     for n in range(1, min(4, cfg.tower_n) + 1):
-        a = string_module(parse_word(" ".join(["alpha beta- gamma-"] * n)))
-        b = string_module(parse_word(" ".join(["alpha- gamma beta"] * n)))
+        a = string_module(_a_string(n))
+        b = string_module(mirror_string(_a_string(n)))
         v = tower[n]
         morita[f"n={n}"] = {
             "A_side": [C.stable_end_dim(a), C.ext1_dim(a, a)],
@@ -513,8 +517,8 @@ def check_cross_engine_morita(cfg, memo):
     Q = C.quotient_module(PT0, C.socle_rows(PT0))
     heart, _ = C.sub_module(Q, C.rad_rows(Q))
     parts = C.decompose(heart)
-    lam_b1 = string_module(parse_word("alpha- gamma beta"))
-    lam_a1 = string_module(parse_word("alpha beta- gamma-"))
+    lam_a1 = string_module(_a_string(1))
+    lam_b1 = string_module(mirror_string(_a_string(1)))
     targets = [C.syzygy(lam_b1, -1), C.syzygy(lam_a1, 1)]
     target_group_dims = sorted(
         m[0] + 2 * m[1] for m in (C.composition_multiplicities(t) for t in targets)

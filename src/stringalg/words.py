@@ -373,24 +373,17 @@ def _follow(tail, vertex):
     )
 
 
-@lru_cache(maxsize=None)
-def _all_words_upto(max_len: int):
-    """All valid nonempty string words of length <= max_len (both
-    orientations)."""
-    words = []
-    frontier = [(l,) for l in range(8)]
-    length = 1
-    while frontier and length <= max_len:
-        words.extend(frontier)
-        if length == max_len:
-            break
-        nxt = []
-        for w in frontier:
-            for l in _extensions(w):
-                nxt.append(w + (l,))
-        frontier = nxt
-        length += 1
-    return words
+def _walk(starts, max_len: int, keep=None):
+    """Every string word of length <= max_len grown from a start word by
+    _extensions, depth first; a letter l is appended to w only when
+    keep(w, l) passes, if a filter is given.  A word is reached by one
+    path, so none is yielded twice."""
+    stack = list(starts) if max_len else []
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < max_len:
+            stack += [w + (l,) for l in _extensions(w) if keep is None or keep(w, l)]
 
 
 def _check_enum_bound(kind: str, max_len: int):
@@ -399,39 +392,35 @@ def _check_enum_bound(kind: str, max_len: int):
 
 
 def enumerate_strings(max_len: int) -> list[String]:
-    """All canonical string classes of length <= max_len, sorted."""
+    """All canonical string classes of length <= max_len, sorted: the walk
+    from every letter, keeping each word that is at most its inverse (no
+    word equals its inverse, as no letter follows its own inverse)."""
     _check_enum_bound("string", max_len)
-    classes = {String((), 0), String((), 1)}
-    for w in _all_words_upto(max_len) if max_len >= 1 else []:
-        rev = tuple([inv_letter(l) for l in reversed(w)])
-        if w <= rev:
-            classes.add(String(w))
+    classes = [String((), 0), String((), 1)]
+    for w in _walk([(l,) for l in range(8)], max_len):
+        if w <= tuple([inv_letter(l) for l in reversed(w)]):
+            classes.append(String(w))
     return sorted(classes, key=lambda s: (len(s.letters), s.vertex or 0, s.letters))
 
 
 def enumerate_bands(max_len: int) -> list[Band]:
     """All canonical band classes of length in 1..max_len, sorted.
 
-    A depth-first walk over the closed walks that can be canonical.  The
-    canonical word of a class is the least rotation of the word or of its
-    inverse, so it starts with the least letter a of the two: every letter
-    l of it has l >= a and inv_letter(l) >= a, and a itself is direct.
-    Every power of a band word is a string, so the word is a string word,
-    grown from its first letter by _extensions.  The walk starts at each
-    direct letter a, keeps to the letters that meet both bounds, and tests
-    a word only when it closes up (s of its last letter = e of its
-    first)."""
+    The walk of enumerate_strings, over the closed walks that can be
+    canonical.  The canonical word of a class is the least rotation of the
+    word or of its inverse, so it starts with the least letter a of the
+    two: every letter l of it has l >= a and inv_letter(l) >= a, and a
+    itself is direct.  Every power of a band word is a string, so the word
+    is a string word.  The walk starts at each direct letter a, keeps to
+    the letters that meet both bounds, and tests a word only when it
+    closes up (s of its last letter = e of its first)."""
     _check_enum_bound("band", max_len)
     classes = []
-    stack = [(a,) for a in range(8) if inv_letter(a) > a] if max_len else []
-    while stack:
-        w = stack.pop()
-        a = w[0]
+    starts = [(a,) for a in range(8) if inv_letter(a) > a]
+    for w in _walk(starts, max_len, lambda w, l: l >= w[0] and inv_letter(l) >= w[0]):
         # of the closed walks, few are canonical: that test rejects faster
-        if s_of(w[-1]) == e_of(a) and w == _band_canonical(w)[0] and is_band(Word(w)):
+        if s_of(w[-1]) == e_of(w[0]) and w == _band_canonical(w)[0] and is_band(Word(w)):
             classes.append(Band(w))
-        if len(w) < max_len:
-            stack += [w + (l,) for l in _extensions(w) if l >= a and inv_letter(l) >= a]
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))
 
 

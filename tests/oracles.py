@@ -7,7 +7,16 @@ from stringalg.errors import DimensionMismatch
 from stringalg.groupside import restrict
 from stringalg.matrix import Mat, RowBasis
 from stringalg.rep import ModuleRep
-from stringalg.words import Band, Word, _all_words_upto, _band_canonical, _check_enum_bound, is_band
+from stringalg.words import (
+    Band,
+    String,
+    Word,
+    _band_canonical,
+    _check_enum_bound,
+    _extensions,
+    inv_letter,
+    is_band,
+)
 
 
 def ext1_dim_cocycles(M, N) -> int:
@@ -78,13 +87,45 @@ def is_free_rank_one_over_c2_restricted(M) -> bool:
     return res.dim == 2 and C.is_isomorphic(res, group_context("C2", M.field.degree).regular)
 
 
+def all_words_upto(max_len: int):
+    """All valid nonempty string words of length <= max_len (both
+    orientations), level by level."""
+    words = []
+    frontier = [(l,) for l in range(8)]
+    length = 1
+    while frontier and length <= max_len:
+        words.extend(frontier)
+        if length == max_len:
+            break
+        nxt = []
+        for w in frontier:
+            for l in _extensions(w):
+                nxt.append(w + (l,))
+        frontier = nxt
+        length += 1
+    return words
+
+
+def enumerate_strings_scan(max_len: int) -> list[String]:
+    """The canonical string classes of length <= max_len, sorted, by a
+    scan of every string word: a word is kept when it is at most its
+    inverse."""
+    _check_enum_bound("string", max_len)
+    classes = {String((), 0), String((), 1)}
+    for w in all_words_upto(max_len) if max_len >= 1 else []:
+        rev = tuple([inv_letter(l) for l in reversed(w)])
+        if w <= rev:
+            classes.add(String(w))
+    return sorted(classes, key=lambda s: (len(s.letters), s.vertex or 0, s.letters))
+
+
 def enumerate_bands_scan(max_len: int) -> list[Band]:
     """The canonical band classes of length in 1..max_len, sorted, by a
     scan of every string word of length <= max_len: a word is kept when it
     is its class's least rotation of either orientation and a band."""
     _check_enum_bound("band", max_len)
     classes = set()
-    for w in _all_words_upto(max_len):
+    for w in all_words_upto(max_len):
         if w == _band_canonical(w)[0] and is_band(Word(w)):
             classes.add(Band(w))
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))

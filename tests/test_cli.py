@@ -59,6 +59,18 @@ def test_hom(capsys):
     assert data["combinatorial_dim"] == data["matrix_dim"] == 2
 
 
+@pytest.mark.parametrize(
+    "source, target, out",
+    [
+        # only the dimension line: no blank line for an empty map list
+        ("1_0", "1_1", "hom(1_0 -> 1_1): dim 0 (matrix engine: 0)\n"),
+        ("alpha", "alpha", "hom(alpha -> alpha): dim 2 (matrix engine: 2)\n  map 0: [[0, 0], [1, 1]]\n  map 1: [[0, 1]]\n"),
+    ],
+)
+def test_hom_text(capsys, source, target, out):
+    assert run_cli(capsys, "hom", "--source", source, "--target", target) == (0, out)
+
+
 def test_hom_maps_golden(capsys):
     # the map lists of three pairs with several maps, over GF(2) and
     # GF(4), pinned in order

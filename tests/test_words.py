@@ -22,7 +22,6 @@ from stringalg.words import (
     String,
     Word,
     _LEGAL_RUNS,
-    _all_words_upto,
     _band_canonical,
     _extensions,
     _runs,
@@ -44,7 +43,7 @@ from stringalg.words import (
     word_flaw,
 )
 
-from oracles import enumerate_bands_scan
+from oracles import all_words_upto, enumerate_bands_scan, enumerate_strings_scan
 
 # README's relations, transcribed as oracles for what words derives from
 # ARMS: the minimal forbidden paths J (arrow tuples as written, the leftmost
@@ -266,6 +265,17 @@ class TestEnumeration:
             assert is_band(b.word)
 
     @pytest.mark.parametrize("n", range(17))
+    def test_string_walk_matches_the_word_scan(self, n):
+        assert enumerate_strings(n) == enumerate_strings_scan(n)
+
+    @pytest.mark.parametrize(
+        "n, count", [(12, 1045), (14, 2294), (16, 5031), (18, 11023), (20, 24111), (22, 52825), (24, 115470)]
+    )
+    def test_string_class_counts(self, n, count):
+        # counted by the word scan, up to the enumeration bound
+        assert len(enumerate_strings(n)) == count
+
+    @pytest.mark.parametrize("n", range(17))
     def test_band_walk_matches_the_word_scan(self, n):
         assert enumerate_bands(n) == enumerate_bands_scan(n)
 
@@ -273,11 +283,6 @@ class TestEnumeration:
     def test_band_class_counts(self, n, count):
         # counted by the word scan, up to the enumeration bound
         assert len(enumerate_bands(n)) == count
-
-    def test_band_walk_builds_no_string_words(self):
-        before = _all_words_upto.cache_info()
-        enumerate_bands(14)
-        assert _all_words_upto.cache_info() == before
 
     def test_follow_rule_matches_full_scan(self):
         # reference: try all 8 letters against the last three letters of
@@ -294,7 +299,7 @@ class TestEnumeration:
                         out.append(cand)
             return out
 
-        words = _all_words_upto(12)
+        words = all_words_upto(12)
         assert len(words) == len(set(words))
         for w in words:
             assert list(_extensions(w)) == scan(w), w
