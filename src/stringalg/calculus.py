@@ -422,14 +422,6 @@ def socle_rows(M: ModuleRep) -> Mat:
     return rad_rows(dual(M)).nullspace()
 
 
-def _grows(span: RowBasis, mat: Mat) -> bool:
-    """Insert the rows of mat into span; return whether the span grew."""
-    rank = span.rank
-    for v in mat.rows:
-        span.insert(v)
-    return span.rank > rank
-
-
 def projective_cover(M: ModuleRep) -> tuple[ModuleRep, Mat]:
     """(P, pi) with P a sum of projective indecomposables matching top
     multiplicities and pi: P ->> M surjective (pi is M.dim x P.dim): the
@@ -449,23 +441,21 @@ def _cover(M: ModuleRep):
     ctx = M.algebra
     top = _top_map(M)
     # the chosen maps cover M iff their images span top(M) (ker T = rad M);
-    # a map is kept when its image grows the span of the images kept so far
+    # a map is kept when its image grows the span of the images kept so far;
+    # T.h lies in the S_i part of top(M), so P_i gives exactly t_i of them
     span = RowBasis(M.field, top.nrows)
     blocks = []
     summands = []
     for P_i, basis in zip(ctx.pims, _top_bases(M)):
-        need = len(basis)
-        if need == 0:
+        if not basis:
             continue
         for h in hom_basis(P_i, M):
-            if need == 0:
-                break
-            if _grows(span, top.mul(h).transpose()):
+            rank = span.rank
+            for v in top.mul(h).transpose().rows:
+                span.insert(v)
+            if span.rank > rank:
                 blocks.append(h)
                 summands.append(P_i)
-                need -= 1
-        if need:
-            raise SplitFailure(f"cover of {M!r}: not enough maps from {P_i.label}")
     pi = hstack(blocks)
     P = direct_sum(summands, label=f"P({M.label})")
     if pi.rank() != M.dim:

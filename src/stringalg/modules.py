@@ -192,7 +192,7 @@ def string_hom_basis(S, T, degree: int = 1) -> list[Mat]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _interval_counts(word: Word, quotient: bool) -> Counter:
     """How often each interval key occurs among the quotient intervals of
     the word in both orientations (:func:`_quotient_intervals`), or among

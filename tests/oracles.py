@@ -3,7 +3,7 @@ test oracles."""
 
 from stringalg import calculus as C
 from stringalg.algebra import group_context
-from stringalg.errors import DimensionMismatch
+from stringalg.errors import DimensionMismatch, SplitFailure
 from stringalg.groupside import restrict
 from stringalg.matrix import Mat, RowBasis
 from stringalg.rep import ModuleRep
@@ -25,6 +25,34 @@ def ext1_dim_cocycles(M, N) -> int:
     C._check_context(M, N)
     _, OmegaM, _, cob = C._coboundaries(M, N)
     return C.hom_dim(OmegaM, N) - cob.rank
+
+
+def cover_maps_counted(M) -> tuple[list[Mat], list[ModuleRep]]:
+    """The maps P_i -> M of the projective cover and their summands, in
+    order, by the span test with a count per simple: from each P_i, take
+    the maps whose image grows the span in top(M) until t_i of them are
+    taken, and refuse if fewer are found."""
+    top = C._top_map(M)
+    span = RowBasis(M.field, top.nrows)
+    blocks = []
+    summands = []
+    for P_i, basis in zip(M.algebra.pims, C._top_bases(M)):
+        need = len(basis)
+        if need == 0:
+            continue
+        for h in C.hom_basis(P_i, M):
+            if need == 0:
+                break
+            rank = span.rank
+            for v in top.mul(h).transpose().rows:
+                span.insert(v)
+            if span.rank > rank:
+                blocks.append(h)
+                summands.append(P_i)
+                need -= 1
+        if need:
+            raise SplitFailure(f"cover of {M!r}: not enough maps from {P_i.label}")
+    return blocks, summands
 
 
 def composition_multiplicities_hom(M) -> list[int]:

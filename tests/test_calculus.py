@@ -12,7 +12,7 @@ from stringalg import calculus as C
 from stringalg.algebra import _assert_is_representation, _verify_context, group_context, quiver_context
 from stringalg.errors import DimensionMismatch, SplitFailure, SplitOnly
 from stringalg.gf import OMEGA
-from stringalg.groupside import extension_tower, induce, restrict, standard_reps
+from stringalg.groupside import extension_tower, induce, perm_module, restrict, standard_reps
 from stringalg.matrix import Mat, RowBasis, block_diag, hstack, vstack
 from stringalg.modules import band_module, string_module
 from stringalg.rep import ModuleRep, direct_sum
@@ -31,6 +31,7 @@ from stringalg.words import (
 
 from oracles import (
     composition_multiplicities_hom,
+    cover_maps_counted,
     ext1_dim_cocycles,
     quotient_module_section,
     socle_hom,
@@ -423,6 +424,19 @@ class TestCoversAndSyzygies:
                 assert C.syzygy(P, k).dim == 0, (P, k)
         zero = C.syzygy(ctx.pims[0])
         assert C.syzygy(zero, 2).dim == C.syzygy(zero, -2).dim == 0
+
+    def test_cover_keeps_the_maps_of_the_counted_rule(self):
+        # strings of length <= 7, GF(4) bands of length <= 8 at lambda in
+        # {1, w} and m <= 2, the GF(4) standard reps, V_0..V_3 and PermRep
+        mods = [string_module(s) for s in enumerate_strings(7)]
+        mods += [band_module(b, lam, m, degree=2) for b in enumerate_bands(8) for lam in (1, OMEGA) for m in (1, 2)]
+        mods += list(standard_reps(2).values()) + extension_tower(3) + [perm_module()]
+        assert len(mods) == 179
+        for M in mods:
+            P, pi, _, _ = C._cover(M.plain())
+            blocks, summands = cover_maps_counted(M.plain())
+            assert pi == hstack(blocks), M
+            assert list(map(id, P.cache["parts"])) == list(map(id, summands)), M
 
 
 def _context(name, degree):

@@ -11,6 +11,7 @@ from stringalg.errors import (
 )
 from stringalg.gf import OMEGA
 from stringalg.modules import (
+    _interval_counts,
     _intervals,
     band_module,
     graph_map_supports,
@@ -227,6 +228,28 @@ class TestStringHoms:
                     assert string_hom_dim(a, b) == len(list(graph_map_supports(a, b))), (a.text(), b.text())
         # Hom(S_v, S_w) is k exactly when v = w
         assert [[string_hom_dim(a, b) for b in simples] for a in simples] == [[1, 0], [0, 1]]
+
+    def test_interval_counts_stay_bounded(self):
+        # 2 tables for each of the 2,294 strings of length <= 14
+        _interval_counts.cache_clear()
+        for s in enumerate_strings(14):
+            string_hom_dim(s, s)
+        info = _interval_counts.cache_info()
+        assert info.misses == 2 * 2294 > info.maxsize == 4096
+        assert info.currsize <= 4096
+
+    def test_interval_counts_hold_the_pair_scan(self):
+        # c10 at its guard: every pair of the 472 strings of length <= 10
+        # twice over, the second pass from the cache alone
+        strings = enumerate_strings(10)
+
+        def scan():
+            return [string_hom_dim(a, b) for a in strings for b in strings]
+
+        first = scan()
+        misses = _interval_counts.cache_info().misses
+        assert scan() == first
+        assert _interval_counts.cache_info().misses == misses
 
     def test_supports_are_the_basis_matrices(self):
         strings = enumerate_strings(4)
