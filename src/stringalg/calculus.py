@@ -33,12 +33,22 @@ the arrows do: those unknowns go into Z too, and only the other
 generators are read.  hom_basis reads its maps off the kernel of the
 reduced basis, with Z as known-zero columns; the row space and the
 column order are those of the entrywise system, so every Hom basis, down
-to its order, is the one the entrywise system gives.  A map f: M -> N
-factors through a projective iff it lifts along the projective cover
-pi: P(N) ->> N, that is iff f lies in the span of the pi*g over a basis
-of Hom(M, P(N)).  The cover of a module and its kernel, with the
+to its order, is the one the entrywise system gives.  What a system
+reads of a module, each generator's view (_Generator) and the vertex
+masks, is cached on it; a string module hands both over from the pass
+over its word that places its matrix entries (modules.string_module,
+_entry_view), a .plain() copy derives them from its matrices.  dim
+End(M) is solved once per module and cached, or read off a cached End
+basis, so stable_hom_dim(M, M) and ext1_dim(M, M) share one solve.
+
+A map f: M -> N factors through a projective iff it lifts along the
+projective cover pi: P(N) ->> N, that is iff f lies in the span of the
+pi*g over a basis of Hom(M, P(N)).  The cover of a module and its kernel, with the
 inclusion, are one construction (_cover), built once and cached;
 projective_cover, syzygy and nonsplit_extension read it.
+nonsplit_extension takes its cocycle from the cocycle basis and the
+coboundary span that also give dim Ext^1 (_extension), which is how
+groupside.extension_tower checks Ext^1 = k and builds each step.
 A string or band module carries the tag of its isomorphism class in
 M.cache["tag"] (modules.string_module, modules.band_module): its String,
 or its Band with lambda read in the Band's orientation and m.  A direct
@@ -87,9 +97,11 @@ with t the top and c the composition multiplicities.  Ext^1 needs the
 cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
 -> 0 gives ext1_dim(M, N) = hom(Omega M, N) - sum_i t_i(M) c_i(N) +
 hom(M, N), on any algebra with split simples.  The top multiplicities
-are hom(M, S_i).  With vertex idempotents c_i(M) = rank e_i, on the
-premise, certified at set-up, that S_i is e_i acting by 1 and the rest by
-0; over a group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Both
+are hom(M, S_i), read off the cached Hom(M, S_i) bases once a cover has
+solved them.  With vertex idempotents c_i(M) = rank e_i, on the premise,
+certified at set-up, that S_i is e_i acting by 1 and the rest by 0: the
+size of e_i's vertex mask when the idempotents are 0/1 diagonal; over a
+group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Both
 take Omega from syzygy, the one Omega route: a tagged module steps both
 ways on its word (words.syzygy_word), any other module, the .plain()
 oracle among them, on covers and, for Omega^-1, D.
@@ -176,15 +188,15 @@ def _generators(M, names) -> list:
 
 
 def _generator(M, name: str) -> _Generator:
-    """The matrix of generator `name` on M, read by columns and by rows."""
+    """The matrix of generator `name` on M, read by columns and by rows;
+    one whose nonzero rows are each a single 1 is read by _entry_view."""
     n = M.dim
     full = (1 << n) - 1
     rows = [(i, row) for i, row in enumerate(M.action[name].rows) if row]
+    if all(row <= full and not row & (row - 1) for _, row in rows):
+        return _entry_view(n, [(i, row.bit_length() - 1) for i, row in rows])
     cols = [0] * n
     for i, row in rows:
-        if row <= full and not row & (row - 1):  # one entry, and it is 1
-            cols[row.bit_length() - 1] |= 1 << i
-            continue
         while row:
             low = row & -row
             p, j = divmod(low.bit_length() - 1, n)
@@ -192,6 +204,29 @@ def _generator(M, name: str) -> _Generator:
             row ^= low
     cols = [(j, col) for j, col in enumerate(cols) if col]
     return _Generator(*_lines(cols, n), *_lines(rows, n))
+
+
+def _entry_view(n: int, entries: list) -> _Generator:
+    """The _Generator of the n x n matrix with a 1 at each (dst, src) of
+    `entries` and 0 elsewhere; the entries are listed by row, at most one
+    a row, while a column may have several."""
+    full = (1 << n) - 1
+    rows = []
+    cols = {}
+    dsts = 0
+    for dst, src in entries:
+        rows.append((dst, 1 << src))
+        dsts |= 1 << dst
+        cols[src] = cols.get(src, 0) | 1 << dst
+    srcs = image = 0
+    multi_col = False
+    for j, col in cols.items():
+        srcs |= 1 << j
+        if col & (col - 1):
+            multi_col = True
+        else:
+            image |= col
+    return _Generator(sorted(cols.items()), full ^ srcs, image, multi_col, rows, full ^ dsts, srcs, False)
 
 
 def _lines(lines: list, n: int) -> tuple:
@@ -315,9 +350,19 @@ def _hom_rows(M, N) -> _HomSystem:
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
+    """dim Hom(M, N).  dim End(M) is solved once, or read off a cached End
+    basis (end_basis), and cached in M.cache."""
     _check_context(M, N)
     if M.dim * N.dim == 0:
         return 0
+    if M is not N:
+        return _hom_dim(M, N)
+    if "end_dim" not in M.cache:
+        M.cache["end_dim"] = len(M.cache["end"]) if "end" in M.cache else _hom_dim(M, M)
+    return M.cache["end_dim"]
+
+
+def _hom_dim(M: ModuleRep, N: ModuleRep) -> int:
     system = _hom_rows(M, N)
     return M.dim * N.dim - system.zero.bit_count() - system.basis.rank
 
@@ -410,9 +455,14 @@ def rad_rows(M: ModuleRep) -> Mat:
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
     """How often each P_i is a summand of P(M), t_i(M) = [top M : S_i] =
-    hom(M, S_i); cached in M.cache, a list that callers only read."""
+    hom(M, S_i), the size of each cached Hom(M, S_i) basis (_top_bases)
+    if there are any; cached in M.cache, a list that callers only read."""
     if "tops" not in M.cache:
-        M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
+        bases = M.cache.get("top_bases")
+        if bases is None:
+            M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
+        else:
+            M.cache["tops"] = [len(basis) for basis in bases]
     return M.cache["tops"]
 
 
@@ -793,23 +843,36 @@ def decompose(M: ModuleRep) -> list[ModuleRep]:
 
 
 def nonsplit_extension(top: ModuleRep, bottom: ModuleRep) -> ModuleRep:
-    """Middle term of a non-split extension of `top` by `bottom`.
+    """Middle term of a non-split extension of `top` by `bottom` (see
+    _extension); SplitOnly when Ext^1(top, bottom) = 0."""
+    E = _extension(top, bottom)[1]
+    if E is None:
+        raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")
+    return E
 
-    Built as the pushout of Omega(top) -> P(top) along a cocycle
-    Omega(top) -> bottom: the first map of a Hom basis that lies outside
-    the coboundary space."""
+
+def _extension(top: ModuleRep, bottom: ModuleRep) -> tuple[int, ModuleRep | None]:
+    """(dim Ext^1(top, bottom), the middle term of a non-split extension of
+    `top` by `bottom`, or None when there is none), both from one cocycle
+    basis Z of Hom(Omega(top), bottom) and the coboundary span B
+    (_coboundaries): Ext^1 is Z modulo B, of dimension |Z| - rank B.
+
+    The middle term is the pushout of Omega(top) -> P(top) along the first
+    map of Z that lies outside B."""
     _check_context(top, bottom)
     P, OmegaT, inc, cob = _coboundaries(top, bottom)
-    h = next((h for h in hom_basis(OmegaT, bottom) if not cob.contains(h.vector())), None)
+    cocycles = hom_basis(OmegaT, bottom)
+    dim = len(cocycles) - cob.rank
+    h = next((h for h in cocycles if not cob.contains(h.vector())), None)
     if h is None:
-        raise SplitOnly(f"no non-split extension of {top.label} by {bottom.label}")
+        return dim, None
     big = direct_sum([bottom, P])
     # row k: (h(w_k), inc(w_k)) for the basis vector w_k of Omega(top)
     rows = vstack([h, inc]).transpose()
     E = quotient_module(big, rows, label=f"E({top.label},{bottom.label})")
     if E.dim != top.dim + bottom.dim:
         raise DimensionMismatch("extension has wrong dimension")
-    return E
+    return dim, E
 
 
 # -- structure ------------------------------------------------------------------
@@ -841,11 +904,16 @@ def composition_multiplicities(M: ModuleRep) -> list[int]:
     factors; cached in M.cache, a list that callers only read.
 
     With vertex idempotents, [M : S_i] = dim e_i M = rank e_i, in any
-    basis.  Over a group, c_i(M) = hom(P_i, M) for every simple but the
-    last, whose count follows from dim M = sum_i c_i(M) dim S_i."""
+    basis: the size of its vertex mask when there are masks
+    (_vertex_masks certifies e_i as the 0/1 diagonal of its mask).  Over
+    a group, c_i(M) = hom(P_i, M) for every simple but the last, whose
+    count follows from dim M = sum_i c_i(M) dim S_i."""
     if "composition" not in M.cache:
         ctx = M.algebra
-        if ctx.idempotents:
+        masks = _vertex_masks(M) if ctx.idempotents else None
+        if masks is not None:
+            comp = [mask.bit_count() for mask in masks]
+        elif ctx.idempotents:
             comp = [M.action[e].rank() for e in ctx.idempotents]
         else:
             *first, last = ctx.simples

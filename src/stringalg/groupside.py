@@ -143,10 +143,11 @@ def extension_tower(n_max: int, degree: int = 1) -> list[ModuleRep]:
     for n in range(1, n_max + 1):
         prev = tower[-1]
         h = calculus.hom_dim(M, prev)
-        e = calculus.ext1_dim(M, prev)
         if h != n:
             raise HypothesisFailed(f"dim Hom(PermRep, V_{n-1}) = {h}, expected {n}")
+        # Ext^1 and V_n from one cocycle basis and coboundary span
+        e, V = calculus._extension(M, prev)
         if e != 1:
             raise HypothesisFailed(f"dim Ext^1(PermRep, V_{n-1}) = {e}, expected 1")
-        tower.append(calculus.nonsplit_extension(M, prev).relabel(f"V{n}"))
+        tower.append(V.relabel(f"V{n}"))
     return tower

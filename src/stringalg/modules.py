@@ -26,6 +26,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .algebra import closed_walk_module, quiver_context
+from .calculus import _entry_view
 from .errors import InvalidMultiplicity, LimitExceeded, ParseError, ZeroLambda
 from .gf import GF
 from .matrix import Mat
@@ -61,19 +62,33 @@ def string_module(S, degree: int = 1) -> ModuleRep:
     """Canonical module of a string (or of a specific word representative,
     keeping the basis aligned with that word's letters).  Its String, the
     tag of its isomorphism class, is kept in M.cache["tag"], so that Omega
-    and isomorphism can be read off the word."""
+    and isomorphism can be read off the word.
+
+    The pass over the word that places the matrix entries also gives what
+    a Hom system reads of the module (calculus._hom_rows): the point set
+    of each vertex, M.cache["vertex_masks"], and each arrow's view,
+    M.cache["hom_gens"] (calculus._entry_view).  An arrow acts by a
+    partial permutation, as a repeated source or target would need the
+    subword a a^-1 or a^-1 a."""
     word = _string_word(S)
     ctx = quiver_context(degree)
     dim = len(word.letters) + 1
     rows = {name: [0] * dim for name in ctx.gen_names}
+    masks = [0] * len(ctx.idempotents)
     for i, v in enumerate(word.vertices()):
         rows[ctx.idempotents[v]][i] = 1 << i
+        masks[v] |= 1 << i
+    entries = {name: [] for name in ARROW_NAMES}
     for i, letter in enumerate(word.letters, start=1):
-        dst, src = (i, i - 1) if is_inverse(letter) else (i - 1, i)
-        rows[ARROW_NAMES[letter & 3]][dst] |= 1 << src
+        dst, src = (i, i - 1) if letter & INV else (i - 1, i)
+        name = ARROW_NAMES[letter & 3]
+        rows[name][dst] = 1 << src
+        entries[name].append((dst, src))
     action = {name: Mat(ctx.field, dim, dim, r) for name, r in rows.items()}
     M = ModuleRep(ctx, dim, action, label=f"M({word.text()})")
     M.cache["tag"] = S if isinstance(S, String) else String.from_valid_word(word)
+    M.cache["vertex_masks"] = masks
+    M.cache["hom_gens"] = {name: _entry_view(dim, e) for name, e in entries.items()}
     return M
 
 

@@ -1592,3 +1592,51 @@ class TestProjectiveHandling:
 
     def test_stable_end_of_projective_is_zero(self, lam):
         assert C.stable_end_dim(lam.pims[1]) == 0
+
+
+class TestEndSolvedOnce:
+    """hom_dim(M, M) solves End(M) once per module, or reads it off a
+    cached End basis, and stable_end_dim and ext1_dim share that solve."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_against_a_plain_copy_before_and_after_the_end_basis(self, degree):
+        for basis_first in (False, True):
+            # built anew for each order, so that their caches start cold
+            mods = _oracle_modules(degree) + [string_module(s, degree) for s in enumerate_strings(6)]
+            for M in mods:
+                P = M.plain()
+                if basis_first:
+                    assert len(C.end_basis(M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
+                else:
+                    assert C.hom_dim(M, M) == C.hom_dim(P, P), M
+                    assert len(C.end_basis(M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
+
+    def test_a_string_item_solves_five_hom_systems(self, monkeypatch):
+        # the c03/c06 loop: Hom(M, S_i) for each simple, End(M), Hom(M, O M)
+        # and Hom(O M, M); End(M) is read by both
+        calls = _spy(monkeypatch, "_hom_rows")
+        strings = [s for s in enumerate_strings(6) if s.letters]
+        for s in strings:
+            M = string_module(s)
+            del calls[:]
+            C.stable_end_dim(M)
+            C.ext1_dim(M, M)
+            O = C.syzygy(M)
+            assert O.dim and len(calls) == 5, s.text()
+            assert [(X is M, Y is M) for X, Y in calls].count((True, True)) == 1, s.text()
+
+    def test_the_tower_solves_no_hom_pair_twice(self, monkeypatch):
+        extension_tower(4, 1)  # PermRep's cover and its maps to the simples, cached on it
+        calls = _spy(monkeypatch, "_hom_rows")
+        extension_tower(4, 1)
+        # each step: Hom(PermRep, V) for the hypothesis, then the
+        # coboundaries and the cocycles that give both Ext^1 and V_n
+        assert [M.label for M, _ in calls] == ["PermRep", "P(PermRep)", "O(PermRep)"] * 4
+        assert len({(id(M), id(N)) for M, N in calls}) == len(calls)
+
+    def test_tops_are_read_off_cached_top_bases(self, monkeypatch):
+        M = perm_module().plain()
+        C.projective_cover(M)
+        calls = _spy(monkeypatch, "_hom_rows")
+        assert C.top_multiplicities(M) == [1, 0]
+        assert calls == []

@@ -337,3 +337,23 @@ def test_band_rotation_invariance_multiplicity_two():
     M = band_module(b, OMEGA, 2, degree=2)
     for i in range(1, 4):
         assert C.is_isomorphic(M, band_module(b.rotation(i), OMEGA, 2, degree=2))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_string_module_hands_over_the_views_of_its_matrices(degree):
+    # what string_module places for the Hom systems (calculus._hom_rows),
+    # each arrow's view and the point set of each vertex, equals what a
+    # plain copy derives from its matrices, for both orientations
+    lam = quiver_context(degree)
+    arrows = list(lam.gen_names[len(lam.idempotents) :])
+    strings = enumerate_strings(10)
+    assert max(len(s.letters) for s in strings) == 10
+    for s in strings:
+        for word in (s.word, s.word.inverse()):
+            M = string_module(word, degree)
+            P = M.plain()
+            views = M.cache["hom_gens"]
+            assert list(views) == arrows
+            assert list(views.values()) == C._generators(P, arrows), word.text()
+            assert M.cache["vertex_masks"] == C._vertex_masks(P), word.text()
+            assert C.composition_multiplicities(M) == [e.rank() for e in (M.action[n] for n in lam.idempotents)]
