@@ -88,8 +88,9 @@ def component_window(seed: String, radius: int, guard: bool = True) -> ARCompone
 def syzygy_string(s: String, power: int = 1) -> String:
     """The string of Omega^power(M(S)), negative powers being cosyzygies,
     read off the word (words.syzygy_word) for |power| up to _POWER_LIMIT.
-    No field enters: strings have 0/1 modules."""
-    if abs(power) > _POWER_LIMIT:
+    No field enters: strings have 0/1 modules.  syzygy_word refuses a
+    power that is not an int, with ParseError."""
+    if type(power) is int and abs(power) > _POWER_LIMIT:
         raise LimitExceeded(f"power {power} not in -{_POWER_LIMIT}..{_POWER_LIMIT}")
     return syzygy_word(s, power)
 

@@ -38,8 +38,8 @@ reads of a module, each generator's view (_Generator) and the vertex
 masks, is cached on it; a string module hands both over from the pass
 over its word that places its matrix entries (modules.string_module,
 _entry_view), a .plain() copy derives them from its matrices.  dim
-End(M) is solved once per module and cached, or read off a cached End
-basis, so stable_hom_dim(M, M) and ext1_dim(M, M) share one solve.
+End(M) is solved once per module and cached, so stable_hom_dim(M, M) and
+ext1_dim(M, M) share one solve.
 
 A map f: M -> N factors through a projective iff it lifts along the
 projective cover pi: P(N) ->> N, that is iff f lies in the span of the
@@ -73,13 +73,11 @@ input is known.  For any pair with an untagged part, is_isomorphic solves
 one Hom(M, N) basis and tries two sound certificates before anything
 else: (1) an invertible basis map, (2) an invertible sum of the basis
 maps.  The sum is a candidate, not a complete test.  Only then does it
-(3) compare dim End(M), dim End(N) and dim Hom(N, M) with dim Hom(M, N),
-and (4) match the two decompositions by Krull-Schmidt.  The End(M) basis
-(end_basis) and the summands of decompose are cached in M.cache, so each
-is solved once per module; steps 3 and 4 read dim End from the cached
-bases and reuse the cached summands.  ModuleRep.plain() gives a copy
-with an empty cache, which takes the matrix route: the tests use it as
-the oracle of the tag route.
+(3) compare the cached dim End(M) and dim End(N), and dim Hom(N, M),
+with dim Hom(M, N), and (4) match the two decompositions by
+Krull-Schmidt.  ModuleRep.plain() gives a copy with an empty cache,
+which takes the matrix route: the tests use it as the oracle of the tag
+route.
 
 Negative syzygies, quotients and socles go through D, the k-dual made a
 module through the context's anti-automorphism (ctx.opposite): D is an
@@ -97,14 +95,13 @@ with t the top and c the composition multiplicities.  Ext^1 needs the
 cover of its first argument only: Hom(-, N) of 0 -> Omega M -> P(M) -> M
 -> 0 gives ext1_dim(M, N) = hom(Omega M, N) - sum_i t_i(M) c_i(N) +
 hom(M, N), on any algebra with split simples.  The top multiplicities
-are hom(M, S_i), read off the cached Hom(M, S_i) bases once a cover has
-solved them.  With vertex idempotents c_i(M) = rank e_i, on the premise,
-certified at set-up, that S_i is e_i acting by 1 and the rest by 0: the
-size of e_i's vertex mask when the idempotents are 0/1 diagonal; over a
-group c_i(M) = hom(P_i, M), the last c_i read off dim M.  Both
-take Omega from syzygy, the one Omega route: a tagged module steps both
-ways on its word (words.syzygy_word), any other module, the .plain()
-oracle among them, on covers and, for Omega^-1, D.
+are hom(M, S_i).  With vertex idempotents c_i(M) = rank e_i, on the
+premise, certified at set-up, that S_i is e_i acting by 1 and the rest
+by 0: the size of e_i's vertex mask when the idempotents are 0/1
+diagonal; over a group c_i(M) = hom(P_i, M), the last c_i read off dim
+M.  Both take Omega from syzygy, the one Omega route: a tagged module
+steps both ways on its word (words.syzygy_word), any other module, the
+.plain() oracle among them, on covers and, for Omega^-1, D.
 """
 
 from __future__ import annotations
@@ -117,6 +114,7 @@ from typing import NamedTuple
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
+    ParseError,
     SplitFailure,
     SplitOnly,
 )
@@ -350,15 +348,14 @@ def _hom_rows(M, N) -> _HomSystem:
 
 
 def hom_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim Hom(M, N).  dim End(M) is solved once, or read off a cached End
-    basis (end_basis), and cached in M.cache."""
+    """dim Hom(M, N).  dim End(M) is solved once and cached in M.cache."""
     _check_context(M, N)
     if M.dim * N.dim == 0:
         return 0
     if M is not N:
         return _hom_dim(M, N)
     if "end_dim" not in M.cache:
-        M.cache["end_dim"] = len(M.cache["end"]) if "end" in M.cache else _hom_dim(M, M)
+        M.cache["end_dim"] = _hom_dim(M, M)
     return M.cache["end_dim"]
 
 
@@ -391,14 +388,6 @@ def is_module_map(f: Mat, M: ModuleRep, N: ModuleRep) -> bool:
     f*a_M = a_N*f?"""
     _check_map(f, M, N)
     return all(f.mul(M.action[name]) == N.action[name].mul(f) for name in M.algebra.gen_names)
-
-
-def end_basis(M: ModuleRep) -> list[Mat]:
-    """hom_basis(M, M), solved once and cached in M.cache, a list that
-    callers only read."""
-    if "end" not in M.cache:
-        M.cache["end"] = hom_basis(M, M)
-    return M.cache["end"]
 
 
 # -- sub/quotient machinery ---------------------------------------------------
@@ -455,14 +444,9 @@ def rad_rows(M: ModuleRep) -> Mat:
 
 def top_multiplicities(M: ModuleRep) -> list[int]:
     """How often each P_i is a summand of P(M), t_i(M) = [top M : S_i] =
-    hom(M, S_i), the size of each cached Hom(M, S_i) basis (_top_bases)
-    if there are any; cached in M.cache, a list that callers only read."""
+    hom(M, S_i); cached in M.cache, a list that callers only read."""
     if "tops" not in M.cache:
-        bases = M.cache.get("top_bases")
-        if bases is None:
-            M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
-        else:
-            M.cache["tops"] = [len(basis) for basis in bases]
+        M.cache["tops"] = [hom_dim(M, S) for S in M.algebra.simples]
     return M.cache["tops"]
 
 
@@ -531,7 +515,10 @@ def syzygy(M: ModuleRep, steps: int = 1) -> ModuleRep:
     lambda and m; any other module, a .plain() copy among them, to the
     kernel of its cover (_cover), or to D Omega D (D is an exact duality
     that takes projectives to projectives).  Projective summands are
-    absorbed, so Omega of a projective, and of 0, is 0."""
+    absorbed, so Omega of a projective, and of 0, is 0.  ParseError for a
+    step count that is not an int, a bool among them."""
+    if type(steps) is not int:
+        raise ParseError(f"the number of Omega steps must be an int, not {steps!r}")
     cur = M
     while steps and cur.dim:
         sign = 1 if steps > 0 else -1
@@ -669,8 +656,9 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
     1. True if a map in H is invertible;
     2. True if the sum of the maps in H is invertible;
-    3. False unless dim End(M) = dim End(N) = dim Hom(N, M) = |H|;
-    4. Krull-Schmidt on the two (cached) decompositions.
+    3. False unless dim End(M) = dim End(N) = dim Hom(N, M) = |H|, the
+       End dimensions cached by hom_dim;
+    4. Krull-Schmidt on the two decompositions.
 
     An invertible module map is an isomorphism, so steps 1 and 2 are sound
     certificates.  They are candidates, not a complete test: an
@@ -689,7 +677,7 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
         return False
     if any(f.is_invertible() for f in H) or reduce(Mat.add, H).is_invertible():
         return True
-    if not (len(end_basis(M)) == len(end_basis(N)) == hom_dim(N, M) == d):
+    if not (hom_dim(M, M) == hom_dim(N, N) == hom_dim(N, M) == d):
         return False
     parts_n = decompose(N)
     for U in decompose(M):
@@ -820,23 +808,15 @@ def decompose(M: ModuleRep) -> list[ModuleRep]:
     decompositions of its parts, so the summands of a sum of string and
     band modules are its part objects, shared, not copied.  Neither solves
     End(M).  Any other module is split by Fitting's lemma (see _split).
-
-    The summands are cached in M.cache (None when M is indecomposable),
-    which a relabelled copy shares, labels included; each call returns a
-    new list, which the caller may change."""
+    Each call returns a new list, which the caller may change."""
     if M.dim == 0:
         return []
-    if "summands" not in M.cache:
-        if "parts" in M.cache:
-            summands = [U for part in M.cache["parts"] for U in decompose(part)]
-        elif "tag" in M.cache:
-            summands = None
-        else:
-            split = _split(M, end_basis(M))
-            summands = None if split is None else decompose(split[0]) + decompose(split[1])
-        M.cache["summands"] = summands
-    parts = M.cache["summands"]
-    return [M] if parts is None else list(parts)
+    if "parts" in M.cache:
+        return [U for part in M.cache["parts"] for U in decompose(part)]
+    if "tag" in M.cache:
+        return [M]
+    split = _split(M, hom_basis(M, M))
+    return [M] if split is None else decompose(split[0]) + decompose(split[1])
 
 
 # -- extensions -----------------------------------------------------------------

@@ -25,7 +25,7 @@ from .chars import (
     check_lift_counts,
     lift_characters,
 )
-from .errors import ConfigError
+from .errors import ConfigError, HypothesisFailed
 from .gf import BAND_SCALARS, GF4, OMEGA
 from .groupside import (
     TOWER_LIMIT,
@@ -42,6 +42,8 @@ from .rep import direct_sum
 from .words import (
     Band,
     String,
+    Word,
+    add_hook,
     enumerate_bands,
     enumerate_strings,
     make_string,
@@ -52,11 +54,6 @@ from .words import (
 
 # the largest value of each scan bound of SuiteConfig
 GUARDS = {"string_scan_len": 16, "pair_len": 10, "mirror_len": 16, "band_len": 14, "tower_n": TOWER_LIMIT, "radius": 8}
-
-C_PERIOD = "gamma eta- beta alpha- beta- eta gamma- alpha-"
-# the same band, rotated by six letters
-X_PERIOD = " ".join(C_PERIOD.split()[6:] + C_PERIOD.split()[:6])
-
 
 class SuiteConfig:
     """The suite's settings: each field defaults to its class attribute
@@ -117,23 +114,18 @@ def config_from_dict(data: dict) -> SuiteConfig:
     return cfg
 
 
-def _c_family_word(level: int, n: int):
-    parts = ["alpha-"] + [C_PERIOD] * (n - 1)
-    if level >= 2:
-        parts.append("gamma eta-")
-    if level >= 3:
-        parts.append("beta alpha- beta-")
-    return parse_word(" ".join(parts))
-
-
-def _x_family_word(level: int, n: int):
-    if level == 1:
-        parts = [X_PERIOD] * n + ["gamma- alpha-"]
-    else:
-        parts = [X_PERIOD] * (n - 1) + ["gamma- alpha- gamma eta-"]
-        if level == 0:
-            parts.append("beta alpha- beta-")
-    return parse_word(" ".join(parts))
+def _hook_ray(seed: str, length: int) -> list[Word]:
+    """The first `length` words of the ray of single hooks from the word
+    `seed`: each word after the first is the one before with the one hook
+    that fits on its right (words.add_hook).  HypothesisFailed when no
+    hook fits, or two do."""
+    ray = [parse_word(seed)]
+    while len(ray) < length:
+        hooks = add_hook(ray[-1])
+        if len(hooks) != 1:
+            raise HypothesisFailed(f"{ray[-1].text()} has {len(hooks)} hooks, not one")
+        ray += hooks
+    return ray
 
 
 def _witness(word, src: int, dst: int) -> bool:
@@ -183,8 +175,9 @@ def check_algebra_structure(cfg, memo):
 
 
 def _a_string(n: int) -> String:
-    """A_n = (alpha beta- gamma-)^n; B_n is its mirror."""
-    return make_string(" ".join(["alpha beta- gamma-"] * n))
+    """A_n = (alpha beta- gamma-)^n, word n - 1 of the hook ray from
+    alpha beta- gamma-; B_n is its mirror."""
+    return String.from_word(_hook_ray("alpha beta- gamma-", n)[-1])
 
 
 def check_ab_tower_stable_endo(cfg, memo):
@@ -235,10 +228,12 @@ def check_s1_component(cfg, memo):
         orbit_dims[str(i)] = [N.dim, C.stable_end_dim(N)]
     seds = {k: v[1] for k, v in orbit_dims.items()}
 
+    # C_{level,n} is word 3(n - 1) + level - 1 of the hook ray from alpha-
+    ray = _hook_ray("alpha-", 12)
     witnesses = {}
     for n in range(1, 5):
         for level in (1, 2, 3):
-            witnesses[f"C{level},{n}"] = _witness(_c_family_word(level, n), 0, 1)
+            witnesses[f"C{level},{n}"] = _witness(ray[3 * (n - 1) + level - 1], 0, 1)
 
     nodes = component_window(s1, 2).nodes
     found_s00 = make_string("alpha") in nodes
@@ -269,10 +264,12 @@ def check_three_tube_and_induction(cfg, memo):
     boundary_sed = {b.text(): C.stable_end_dim(string_module(b)) for b in boundary}
     period3 = syzygy_string(boundary[2]) == boundary[0]
 
+    # X_{level,n}, of dimension 8n + 3 level, is ray word 3(n - 1) + level + 2
+    ray = _hook_ray("gamma- alpha-", 13)
     witnesses = {}
     for n in range(1, 5):
         for level in (-1, 0, 1):
-            w = _x_family_word(level, n)
+            w = ray[3 * (n - 1) + level + 2]
             witnesses[f"X{level},{n}"] = len(w.letters) + 1 == 8 * n + 3 * level and _witness(w, 0, 4)
 
     reps4 = standard_reps(2)
@@ -368,9 +365,9 @@ def check_band_scan(cfg, memo):
             se = C.stable_end_dim(band_module(b, lam, 1, degree=degree))
             if se < 2:
                 bad_stable.append([b.text(), lam, degree, se])
+    # tube word n, beta- gamma- (alpha beta- gamma-)^n, is word n of its hook ray
     tube_witnesses = {}
-    for n in range(0, 4):
-        w = parse_word(" ".join(["beta- gamma-"] + ["alpha beta- gamma-"] * n))
+    for n, w in enumerate(_hook_ray("beta- gamma-", 4)):
         tube_witnesses[f"n={n}"] = _witness(w, 0, 3 * n + 2)
     return (
         "every band of bounded length has a top/socle piece beta-gamma- or "

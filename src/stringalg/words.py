@@ -141,13 +141,13 @@ class _Walk:
 
 
 class Word(_Walk):
-    """A composable walk; empty walks carry the vertex they sit at."""
+    """A composable walk; an empty walk carries its vertex, 0 or 1."""
 
     __slots__ = ()
 
     def __init__(self, letters: tuple[int, ...], vertex: int | None = None):
-        if not letters and vertex is None:
-            raise ParseError("empty word needs a vertex tag")
+        if not letters and vertex not in (0, 1):
+            raise ParseError(f"an empty word needs vertex 0 or 1, not {vertex!r}")
         _set(self, "letters", letters)
         _set(self, "vertex", vertex)
 
@@ -195,10 +195,12 @@ def _last_run(letters):
 def word_flaw(letters) -> str | None:
     """None if the letter sequence is a valid string word, else a reason.
 
-    Composability is checked first; then each letter must be one that
-    may follow its two predecessors (_follow), which by induction form a
-    valid word."""
+    Each letter must lie in 0..7; composability is checked next; then
+    each letter must be one that may follow its two predecessors
+    (_follow), which by induction form a valid word."""
     letters = tuple(letters)
+    if letters and not 0 <= min(letters) <= max(letters) <= 7:
+        return "letter out of range"
     for i in range(len(letters) - 1):
         if s_of(letters[i]) != e_of(letters[i + 1]):
             return "not composable"
@@ -210,6 +212,8 @@ def word_flaw(letters) -> str | None:
 
 def validate_string_word(word: Word) -> Word:
     flaw = word_flaw(word.letters)
+    if flaw == "letter out of range":
+        raise ParseError(f"{word.letters}: {flaw}")
     if flaw == "not composable":
         raise NotComposable(word.text())
     if flaw is not None:
@@ -218,7 +222,8 @@ def validate_string_word(word: Word) -> Word:
 
 
 class String(_Walk):
-    """Canonical representative of a string class (word vs its inverse)."""
+    """Canonical representative of a string class (word vs its inverse).
+    The constructor trusts its letters; from_word checks."""
 
     __slots__ = ("_word",)  # the cached `word`
 
@@ -246,7 +251,7 @@ class String(_Walk):
 
 class Band(_Walk):
     """Canonical representative of a band class (rotations of both
-    orientations)."""
+    orientations).  The constructor trusts its letters; from_word checks."""
 
     __slots__ = ()
 
@@ -289,6 +294,8 @@ def band_flaw(word: Word) -> str | None:
     n = len(letters)
     if n == 0:
         return "empty"
+    if not 0 <= min(letters) <= max(letters) <= 7:
+        return "letter out of range"
     for i in range(n):
         if s_of(letters[i - 1]) != e_of(letters[i]):
             return "not cyclically composable"
@@ -304,6 +311,8 @@ def band_flaw(word: Word) -> str | None:
 
 def validate_band_word(word: Word) -> Word:
     flaw = band_flaw(word)
+    if flaw == "letter out of range":
+        raise ParseError(f"{word.letters}: {flaw}")
     if flaw is not None:
         raise ForbiddenSubword(f"{word.text()}: {flaw}")
     return word
@@ -472,7 +481,10 @@ def syzygy_word(s: String | Word, power: int = 1) -> String | Word:
     duality onto the opposite algebra, Lambda with beta and gamma
     swapped), and a band word Omega^-power itself: Lambda is symmetric and
     band modules lie in homogeneous tubes, so Omega^2 = tau fixes every
-    band word, in its orientation (tests/test_words.py)."""
+    band word, in its orientation (tests/test_words.py).  ParseError for
+    a power that is not an int, a bool among them."""
+    if type(power) is not int:
+        raise ParseError(f"the power of Omega must be an int, not {power!r}")
     if power < 0 and isinstance(s, String):
         return mirror_string(syzygy_word(mirror_string(s), -power))
     for _ in range(abs(power)):

@@ -16,6 +16,8 @@ from stringalg.words import (
     _extensions,
     inv_letter,
     is_band,
+    make_string,
+    parse_word,
 )
 
 
@@ -157,3 +159,41 @@ def enumerate_bands_scan(max_len: int) -> list[Band]:
         if w == _band_canonical(w)[0] and is_band(Word(w)):
             classes.add(Band(w))
     return sorted(classes, key=lambda b: (len(b.letters), b.letters))
+
+
+# The verify families as they were spelled out before they were derived as
+# hook rays (verify._hook_ray)
+C_PERIOD = "gamma eta- beta alpha- beta- eta gamma- alpha-"
+# the same band, rotated by six letters
+X_PERIOD = " ".join(C_PERIOD.split()[6:] + C_PERIOD.split()[:6])
+
+
+def c_family_word(level: int, n: int) -> Word:
+    """C_{level,n} of c04, level 1..3."""
+    parts = ["alpha-"] + [C_PERIOD] * (n - 1)
+    if level >= 2:
+        parts.append("gamma eta-")
+    if level >= 3:
+        parts.append("beta alpha- beta-")
+    return parse_word(" ".join(parts))
+
+
+def x_family_word(level: int, n: int) -> Word:
+    """X_{level,n} of c05, level -1..1."""
+    if level == 1:
+        parts = [X_PERIOD] * n + ["gamma- alpha-"]
+    else:
+        parts = [X_PERIOD] * (n - 1) + ["gamma- alpha- gamma eta-"]
+        if level == 0:
+            parts.append("beta alpha- beta-")
+    return parse_word(" ".join(parts))
+
+
+def a_string(n: int) -> String:
+    """A_n = (alpha beta- gamma-)^n of c02 and c10."""
+    return make_string(" ".join(["alpha beta- gamma-"] * n))
+
+
+def tube_word(n: int) -> Word:
+    """Tube word n of c07, beta- gamma- (alpha beta- gamma-)^n."""
+    return parse_word(" ".join(["beta- gamma-"] + ["alpha beta- gamma-"] * n))

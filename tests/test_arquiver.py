@@ -12,7 +12,7 @@ from stringalg.arquiver import (
     three_tube_boundary,
     tube_rank,
 )
-from stringalg.errors import LimitExceeded, Undecided
+from stringalg.errors import LimitExceeded, ParseError, Undecided
 from stringalg.modules import string_module
 from stringalg.words import String, enumerate_strings, is_inverse, make_string, mirror_string, parse_word, word_flaw
 
@@ -89,6 +89,12 @@ class TestSyzygyStrings:
             for t in built:
                 assert word_flaw(t.letters) is None, (s.text(), t.text())
                 assert String.from_word(t.word) == t, (s.text(), t.text())
+
+    @pytest.mark.parametrize("power", [2.0, 1.5, 1e9, False])
+    def test_a_power_that_is_not_an_int_is_refused(self, power):
+        # before the bound on |power|, which 1e9 exceeds
+        with pytest.raises(ParseError, match="must be an int"):
+            syzygy_string(make_string("alpha"), power)
 
     def test_round_trip(self):
         for s in enumerate_strings(10):

@@ -1,8 +1,12 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from functools import cache, reduce
 from itertools import product
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1204,14 +1208,20 @@ class TestSplitSearch:
 
 class TestDecomposeCache:
     def test_changing_the_returned_list_leaves_the_cache(self, lam):
-        # on the sum as built and on a plain copy, which _split decomposes
+        # on the sum as built, whose summands are its parts, and on a plain
+        # copy, which _split decomposes anew on each call
         built = direct_sum([lam.simples[0], string_module(parse_word("gamma beta")), lam.pims[1]])
         for M in (built, built.plain()):
             first = C.decompose(M)
             parts = list(first)
             first.pop(0)
             first.pop()
-            assert C.decompose(M) == parts
+            again = C.decompose(M)
+            if M is built:
+                assert again == parts
+            else:
+                assert [U.dim for U in again] == [U.dim for U in parts]
+                assert all(C.indec_isomorphic(U, V) for U, V in zip(parts, again))
             U = parts[1]
             whole = C.decompose(U)
             whole.clear()
@@ -1318,12 +1328,15 @@ class TestIsomorphismRoutes:
         assert calls
         monkeypatch.undo()
         # here the End dimensions differ, which step 3 sees; plain copies,
-        # which the tags do not decide
+        # which the tags do not decide.  Step 3 reads dim End, not an End
+        # basis: the only Hom basis solved is that of Hom(M, N)
         a, ba = strings("gamma beta", "beta alpha")
         M, N = direct_sum([a, a]).plain(), direct_sum([a, ba]).plain()
         calls = _spy(monkeypatch, "decompose")
+        bases = _spy(monkeypatch, "hom_basis")
         assert not C.is_isomorphic(M, N)
         assert calls == []
+        assert [(X is M, Y is N) for X, Y in bases] == [(True, True)]
 
     def test_band_against_its_rotation_solves_one_hom_system(self, degree, monkeypatch):
         lam = 1 if degree == 1 else OMEGA
@@ -1407,13 +1420,13 @@ def test_sums_of_tagged_modules_against_the_matrix_route(degree, monkeypatch):
     # decompose and is_isomorphic read a sum of string and band modules off
     # the tags of its parts; on plain copies the same questions go through
     # _split and Hom, which are the oracle.  A sum of tagged modules reaches
-    # no End or Hom basis and no _split, and its summands are its parts
+    # no Hom basis, End included, and no _split, and its summands are its parts
     wrong = []
     seen = [0, 0]
     for M, N, leaves in _sums_of_tagged_modules(degree):
         assert M.dim == N.dim
         if leaves is not None:
-            calls = [_spy(monkeypatch, name) for name in ("end_basis", "hom_basis", "_split")]
+            calls = [_spy(monkeypatch, name) for name in ("hom_basis", "_split")]
         found = C.decompose(M)
         iso = C.is_isomorphic(M, N)
         if leaves is not None:
@@ -1595,8 +1608,8 @@ class TestProjectiveHandling:
 
 
 class TestEndSolvedOnce:
-    """hom_dim(M, M) solves End(M) once per module, or reads it off a
-    cached End basis, and stable_end_dim and ext1_dim share that solve."""
+    """hom_dim(M, M) solves End(M) once per module, and stable_end_dim and
+    ext1_dim share that solve."""
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_against_a_plain_copy_before_and_after_the_end_basis(self, degree):
@@ -1606,10 +1619,10 @@ class TestEndSolvedOnce:
             for M in mods:
                 P = M.plain()
                 if basis_first:
-                    assert len(C.end_basis(M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
+                    assert len(C.hom_basis(M, M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
                 else:
                     assert C.hom_dim(M, M) == C.hom_dim(P, P), M
-                    assert len(C.end_basis(M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
+                    assert len(C.hom_basis(M, M)) == C.hom_dim(M, M) == C.hom_dim(P, P), M
 
     def test_a_string_item_solves_five_hom_systems(self, monkeypatch):
         # the c03/c06 loop: Hom(M, S_i) for each simple, End(M), Hom(M, O M)
@@ -1634,9 +1647,36 @@ class TestEndSolvedOnce:
         assert [M.label for M, _ in calls] == ["PermRep", "P(PermRep)", "O(PermRep)"] * 4
         assert len({(id(M), id(N)) for M, N in calls}) == len(calls)
 
-    def test_tops_are_read_off_cached_top_bases(self, monkeypatch):
+    def test_tops_after_a_cover_solve_the_two_top_systems(self, monkeypatch):
+        # the tops have one route, hom_dim(M, S_i), whether or not a cover
+        # has solved the Hom(M, S_i) bases
         M = perm_module().plain()
         C.projective_cover(M)
         calls = _spy(monkeypatch, "_hom_rows")
         assert C.top_multiplicities(M) == [1, 0]
-        assert calls == []
+        assert calls == [(M, S) for S in M.algebra.simples]
+
+
+def test_syzygy_refuses_a_step_count_that_is_not_an_int():
+    # in a fresh interpreter, with a timeout: a count of 1.5 could swing
+    # between 0.5 and -0.5 for ever
+    code = (
+        "from stringalg import calculus as C\n"
+        "from stringalg.errors import ParseError\n"
+        "from stringalg.modules import string_module\n"
+        "from stringalg.words import make_string\n"
+        "M = string_module(make_string('alpha'))\n"
+        "for N in (M, M.plain()):\n"
+        "    for steps in (1.5, 2.0, -0.5, True):\n"
+        "        try:\n"
+        "            C.syzygy(N, steps)\n"
+        "        except ParseError:\n"
+        "            print('ParseError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("syzygy did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ParseError"] * 8

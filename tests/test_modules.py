@@ -279,6 +279,19 @@ class TestStringArguments:
         with pytest.raises(NotComposable):
             string_module(Word((ALPHA, BETA)))
 
+    def test_letters_and_vertices_out_of_range_raise(self):
+        # 9 and -1 would build M(beta) and M(eta-) by their low bits, and an
+        # empty word at vertex 2 has no idempotent
+        for call in (
+            lambda: string_module(Word((9,))),
+            lambda: string_module(Word((-1,))),
+            lambda: string_module(Word((), 2)),
+            lambda: string_module(String((), 2)),
+            lambda: band_module(Word((9,)), 1),
+        ):
+            with pytest.raises(ParseError):
+                call()
+
     def test_band_is_not_a_string(self):
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
         with pytest.raises(ParseError):

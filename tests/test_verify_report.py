@@ -3,7 +3,11 @@ must match the committed golden file exactly (no timings in it)."""
 
 from pathlib import Path
 
+import pytest
+from oracles import a_string, c_family_word, tube_word, x_family_word
+
 from stringalg import calculus, verify
+from stringalg.errors import HypothesisFailed
 from stringalg.arquiver import classification_targets
 from stringalg.matrix import Mat
 from stringalg.modules import string_module
@@ -62,3 +66,23 @@ def test_c06_builds_the_windows_of_the_s0_family_only(monkeypatch):
     (record,) = run_suite(SuiteConfig(sections=("c06-sheet-classification-scan",)))["checks"]
     assert record["status"] == "pass"
     assert seeds == classification_targets()["s0-family"]
+
+
+def test_the_hook_rays_are_the_spelled_out_families():
+    # at every index that c02, c04, c05, c07 and c10 read
+    c_ray = verify._hook_ray("alpha-", 12)
+    x_ray = verify._hook_ray("gamma- alpha-", 13)
+    for n in range(1, 5):
+        for level in (1, 2, 3):
+            assert c_ray[3 * (n - 1) + level - 1] == c_family_word(level, n), (level, n)
+        for level in (-1, 0, 1):
+            assert x_ray[3 * (n - 1) + level + 2] == x_family_word(level, n), (level, n)
+    assert verify._hook_ray("beta- gamma-", 4) == [tube_word(n) for n in range(4)]
+    assert [verify._a_string(n) for n in range(1, 6)] == [a_string(n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("seed, hooks", [("eta", 0), ("1_0", 2)])
+def test_a_hook_ray_stops_at_a_word_without_a_single_hook(seed, hooks):
+    assert verify._hook_ray(seed, 1) == [parse_word(seed)]
+    with pytest.raises(HypothesisFailed, match=f"has {hooks} hooks"):
+        verify._hook_ray(seed, 2)

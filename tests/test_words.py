@@ -136,6 +136,21 @@ class TestParsing:
         with pytest.raises(ForbiddenSubword):
             make_string("alpha alpha-")
 
+    @pytest.mark.parametrize("letters", [(9,), (-1,), (ALPHA, 8), (-4, ALPHA)])
+    def test_a_letter_out_of_range_is_refused(self, letters):
+        # letters are 0..7; 9 and -1 would read as beta and eta- by their low bits
+        assert word_flaw(letters) == "letter out of range"
+        assert band_flaw(Word(letters)) == "letter out of range"
+        with pytest.raises(ParseError, match="letter out of range"):
+            String.from_word(Word(letters))
+        with pytest.raises(ParseError, match="letter out of range"):
+            Band.from_word(Word(letters))
+
+    @pytest.mark.parametrize("vertex", [None, 2, -1])
+    def test_an_empty_word_sits_at_vertex_0_or_1(self, vertex):
+        with pytest.raises(ParseError):
+            Word((), vertex)
+
 
 class TestBands:
     def test_known_band(self):
@@ -510,3 +525,10 @@ class TestValueSemantics:
             "String('1_1')",
             "Band('alpha beta- eta gamma-')",
         ]
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, -0.5, True, "1", None])
+def test_syzygy_word_refuses_a_power_that_is_not_an_int(power):
+    for s in (make_string("alpha"), Band.from_word(parse_word("eta- beta alpha- gamma")).word):
+        with pytest.raises(ParseError, match="must be an int"):
+            syzygy_word(s, power)
