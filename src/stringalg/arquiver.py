@@ -10,7 +10,7 @@ cover's kernel) with an isomorphism test on Hom, and radical series.
 
 from __future__ import annotations
 
-from .errors import LimitExceeded, Undecided
+from .errors import LimitExceeded, ParseError, Undecided
 from .words import (
     String,
     add_hook,
@@ -56,10 +56,19 @@ class ARComponent:
         return sorted(self.nodes, key=lambda t: (self.nodes[t],) + _skey(t))
 
 
-def component_window(seed: String, radius: int, guard: bool = True) -> ARComponent:
-    """Closure of the seed under neighbor moves up to the given distance."""
+def _check_radius(radius: int, guard: bool = True):
+    """ParseError for a radius that is not an int, a bool among them;
+    LimitExceeded for a negative one, or one above _RADIUS_LIMIT when
+    guarded."""
+    if type(radius) is not int:
+        raise ParseError(f"the radius must be an int, not {radius!r}")
     if radius < 0 or (guard and radius > _RADIUS_LIMIT):
         raise LimitExceeded(f"radius {radius} not in 0..{_RADIUS_LIMIT}")
+
+
+def component_window(seed: String, radius: int, guard: bool = True) -> ARComponent:
+    """Closure of the seed under neighbor moves up to the given distance."""
+    _check_radius(radius, guard)
     nodes = {seed: 0}
     edges = set()
     frontier = [seed]
@@ -147,8 +156,7 @@ def classify(s: String, radius: int = 6) -> str:
     its syzygy shift reaches the trivial vertex string), 's1-family',
     'tube-boundary', or 'outside' (tube interior / band tubes); raises
     Undecided when the explored window is too small to tell."""
-    if not 0 <= radius <= _RADIUS_LIMIT:
-        raise LimitExceeded(f"radius {radius} not in 0..{_RADIUS_LIMIT}")
+    _check_radius(radius)
     rank = tube_rank(s)
     if rank == 1:
         return "outside"

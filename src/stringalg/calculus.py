@@ -59,25 +59,21 @@ band are indecomposable, and two of them are isomorphic iff their tags
 are equal (Butler-Ringel 1987); and Krull-Schmidt holds, so a module is
 fixed up to isomorphism by the multiset of its indecomposable summands.
 So decompose returns a tagged module whole and a sum as the concatenated
-decompositions of its parts, and two modules whose parts, through nested
-sums, are all tagged are isomorphic iff their multisets of tags are equal
-(_same_tag); neither solves a linear system.
-Any other module goes through one deterministic search (_split): basis
-endomorphisms, then their products with the nilpotents found so far, are
-shifted by the first monic polynomial that makes them singular.  A
-shifted map that is not nilpotent splits the module (Fitting's lemma);
-the nilpotent ones span V, and End is certified local once V is closed
-under multiplication by End and End = k[g] + V for one shifted map g.
-SplitFailure is raised only when the search ends with neither; no such
-input is known.  For any pair with an untagged part, is_isomorphic solves
-one Hom(M, N) basis and tries two sound certificates before anything
-else: (1) an invertible basis map, (2) an invertible sum of the basis
-maps.  The sum is a candidate, not a complete test.  Only then does it
-(3) compare the cached dim End(M) and dim End(N), and dim Hom(N, M),
-with dim Hom(M, N), and (4) match the two decompositions by
-Krull-Schmidt.  ModuleRep.plain() gives a copy with an empty cache,
-which takes the matrix route: the tests use it as the oracle of the tag
-route.
+decompositions of its parts, solving no linear system.  Any other module
+goes through one deterministic search (_split): basis endomorphisms, then
+their products with the nilpotents found so far, are shifted by the
+first monic polynomial that makes them singular.  A shifted map that is
+not nilpotent splits the module (Fitting's lemma); the nilpotent ones
+span V, and End is certified local once V is closed under multiplication
+by End and End = k[g] + V for one shifted map g.  SplitFailure is raised
+only when the search ends with neither; no such input is known.
+is_isomorphic has one route, Krull-Schmidt: it matches the two
+decompositions under indec_isomorphic, which compares tags when both
+summands carry one and otherwise looks for an invertible basis map of
+Hom(U, V), a complete test as End(U) is local.  Two sums of string and
+band modules are so decided on their tags alone.  ModuleRep.plain() gives
+a copy with an empty cache, which takes the matrix route: the tests use
+it as the oracle of the tag route.
 
 Negative syzygies, quotients and socles go through D, the k-dual made a
 module through the context's anti-automorphism (ctx.opposite): D is an
@@ -106,7 +102,6 @@ steps both ways on its word (words.syzygy_word), any other module, the
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
@@ -618,66 +613,14 @@ def _coboundaries(M: ModuleRep, N: ModuleRep):
 # -- isomorphism and decomposition ------------------------------------------------
 
 
-def _tags(M: ModuleRep) -> list | None:
-    """The tags of M's indecomposable summands, when M is a string or band
-    module or a direct sum of them, through nested sums; None otherwise."""
-    tag = M.cache.get("tag")
-    if tag is not None:
-        return [tag]
-    parts = M.cache.get("parts")
-    if parts is None:
-        return None
-    tags = []
-    for part in parts:
-        sub = _tags(part)
-        if sub is None:
-            return None
-        tags += sub
-    return tags
-
-
-def _same_tag(M: ModuleRep, N: ModuleRep) -> bool | None:
-    """Whether two modules whose indecomposable summands are all string or
-    band modules are isomorphic: the multisets of their tags (_tags), each
-    naming an isomorphism class (Butler-Ringel 1987), are equal
-    (Krull-Schmidt); None unless all summands of both are tagged."""
-    a = _tags(M)
-    b = _tags(N)
-    if a is None or b is None:
-        return None
-    return Counter(a) == Counter(b)
-
-
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test.  Two string or band modules, or direct sums
-    of them (nested or not), are decided by their multisets of tags
-    (_same_tag), with no Hom system.  Any other pair is decided on a basis
-    H of Hom(M, N), in four steps:
-
-    1. True if a map in H is invertible;
-    2. True if the sum of the maps in H is invertible;
-    3. False unless dim End(M) = dim End(N) = dim Hom(N, M) = |H|, the
-       End dimensions cached by hom_dim;
-    4. Krull-Schmidt on the two decompositions.
-
-    An invertible module map is an isomorphism, so steps 1 and 2 are sound
-    certificates.  They are candidates, not a complete test: an
-    isomorphism may be another combination of H, and step 4 decides every
-    pair they leave."""
+    """Exact isomorphism test by Krull-Schmidt: M and N are isomorphic iff
+    the summands of decompose(M) match those of decompose(N) one to one
+    under indec_isomorphic.  The summands of a string or band module, or
+    of a sum of them, are tagged part objects, so such a pair is decided
+    on the tags with no linear system."""
     _check_context(M, N)
     if M.dim != N.dim:
-        return False
-    if M.dim == 0:
-        return True
-    if (same := _same_tag(M, N)) is not None:
-        return same
-    H = hom_basis(M, N)
-    d = len(H)
-    if d == 0:
-        return False
-    if any(f.is_invertible() for f in H) or reduce(Mat.add, H).is_invertible():
-        return True
-    if not (hom_dim(M, M) == hom_dim(N, N) == hom_dim(N, M) == d):
         return False
     parts_n = decompose(N)
     for U in decompose(M):
@@ -689,17 +632,16 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def indec_isomorphic(U: ModuleRep, V: ModuleRep) -> bool:
-    """Isomorphism test for U KNOWN to be indecomposable: equal tags when
-    both are string or band modules or sums of them (_same_tag), otherwise
-    some basis map
-    U -> V is invertible.  End(U) is local, so when U = V the maps U -> V
-    that are not isomorphisms form a proper subspace, which holds no
-    basis."""
+    """Isomorphism test for U KNOWN to be indecomposable.  When both are
+    string or band modules, their tags are equal (Butler-Ringel 1987);
+    otherwise some basis map U -> V is invertible.  If U = V, Hom(U, V) is
+    End(U), which is local, so the maps U -> V that are not isomorphisms
+    form a proper subspace, which holds no basis: the test is complete."""
     _check_context(U, V)
     if U.dim != V.dim:
         return False
-    if (same := _same_tag(U, V)) is not None:
-        return same
+    if "tag" in U.cache and "tag" in V.cache:
+        return U.cache["tag"] == V.cache["tag"]
     return U.dim == 0 or any(f.is_invertible() for f in hom_basis(U, V))
 
 
@@ -739,7 +681,9 @@ def _split(M: ModuleRep, E: list[Mat]):
     proved local; E is a basis of End(M).
 
     Candidates are the basis E, then the products v*e and e*v of each
-    nilpotent v spanning V (below) with each e in E.  A candidate f
+    nilpotent v spanning V (below) with each e in E; a product is skipped
+    when no nonzero column of its first factor meets a nonzero row of its
+    second, as it is then 0, which lies in V.  A candidate f
     outside V is shifted by the first monic p with p(f) singular (see
     _shift).  If the Fitting power of p(f) is nonzero, it is neither 0 nor
     invertible, and M is its image plus its kernel.  Otherwise p(f) is
@@ -765,13 +709,21 @@ def _split(M: ModuleRep, E: list[Mat]):
     outside = []  # products that were left outside V
     gen, degree = ident, 1
 
+    def nonzero_lines(f):
+        """(the mask of f's nonzero rows, the mask of its nonzero columns)"""
+        return sum(1 << i for i, row in enumerate(f.rows) if row), support(reduce(or_, f.rows, 0), f.ncols)
+
     def candidates():
         for e in E:
             yield e, False
+        masks = [nonzero_lines(e) for e in E]
         for v in nil:  # nil grows while it is read
-            for e in E:
-                yield v.mul(e), True
-                yield e.mul(v), True
+            rows, cols = nonzero_lines(v)
+            for e, (e_rows, e_cols) in zip(E, masks):
+                if cols & e_rows:
+                    yield v.mul(e), True
+                if e_cols & rows:
+                    yield e.mul(v), True
 
     for f, product in candidates():
         x = f.vector()

@@ -101,7 +101,10 @@ def band_module(B, lam: int, mult: int = 1, degree: int = 1) -> ModuleRep:
     = M(B^-1, lambda^-1, m) (Butler-Ringel 1987), so lambda' is lambda^-1
     when the Band's letters are a rotation of the inverse word, and lambda
     otherwise.  Omega and isomorphism are read off the tag.  lambda must
-    be a nonzero element of GF(2^degree), 1..q-1 (ZeroLambda)."""
+    be a nonzero element of GF(2^degree), 1..q-1 (ZeroLambda); m an int,
+    not a bool (ParseError)."""
+    if type(mult) is not int:
+        raise ParseError(f"the band multiplicity must be an int, not {mult!r}")
     if mult < 1:
         raise InvalidMultiplicity(f"band multiplicity {mult} < 1")
     if mult > _MULT_LIMIT:

@@ -396,6 +396,10 @@ def _walk(starts, max_len: int, keep=None):
 
 
 def _check_enum_bound(kind: str, max_len: int):
+    """ParseError for a bound that is not an int, a bool among them;
+    LimitExceeded for one outside 0.._ENUM_LIMIT."""
+    if type(max_len) is not int:
+        raise ParseError(f"the {kind} length bound must be an int, not {max_len!r}")
     if not 0 <= max_len <= _ENUM_LIMIT:
         raise LimitExceeded(f"{kind} length bound {max_len} not in 0..{_ENUM_LIMIT}")
 

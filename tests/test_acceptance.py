@@ -89,10 +89,19 @@ def test_observations_recorded():
 
 
 def test_observations_are_computed_on_hom(monkeypatch):
-    # the band tags encode the conventions observed: with tags that never
-    # match, an observation that the tags decided would turn False
+    # the band tags encode the conventions observed, so no module that
+    # indec_isomorphic compares may carry a tag: each pair is decided on Hom
     from stringalg import calculus
 
     computed = ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3]
-    monkeypatch.setattr(calculus, "_same_tag", lambda M, N: False if "tag" in M.cache and "tag" in N.cache else None)
+    seen = []
+    real = calculus.indec_isomorphic
+
+    def spy(U, V):
+        seen.append((U, V))
+        return real(U, V)
+
+    monkeypatch.setattr(calculus, "indec_isomorphic", spy)
     assert ALL_CHECKS["obs-band-conventions"](CONFIG, MEMO)[3] == computed
+    assert seen
+    assert not [M for pair in seen for M in pair if "tag" in M.cache]

@@ -162,6 +162,16 @@ class TestWindows:
             with pytest.raises(LimitExceeded):
                 classify(String((), 0), radius)
 
+    @pytest.mark.parametrize("radius", [True, False, 1.5, 2.0, "2"])
+    def test_a_radius_that_is_not_an_int_is_refused(self, radius):
+        # True built a window of radius True, 1.5 failed inside the walk,
+        # and classify reached the walk only for some strings
+        for s in (String((), 0), three_tube_boundary()[0], make_string("beta- gamma-")):
+            with pytest.raises(ParseError, match="must be an int"):
+                component_window(s, radius)
+            with pytest.raises(ParseError, match="must be an int"):
+                classify(s, radius)
+
     def test_figure_window_contents(self):
         comp = component_window(String((), 1), 2)
         assert make_string("alpha") in comp.nodes  # the uniserial S0,S0

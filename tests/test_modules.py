@@ -305,6 +305,13 @@ class TestStringArguments:
         with pytest.raises(ParseError):
             string_hom_basis("alpha", String((), 0))
 
+    @pytest.mark.parametrize("mult", [True, 2.0, 1.5, "2", None])
+    def test_a_multiplicity_that_is_not_an_int_is_refused(self, mult):
+        # True built M(B; 1, True), 2.0 failed inside the Jordan block
+        b = Band.from_word(parse_word("eta- beta alpha- gamma"))
+        with pytest.raises(ParseError, match="must be an int"):
+            band_module(b, 1, mult)
+
     def test_band_module_takes_band_or_word(self):
         b = Band.from_word(parse_word("eta- beta alpha- gamma"))
         assert C.is_isomorphic(band_module(b, 1), band_module(b.word, 1))

@@ -241,6 +241,13 @@ class TestEnumeration:
         with pytest.raises(LimitExceeded):
             enumerate_fn(-1)
 
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True, False, "3", None])
+    @pytest.mark.parametrize("enumerate_fn", [enumerate_strings, enumerate_bands])
+    def test_a_bound_that_is_not_an_int_is_refused(self, enumerate_fn, bound):
+        # 2.5 walked as 3 and True as 1
+        with pytest.raises(ParseError, match="must be an int"):
+            enumerate_fn(bound)
+
     def test_oracle_equivalence(self):
         # independent generate-and-filter over all composable words
         out = {String((), 0), String((), 1)}
